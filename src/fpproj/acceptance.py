@@ -37,7 +37,7 @@ from .projection import (
     exceptional_report_from_stats,
     family_projection_stats,
 )
-from .subspaces import enumerate_subspaces, perp, serialize_subspace
+from .subspaces import enumerate_subspaces, first_subspace, perp, serialize_subspace
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def standard_sets(ambient: AmbientSpace, base_seed: int):
     for i, raw in enumerate(_LADDER):
         size = min(raw, ambient.point_count - 1)
         out.append((f"random:{size}:{base_seed + i}", random_point_set(ambient, size, base_seed + i)))
-    line = enumerate_subspaces(ambient, 1)[0]
-    plane = enumerate_subspaces(ambient, 2)[0] if ambient.n >= 3 else line
+    line = first_subspace(ambient, 1)
+    plane = first_subspace(ambient, 2) if ambient.n >= 3 else line
     offset = decode(ambient, (base_seed * 7 + 3) % ambient.point_count)
     out.append(("flat:1", affine_flat_set(line, offset)))
     out.append(("flat:2", affine_flat_set(plane, offset)))

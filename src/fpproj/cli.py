@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +42,7 @@ from .pointsets import (
     random_point_set,
 )
 from .projection import exceptional_report_from_stats, family_projection_stats, project
-from .subspaces import enumerate_subspaces, parse_subspace, serialize_subspace
+from .subspaces import enumerate_subspaces, first_subspace, parse_subspace, serialize_subspace
 
 SWEEP_HEADER = (
     "p,n,m,family_id,family_size,set_id,set_size,threshold_kind,threshold,"
@@ -77,7 +76,7 @@ def parse_set_spec(ambient: AmbientSpace, spec: str, point_budget=DEFAULT_POINT_
     if kind == "flat":
         k_s, _, offset_s = rest.partition(":")
         k = int(k_s)
-        W = enumerate_subspaces(ambient, k)[0]
+        W = first_subspace(ambient, k)
         coords = tuple(int(c) for c in offset_s.split(",")) if offset_s else (0,) * ambient.n
         return affine_flat_set(W, FpVector(ambient, coords))
     if kind == "circle":
@@ -202,23 +201,18 @@ def cmd_random_family(args) -> int:
 
 def cmd_examples(args) -> int:
     if args.which == "circle":
-        ambient = AmbientSpace(args.p, 3)
-        G = circle_family(args.p)
-        S = circle_set(args.p)
-        print(f"set_size {S.size}")
-        print(f"family_size {len(G)}")
-        print(f"spread_perp {spread_perp(G).max_count}")
+        if args.n != 3:
+            raise ValueError("the circle family lives in n = 3")
+        G, S = circle_family(args.p), circle_set(args.p)
     else:
-        n = args.n
-        ambient = AmbientSpace(args.p, n)
-        G = moment_family(args.p, n)
-        S = moment_curve_set(args.p, n)
-        print(f"set_size {S.size}")
-        print(f"family_size {len(G)}")
-        print(f"spread_perp {spread_perp(G).max_count}")
+        G, S = moment_family(args.p, args.n), moment_curve_set(args.p, args.n)
+    print(f"set_size {S.size}")
+    print(f"family_size {len(G)}")
+    print(f"spread_perp {spread_perp(G).max_count}")
+    if args.which == "moment":
         print(f"hyperplane_max {hyperplane_intersection_max(S, budget=args.subspace_budget)}")
     failed = False
-    for set_id, E in acceptance.standard_sets(ambient, base_seed=args.p):
+    for set_id, E in acceptance.standard_sets(S.ambient, base_seed=args.p):
         sizes, energies = family_projection_stats(E, G)
         for N in (1, 2, 4, 8):
             report = exceptional_report_from_stats(E, G.m, sizes, energies, N)
@@ -281,11 +275,11 @@ def _threshold_to_N(ambient, m, kind, value):
     return floor_mul_pow(frac, ambient.p, m), f"{frac.numerator}/{frac.denominator}"
 
 
-def _sweep_cell(ambient, m, family_info, set_info, kind, value, C):
-    family_id, G, seed_field, sc, sp = family_info
+def _sweep_cell(ambient, m, family_info, set_info, stats, kind, value, C):
+    family_id, _, seed_field, sc, sp = family_info
     set_id, E = set_info
     N, shown = _threshold_to_N(ambient, m, kind, value)
-    sizes, energies = G
+    sizes, energies = stats
     report = exceptional_report_from_stats(E, m, sizes, energies, N)
     ok = report.ratio <= C
     return (
@@ -305,43 +299,37 @@ def cmd_sweep(args) -> int:
     for spec in family_specs:
         try:
             G, seed_field = parse_family_spec(ambient, m, spec, budget=args.subspace_budget)
-            stats_cache = {}
             sc = spread_containing(G).max_count
             sp = spread_perp(G).max_count
-            families.append((spec, G, seed_field, sc, sp, stats_cache))
+            families.append((spec, G, seed_field, sc, sp))
         except BudgetError:
-            families.append((spec, None, "", "", "", None))
+            families.append((spec, None, "", "", ""))
 
     sets = [(spec, parse_set_spec(ambient, spec, point_budget=args.point_budget)) for spec in set_specs]
     for _, E in sets:
         if E.size == 0:
             raise ValueError("sweep sets must be nonempty (the bound uses 1/|E|)")
 
-    def run_cell(family_entry, set_entry, value):
-        spec, G, seed_field, sc, sp, stats_cache = family_entry
-        set_id, E = set_entry
-        if G is None:
-            return (
-                f"{ambient.p},{ambient.n},{m},{spec},,{set_id},{E.size},{kind},"
-                f"{value},,,,,,,{seed_field},skipped"
-            ), None
-        if set_id not in stats_cache:
-            stats_cache[set_id] = family_projection_stats(E, G)
-        return _sweep_cell(
-            ambient, m, (spec, stats_cache[set_id], seed_field, sc, sp), set_entry, kind, value, C
-        )
-
-    cells = [
-        (family_entry, set_entry, value)
-        for family_entry in families
-        for set_entry in sets
-        for value in values
-    ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda c: run_cell(*c), cells))
-    else:
-        results = [run_cell(*c) for c in cells]
+    results = []
+    for family_info in families:
+        spec, G, seed_field = family_info[:3]
+        for set_info in sets:
+            set_id, E = set_info
+            if G is None:
+                results.extend(
+                    (
+                        f"{ambient.p},{ambient.n},{m},{spec},,{set_id},{E.size},{kind},"
+                        f"{value},,,,,,,{seed_field},skipped",
+                        None,
+                    )
+                    for value in values
+                )
+                continue
+            stats = family_projection_stats(E, G)
+            results.extend(
+                _sweep_cell(ambient, m, family_info, set_info, stats, kind, value, C)
+                for value in values
+            )
 
     lines = [SWEEP_HEADER]
     for line, ok in results:
@@ -434,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="exceptional-count sweep from a JSON config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None, help="CSV path (overrides config output)")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     add_budgets(sp)
     sp.set_defaults(func=cmd_sweep)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,16 +20,16 @@ import numpy as np
 
 from .budgets import DEFAULT_SUBSPACE_BUDGET
 from .exact import floor_mul_pow, le_affine_pow, le_pow
-from .field import AmbientSpace, FpVector, decode, gaussian_binomial
+from .field import AmbientSpace, FpVector, decode, digit_table, gaussian_binomial, power_vector
 from .pointsets import PointSet, circle_set, moment_curve_set
 from .projection import family_coset_energy
 from .rng import TWO64, select_by_threshold
 from .subspaces import (
     Subspace,
+    SubspaceStack,
     contains_codes,
     enumerate_subspaces,
-    perp,
-    span_codes,
+    member_chunks,
     span_of_point,
 )
 
@@ -56,6 +57,11 @@ class Family:
                     f"member of dimension {W.dim} in a family of dimension {n - self.m}"
                 )
         object.__setattr__(self, "members", tuple(members))
+
+    @cached_property
+    def stack(self) -> SubspaceStack:
+        """The members' bases and annihilators as arrays, built on first use."""
+        return SubspaceStack.of(self.ambient, self.ambient.n - self.m, self.members)
 
     def __iter__(self):
         return iter(self.members)
@@ -196,10 +202,16 @@ def spread_profile(G: Family, variant: str) -> np.ndarray:
     """
     if variant not in ("contains", "perp"):
         raise ValueError(f"unknown variant {variant!r}")
+    p, n = G.ambient.p, G.ambient.n
+    rows = G.stack.bases if variant == "contains" else G.stack.annihilators
+    coeffs = digit_table(p, rows.shape[1])
+    weights = power_vector(p, n)
     counts = np.zeros(G.ambient.point_count, dtype=np.int64)
-    for W in G:
-        target = W if variant == "contains" else perp(W)
-        np.add.at(counts, span_codes(target), 1)
+    # each member's span lists every one of its points exactly once
+    for part in member_chunks(len(G), len(coeffs) * n):
+        points = coeffs @ rows[part]
+        codes = np.remainder(points, p, out=points) @ weights
+        counts += np.bincount(codes.ravel(), minlength=counts.size)
     return counts
 
 

@@ -20,12 +20,16 @@ import numpy as np
 
 from .budgets import DEFAULT_SUBSPACE_BUDGET
 from .exact import le_pow
+from .field import power_vector
 from .pointsets import PointSet
 from .subspaces import (
     CosetLabel,
     Subspace,
+    SubspaceStack,
     _require_proper,
     enumerate_subspaces,
+    member_chunks,
+    member_stack,
     reduce_points,
 )
 
@@ -83,25 +87,13 @@ def energy(E: PointSet, planes: Iterable[CosetLabel]) -> int:
     return total
 
 
-def _member_tuple(G) -> tuple[Subspace, ...]:
-    members = tuple(G)
-    if members:
-        m = members[0].codim
-        if any(W.codim != m for W in members):
-            raise ValueError("family members must share one codimension")
-    return members
-
-
 def family_coset_energy(E: PointSet, G) -> int:
     """Energy of E over all cosets of all members of G (exact integer).
 
     Equals sum over W in G, over the p^m cosets of W, of |E ∩ coset|^2.
     """
-    total = 0
-    for W in _member_tuple(G):
-        counts = fiber_counts(E, W)
-        total += int(np.dot(counts, counts))
-    return total
+    _, energies = family_projection_stats(E, G)
+    return int(energies.sum())
 
 
 def incidence_decomposition(E: PointSet, G) -> tuple[int, int]:
@@ -111,13 +103,9 @@ def incidence_decomposition(E: PointSet, G) -> tuple[int, int]:
     of each W partition the space; the two components always sum to
     family_coset_energy(E, G).
     """
-    incidences = 0
-    pairs = 0
-    for W in _member_tuple(G):
-        counts = fiber_counts(E, W)
-        incidences += int(counts.sum())
-        pairs += int(np.dot(counts, counts - 1))
-    return incidences, pairs
+    _, energies = family_projection_stats(E, G)
+    incidences = len(energies) * E.size
+    return incidences, int(energies.sum()) - incidences
 
 
 def cauchy_schwarz_gap(E: PointSet, W: Subspace) -> tuple[int, int]:
@@ -131,16 +119,44 @@ def cauchy_schwarz_gap(E: PointSet, W: Subspace) -> tuple[int, int]:
 def family_projection_stats(E: PointSet, G) -> tuple[np.ndarray, np.ndarray]:
     """Per-member image sizes and coset energies, in family order.
 
-    One pass over the family feeds every threshold query; the sweep
-    runner uses this to evaluate several N against the same family.
+    G is a Family (its cached stack is used) or any sequence of
+    subspaces of one dimension.  One pass over the family feeds every
+    threshold query; the sweep runner uses this to evaluate several N
+    against the same family.
     """
-    members = _member_tuple(G)
-    sizes = np.empty(len(members), dtype=np.int64)
-    energies = np.empty(len(members), dtype=np.int64)
-    for i, W in enumerate(members):
-        counts = fiber_counts(E, W)
-        sizes[i] = counts.size
-        energies[i] = np.dot(counts, counts)
+    return _stack_stats(E, member_stack(E.ambient, G))
+
+
+def _stack_stats(E: PointSet, stack: SubspaceStack) -> tuple[np.ndarray, np.ndarray]:
+    """The batched kernel behind family_projection_stats.
+
+    x and y share a coset of W iff x.a = y.a for every annihilator row a,
+    so a point's coset label is (x . A^T mod p) read as a base-p number
+    in [0, p^m).  Per chunk of members, each member's |E| labels are
+    sorted; the runs of equal labels are the fibers, so the run count is
+    the image size and the sum of squared run lengths is the energy.
+    """
+    K = len(stack)
+    sizes = np.zeros(K, dtype=np.int64)
+    energies = np.zeros(K, dtype=np.int64)
+    if K and not 0 < stack.dim < E.ambient.n:
+        raise ValueError("cosets are only defined for proper nontrivial subspaces")
+    if K == 0 or E.size == 0:
+        return sizes, energies
+    p, m = E.ambient.p, stack.codim
+    points = E.coordinates()
+    weights = power_vector(p, m)
+    for part in member_chunks(K, E.size * m):
+        residues = points @ stack.annihilators[part].transpose(0, 2, 1)
+        labels = np.remainder(residues, p, out=residues) @ weights
+        labels.sort(axis=1)
+        new_run = np.ones(labels.shape, dtype=bool)
+        np.not_equal(labels[:, 1:], labels[:, :-1], out=new_run[:, 1:])
+        runs = np.diff(np.flatnonzero(new_run), append=new_run.size)
+        part_sizes = new_run.sum(axis=1)
+        first_runs = np.concatenate(([0], np.cumsum(part_sizes)[:-1]))
+        sizes[part] = part_sizes
+        energies[part] = np.add.reduceat(runs * runs, first_runs)
     return sizes, energies
 
 
@@ -184,12 +200,11 @@ def exceptional_report_from_stats(
 
 def exceptional_count(E: PointSet, G, N: int) -> ExceptionalReport:
     """Count members of G with |projection of E| <= N, with bound and ratio."""
-    members = _member_tuple(G)
-    if not members:
+    stack = member_stack(E.ambient, G)
+    if not len(stack):
         raise ValueError("empty family")
-    m = members[0].codim
-    sizes, energies = family_projection_stats(E, members)
-    return exceptional_report_from_stats(E, m, sizes, energies, N)
+    sizes, energies = _stack_stats(E, stack)
+    return exceptional_report_from_stats(E, stack.codim, sizes, energies, N)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +249,7 @@ def exceptional_bound_check(
     if not 1 <= m <= n - 1:
         raise ValueError(f"m = {m} out of range [1, {n - 1}]")
     grassmannian = enumerate_subspaces(ambient, n - m, budget=budget)
-    sizes = [project(E, W).size for W in grassmannian]
+    sizes = family_projection_stats(E, grassmannian)[0].tolist()
 
     if E.size <= p**m:
         if t is None:

@@ -44,6 +44,14 @@ class Subspace:
             raise ValueError("basis must be a reduced-row-echelon matrix of full rank")
 
     @classmethod
+    def _canonical(cls, ambient: AmbientSpace, basis) -> "Subspace":
+        """Wrap a basis already known to be reduced row echelon (no check)."""
+        W = object.__new__(cls)
+        object.__setattr__(W, "ambient", ambient)
+        object.__setattr__(W, "basis", basis)
+        return W
+
+    @classmethod
     def from_rows(cls, ambient: AmbientSpace, rows) -> "Subspace":
         """Canonicalize arbitrary spanning rows into a Subspace."""
         R, _, _ = rref(FpMatrix(ambient, tuple(tuple(r) for r in rows)))
@@ -139,7 +147,16 @@ def _enumerate_cached(ambient: AmbientSpace, k: int) -> tuple[Subspace, ...]:
                 rows[i][j] = v
             bases.append(tuple(tuple(r) for r in rows))
     bases.sort()
-    return tuple(Subspace(ambient, b) for b in bases)
+    return tuple(Subspace._canonical(ambient, b) for b in bases)
+
+
+def first_subspace(ambient: AmbientSpace, k: int) -> Subspace:
+    """span(e_(n-k), ..., e_(n-1)): element [0] of enumerate_subspaces(ambient, k)."""
+    n = ambient.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k = {k} out of range [0, {n}]")
+    basis = tuple(tuple(1 if j == n - k + i else 0 for j in range(n)) for i in range(k))
+    return Subspace._canonical(ambient, basis)
 
 
 def span_of_point(x: FpVector) -> Subspace:
@@ -158,7 +175,7 @@ def perp(W: Subspace) -> Subspace:
     """
     if W.dim == 0:
         return Subspace.full(W.ambient)
-    return Subspace(W.ambient, nullspace(FpMatrix(W.ambient, W.basis)).rows)
+    return Subspace._canonical(W.ambient, nullspace(FpMatrix(W.ambient, W.basis)).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +229,104 @@ def span_codes(W: Subspace) -> np.ndarray:
         out = np.sort(encode_array(W.ambient, pts))
     out.setflags(write=False)
     return out
+
+
+# ---------------------------------------------------------------------------
+# stacked members: one array per family instead of one object per member
+# ---------------------------------------------------------------------------
+
+# Batched kernels work on at most this many int64 elements per step, so
+# their memory stays bounded whatever the family size, |E| or p^m.
+CHUNK_ELEMENTS = 2**16
+
+
+def member_chunks(count: int, per_member: int):
+    """Slices of range(count) holding at most CHUNK_ELEMENTS // per_member members.
+
+    Every slice holds at least one member, so a member wider than the
+    cap still gets a step of its own.
+    """
+    step = max(1, CHUNK_ELEMENTS // max(1, per_member))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+@dataclass(frozen=True, eq=False)
+class SubspaceStack:
+    """K subspaces of one dimension k as int64 arrays.
+
+    bases is (K, k, n) with each member's canonical RREF basis;
+    annihilators is (K, n-k, n) with a basis of each member's Per(W).
+    Two points lie in one coset of W iff they have equal dot products
+    with every annihilator row, so these rows label cosets.  Every
+    matrix product against the stacks sums n products of residues, so
+    n(p-1)^2 < 2^63 keeps them exact in int64; construction checks it.
+    """
+
+    ambient: AmbientSpace
+    bases: np.ndarray
+    annihilators: np.ndarray
+
+    @classmethod
+    def of(cls, ambient: AmbientSpace, dim: int, members) -> "SubspaceStack":
+        p, n = ambient.p, ambient.n
+        if n * (p - 1) ** 2 >= 2**63:
+            raise ValueError(f"n(p-1)^2 for p={p}, n={n} exceeds the exact int64 range")
+        members = tuple(members)
+        for W in members:
+            if W.ambient != ambient:
+                raise ValueError(f"ambient mismatch: {ambient} vs {W.ambient}")
+            if W.dim != dim:
+                raise ValueError("family members must share one codimension")
+        bases = np.array([W.basis for W in members], dtype=np.int64).reshape(len(members), dim, n)
+        annihilators = _annihilator_rows(p, bases)
+        bases.setflags(write=False)
+        annihilators.setflags(write=False)
+        return cls(ambient, bases, annihilators)
+
+    def __len__(self) -> int:
+        return self.bases.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.bases.shape[1]
+
+    @property
+    def codim(self) -> int:
+        return self.annihilators.shape[1]
+
+
+def _annihilator_rows(p: int, bases: np.ndarray) -> np.ndarray:
+    """Closed-form bases of Per(W) for a (K, k, n) stack of RREF bases.
+
+    For each free (non-pivot) column f the row is 1 at f and -R[i, f] at
+    pivot column i, the nullspace construction without its final rref.
+    """
+    K, k, n = bases.shape
+    m = n - k
+    out = np.zeros((K, m, n), dtype=np.int64)
+    members = np.arange(K)[:, None]
+    pivots = (bases != 0).argmax(axis=2)  # (K, k): first nonzero entry of each row
+    free_mask = np.ones((K, n), dtype=bool)
+    free_mask[members, pivots] = False
+    free = np.nonzero(free_mask)[1].reshape(K, m)  # (K, m), increasing per member
+    at_free = np.take_along_axis(bases, np.broadcast_to(free[:, None, :], (K, k, m)), axis=2)
+    out[members[:, :, None], np.arange(m)[None, :, None], pivots[:, None, :]] = (
+        -at_free.transpose(0, 2, 1) % p
+    )
+    out[members, np.arange(m)[None, :], free] = 1
+    return out
+
+
+def member_stack(ambient: AmbientSpace, G) -> SubspaceStack:
+    """The stack of a family: cached on a Family, built here for any other iterable."""
+    stack = getattr(G, "stack", None)
+    if isinstance(stack, SubspaceStack):
+        if stack.ambient != ambient:
+            raise ValueError(f"ambient mismatch: {ambient} vs {stack.ambient}")
+        return stack
+    members = tuple(G)
+    dim = members[0].dim if members else 0
+    return SubspaceStack.of(ambient, dim, members)
 
 
 # ---------------------------------------------------------------------------

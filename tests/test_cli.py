@@ -44,6 +44,16 @@ def test_project_bad_spec_is_usage_error(capsys):
                "--set", "nonsense:1") == 2
 
 
+def test_project_flat_set_needs_no_grassmannian(capsys):
+    # |G(6,3)| over F_5 is 2,558,556, far above the subspace budget; a
+    # flat takes span(e3, e4, e5) without enumerating G(6,3).
+    assert run("project", "--p", "5", "--n", "6", "--subspace", "1,0,0,0,0,0",
+               "--set", "flat:3:0,0,0,0,0,1") == 0
+    out = capsys.readouterr().out
+    assert "set_size 125" in out
+    assert "image_size 125" in out
+
+
 # -- identity-check ------------------------------------------------------------
 
 
@@ -95,6 +105,13 @@ def test_examples_moment(capsys):
 
 def test_examples_circle_rejects_p2(capsys):
     assert run("examples", "circle", "--p", "2") == 2
+
+
+def test_examples_circle_rejects_other_n(capsys):
+    assert run("examples", "circle", "--p", "5", "--n", "9") == 2
+    assert "n = 3" in capsys.readouterr().err
+    assert run("examples", "circle", "--p", "5", "--n", "3") == 0
+    assert "family_size 4" in capsys.readouterr().out
 
 
 # -- sweep -------------------------------------------------------------------------

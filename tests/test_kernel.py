@@ -1,0 +1,186 @@
+"""The batched family kernel against the per-member path and the oracles.
+
+family_projection_stats and spread_profile work on stacked member
+arrays in chunks; each test here recomputes the same quantity one
+member at a time (fiber_counts, span_codes) and, where it is cheap
+enough, from first principles (tests/oracles.py).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fpproj.subspaces
+from fpproj.families import Family, full_family, spread_profile
+from fpproj.field import AmbientSpace, decode
+from fpproj.pointsets import PointSet, random_point_set
+from fpproj.projection import (
+    family_coset_energy,
+    family_projection_stats,
+    fiber_counts,
+    incidence_decomposition,
+)
+from fpproj.subspaces import (
+    CHUNK_ELEMENTS,
+    Subspace,
+    SubspaceStack,
+    enumerate_subspaces,
+    first_subspace,
+    member_chunks,
+    perp,
+    span_codes,
+)
+from oracles import brute_fiber_counts, span_set
+
+CHUNKS = (1, 3, 17, CHUNK_ELEMENTS)
+
+
+@st.composite
+def instances(draw):
+    """(ambient, members, E): a random subset of G(n, n-m) and a random set."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1))
+    ambient = AmbientSpace(p, n)
+    grassmannian = enumerate_subspaces(ambient, n - m)
+    picks = draw(st.lists(st.integers(0, len(grassmannian) - 1), max_size=10, unique=True))
+    codes = draw(st.lists(st.integers(0, ambient.point_count - 1), max_size=30, unique=True))
+    members = tuple(grassmannian[i] for i in picks)
+    return ambient, m, members, PointSet.from_codes(ambient, codes)
+
+
+def per_member_stats(E, members):
+    sizes, energies = [], []
+    for W in members:
+        counts = fiber_counts(E, W)
+        sizes.append(int(counts.size))
+        energies.append(int(np.dot(counts, counts)))
+    return sizes, energies
+
+
+def oracle_stats(E, members):
+    p, n = E.ambient.p, E.ambient.n
+    points = [decode(E.ambient, int(c)).coords for c in E.codes]
+    sizes, energies = [], []
+    for W in members:
+        counts = brute_fiber_counts(points, span_set(W.basis, p, n), p)
+        sizes.append(len(counts))
+        energies.append(sum(c * c for c in counts))
+    return sizes, energies
+
+
+def spread_loop(G, variant):
+    counts = np.zeros(G.ambient.point_count, dtype=np.int64)
+    for W in G:
+        np.add.at(counts, span_codes(W if variant == "contains" else perp(W)), 1)
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.sampled_from(CHUNKS))
+def test_stats_match_per_member_path_and_oracle(case, chunk):
+    ambient, m, members, E = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+        sizes, energies = family_projection_stats(E, members)
+        G = Family(ambient, m, members)
+        family_sizes, family_energies = family_projection_stats(E, G)
+    expected = per_member_stats(E, members)
+    assert (sizes.tolist(), energies.tolist()) == expected
+    assert (sizes.tolist(), energies.tolist()) == oracle_stats(E, members)
+    assert (family_sizes.tolist(), family_energies.tolist()) == per_member_stats(E, G.members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.sampled_from(CHUNKS))
+def test_energy_and_incidences_match_per_member_sums(case, chunk):
+    ambient, m, members, E = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+        energy = family_coset_energy(E, members)
+        incidences, pairs = incidence_decomposition(E, members)
+    counts = [fiber_counts(E, W) for W in members]
+    assert energy == sum(int(np.dot(c, c)) for c in counts)
+    assert incidences == sum(int(c.sum()) for c in counts) == len(members) * E.size
+    assert pairs == sum(int(np.dot(c, c - 1)) for c in counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.sampled_from(CHUNKS))
+def test_spread_profile_matches_member_loop(case, chunk):
+    ambient, m, members, _ = case
+    G = Family(ambient, m, members)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+        for variant in ("contains", "perp"):
+            assert np.array_equal(spread_profile(G, variant), spread_loop(G, variant))
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_annihilator_stack_spans_perp(case):
+    ambient, m, members, _ = case
+    stack = SubspaceStack.of(ambient, ambient.n - m, members)
+    assert stack.annihilators.shape == (len(members), m, ambient.n)
+    for W, rows in zip(members, stack.annihilators):
+        span = Subspace.from_rows(ambient, rows.tolist())
+        assert span.dim == m  # the rows are independent
+        assert span == perp(W)
+
+
+def test_annihilator_stack_of_trivial_dimensions():
+    a = AmbientSpace(3, 3)
+    zero = SubspaceStack.of(a, 0, (Subspace.zero(a),))
+    assert np.array_equal(zero.annihilators[0], np.eye(3, dtype=np.int64))
+    whole = SubspaceStack.of(a, 3, (Subspace.full(a),))
+    assert whole.annihilators.shape == (1, 0, 3)
+
+
+@pytest.mark.parametrize("size", [0, 1, 40])
+def test_family_larger_than_one_chunk(monkeypatch, size):
+    a = AmbientSpace(5, 3)
+    G = full_family(a, 2)
+    E = random_point_set(a, size, seed=3)
+    monkeypatch.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", 2)
+    assert len(member_chunks(len(G), max(1, size * G.m))) > 1
+    sizes, energies = family_projection_stats(E, G)
+    assert (sizes.tolist(), energies.tolist()) == per_member_stats(E, G.members)
+    if size <= 1:
+        assert sizes.tolist() == energies.tolist() == [size] * len(G)
+
+
+def test_member_chunks_cover_in_order():
+    parts = member_chunks(10, CHUNK_ELEMENTS // 3)
+    assert [list(range(10))[s] for s in parts] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+    assert member_chunks(2, 10 * CHUNK_ELEMENTS) == [slice(0, 1), slice(1, 2)]
+    assert member_chunks(0, 5) == []
+
+
+def test_stats_empty_family_and_checks():
+    a = AmbientSpace(3, 3)
+    E = random_point_set(a, 5, seed=1)
+    sizes, energies = family_projection_stats(E, ())
+    assert sizes.size == energies.size == 0
+    with pytest.raises(ValueError):
+        family_projection_stats(E, (Subspace.full(a),))
+    with pytest.raises(ValueError):
+        family_projection_stats(E, enumerate_subspaces(AmbientSpace(3, 2), 1))
+    with pytest.raises(ValueError):
+        family_projection_stats(E, full_family(AmbientSpace(5, 3), 1))
+
+
+def test_stack_rejects_inexact_products():
+    a = AmbientSpace(2_147_483_659, 2)  # p^2 < 2^63 <= 2 (p-1)^2
+    with pytest.raises(ValueError):
+        SubspaceStack.of(a, 1, (first_subspace(a, 1),))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_first_subspace_is_first_enumerated(p):
+    for n in range(1, 5):
+        a = AmbientSpace(p, n)
+        for k in range(n + 1):
+            assert first_subspace(a, k) == enumerate_subspaces(a, k)[0]
+    with pytest.raises(ValueError):
+        first_subspace(AmbientSpace(p, 2), 3)

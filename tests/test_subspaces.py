@@ -69,6 +69,16 @@ def test_enumeration_order_is_sorted_and_stable():
     assert subs == enumerate_subspaces(amb(3, 3), 2)
 
 
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 3)])
+def test_enumerated_and_perp_bases_pass_validation(p, n):
+    a = amb(p, n)
+    for k in range(n + 1):
+        for W in enumerate_subspaces(a, k):
+            assert Subspace(a, W.basis) == W
+            V = perp(W)
+            assert Subspace(a, V.basis) == V
+
+
 def test_enumeration_budget():
     with pytest.raises(BudgetError):
         enumerate_subspaces(amb(5, 4), 2, budget=100)
