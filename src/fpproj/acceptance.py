@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,13 +30,12 @@ from .families import (
 )
 from .exact import floor_pow
 from .field import AmbientSpace, decode, gaussian_binomial
-from .fourier import dft, plancherel_defect, verify_coset_identity
+from .fourier import plancherel_defect, verify_coset_identities
 from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_set
 from .projection import (
-    cauchy_schwarz_gap,
+    battery_projection_stats,
     exceptional_bound_check,
     exceptional_report_from_stats,
-    family_projection_stats,
 )
 from .subspaces import enumerate_subspaces, first_subspace, perp, serialize_subspace
 
@@ -56,12 +56,17 @@ class CriterionResult:
     def artifact_name(self) -> str:
         return f"c{self.index:02d}_{self.name}.csv"
 
+    @cached_property
+    def csv(self) -> str:
+        """The artifact text, rendered once per result."""
+        lines = [",".join(self.header)]
+        for row in self.rows:
+            lines.append(",".join(_cell(c) for c in row))
+        return "\n".join(lines) + "\n"
+
 
 def render_csv(result: CriterionResult) -> str:
-    lines = [",".join(result.header)]
-    for row in result.rows:
-        lines.append(",".join(_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
+    return result.csv
 
 
 def _cell(value) -> str:
@@ -110,8 +115,8 @@ def ratio_rows(tag: str, G: Family, family_id: str, sets, C: Fraction, seed_fiel
     """
     rows = []
     all_ok = True
-    for set_id, E in sets:
-        sizes, energies = family_projection_stats(E, G)
+    battery = battery_projection_stats([E for _, E in sets], G)
+    for (set_id, E), sizes, energies in zip(sets, *battery):
         for N in _RATIO_NS:
             report = exceptional_report_from_stats(E, G.m, sizes, energies, N)
             ok = report.ratio <= C
@@ -297,25 +302,17 @@ def criterion5() -> CriterionResult:
     passed = True
     for p, n, m in coset_identity_grid():
         ambient = AmbientSpace(p, n)
-        subs = enumerate_subspaces(ambient, n - m)
-        for set_id, E in coset_identity_sets(ambient, m):
-            table = dft(E)
-            for W in subs:
-                res = verify_coset_identity(E, W, tol=1e-6, table=table)
-                passed = passed and res.passed
-                rows.append(
-                    (
-                        p,
-                        n,
-                        m,
-                        set_id,
-                        E.size,
-                        serialize_subspace(W).replace(",", " ").replace(";", "|"),
-                        res.spatial,
-                        res.spectral,
-                        res.passed,
-                    )
-                )
+        G = full_family(ambient, m)
+        names = [serialize_subspace(W).replace(",", " ").replace(";", "|") for W in G]
+        sets = coset_identity_sets(ambient, m)
+        res = verify_coset_identities([E for _, E in sets], G, tol=1e-6)
+        passed = passed and bool(res.passed.all())
+        for (set_id, E), spatial, spectral, ok in zip(
+            sets, res.spatial.tolist(), res.spectral.tolist(), res.passed.tolist()
+        ):
+            rows.extend(
+                (p, n, m, set_id, E.size, *cell) for cell in zip(names, spatial, spectral, ok)
+            )
     return CriterionResult(
         5,
         "coset_identity",
@@ -333,17 +330,19 @@ def criterion6() -> CriterionResult:
     # step one: |E|^2 <= |image| * energy, per (E, W) of criterion 5
     for p, n, m in coset_identity_grid():
         ambient = AmbientSpace(p, n)
-        subs = enumerate_subspaces(ambient, n - m)
+        G = full_family(ambient, m)
+        sets = coset_identity_sets(ambient, m)
+        sizes, energies = battery_projection_stats([E for _, E in sets], G)
         block_ok = True
-        for set_id, E in coset_identity_sets(ambient, m):
-            for W in subs:
-                lhs, rhs = cauchy_schwarz_gap(E, W)
+        for (set_id, E), products in zip(sets, (sizes * energies).tolist()):
+            lhs = E.size * E.size
+            for rhs in products:
                 ok = lhs <= rhs
                 block_ok = block_ok and ok
                 if not ok:
                     rows.append(("pairs", p, n, m, set_id, lhs, rhs, ok))
         passed = passed and block_ok
-        rows.append(("pairs", p, n, m, "all-20-sets", len(subs) * 20, "", block_ok))
+        rows.append(("pairs", p, n, m, "all-20-sets", len(G) * 20, "", block_ok))
     # step two: |Theta| |E|^2 <= energy(E, Theta cosets) * N, criterion-8 cells
     for p, m, alpha in random_model_grid():
         ambient = AmbientSpace(p, 3)
@@ -353,8 +352,9 @@ def criterion6() -> CriterionResult:
             G = sample_random_family(cfg)
             if len(G) == 0:
                 continue
-            for set_id, E in standard_sets(ambient, base_seed=seed * 100 + m):
-                sizes, energies = family_projection_stats(E, G)
+            sets = standard_sets(ambient, base_seed=seed * 100 + m)
+            battery = battery_projection_stats([E for _, E in sets], G)
+            for (set_id, E), sizes, energies in zip(sets, *battery):
                 for N in _RATIO_NS:
                     mask = sizes <= N
                     lhs = int(mask.sum()) * E.size * E.size
@@ -585,11 +585,7 @@ def run_suite() -> SuiteResult:
     """Run criteria 1..11 twice; criterion 12 is byte-equality of the artifacts."""
     first = [fn() for fn in CRITERIA]
     second = [fn() for fn in CRITERIA]
-    mismatches = [
-        a.artifact_name()
-        for a, b in zip(first, second)
-        if render_csv(a) != render_csv(b)
-    ]
+    mismatches = [a.artifact_name() for a, b in zip(first, second) if a.csv != b.csv]
     rows = tuple(
         (r.artifact_name(), "identical" if r.artifact_name() not in mismatches else "MISMATCH")
         for r in first
@@ -615,6 +611,6 @@ def write_artifacts(suite: SuiteResult, out_dir) -> list[str]:
     for result in suite.results:
         path = os.path.join(out_dir, result.artifact_name())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_csv(result))
+            fh.write(result.csv)
         written.append(path)
     return written

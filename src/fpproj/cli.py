@@ -13,8 +13,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import acceptance
 from .budgets import BudgetError, DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, floor_pow, parse_fraction
@@ -32,7 +30,7 @@ from .families import (
     spread_perp,
 )
 from .field import AmbientSpace, FpVector, decode, gaussian_binomial
-from .fourier import dft, verify_coset_identity
+from .fourier import dft, plancherel_defect, spectral_mass, verify_coset_identities
 from .pointsets import (
     PointSet,
     affine_flat_set,
@@ -42,7 +40,13 @@ from .pointsets import (
     random_point_set,
 )
 from .projection import exceptional_report_from_stats, family_projection_stats, project
-from .subspaces import enumerate_subspaces, first_subspace, parse_subspace, serialize_subspace
+from .subspaces import (
+    enumerate_subspaces,
+    first_subspace,
+    member_stack,
+    parse_subspace,
+    serialize_subspace,
+)
 
 SWEEP_HEADER = (
     "p,n,m,family_id,family_size,set_id,set_size,threshold_kind,threshold,"
@@ -72,7 +76,7 @@ def parse_set_spec(ambient: AmbientSpace, spec: str, point_budget=DEFAULT_POINT_
     kind, _, rest = spec.partition(":")
     if kind == "random":
         size_s, _, seed_s = rest.partition(":")
-        return random_point_set(ambient, int(size_s), int(seed_s))
+        return random_point_set(ambient, int(size_s), int(seed_s), budget=point_budget)
     if kind == "flat":
         k_s, _, offset_s = rest.partition(":")
         k = int(k_s)
@@ -152,14 +156,16 @@ def cmd_identity_check(args) -> int:
     ambient = AmbientSpace(args.p, args.n)
     check_budget(ambient.point_count, args.point_budget, "p^n for the transform")
     subs = enumerate_subspaces(ambient, args.n - args.m, budget=args.subspace_budget)
+    stack = member_stack(ambient, subs)
+    names = [serialize_subspace(W).replace(",", " ").replace(";", "|") for W in subs]
     lines = ["p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass"]
     failed = False
     for trial in range(args.trials):
         size = 1 + (args.seed + trial * 13) % ambient.point_count
-        E = random_point_set(ambient, size, seed=args.seed + trial)
-        table = dft(E)
-        mass = float(np.sum(np.abs(table.values) ** 2))
-        defect = abs(mass - ambient.point_count * E.size)
+        E = random_point_set(ambient, size, seed=args.seed + trial, budget=args.point_budget)
+        table = dft(E, budget=args.point_budget)
+        mass = spectral_mass(table)
+        defect = plancherel_defect(E, table)
         rel = defect / (ambient.point_count * max(1, E.size))
         ok = rel <= args.tol
         failed = failed or not ok
@@ -168,14 +174,15 @@ def cmd_identity_check(args) -> int:
             f"{ambient.point_count * E.size},{mass:.12g},"
             f"{defect:.12g},{1 if ok else 0}"
         )
-        for W in subs:
-            res = verify_coset_identity(E, W, tol=args.tol, table=table)
-            failed = failed or not res.passed
-            ser = serialize_subspace(W).replace(",", " ").replace(";", "|")
+        res = verify_coset_identities((E,), stack, tol=args.tol, tables=(table,))
+        failed = failed or not res.passed.all()
+        for ser, spatial, spectral, passed in zip(
+            names, res.spatial[0].tolist(), res.spectral[0].tolist(), res.passed[0].tolist()
+        ):
             lines.append(
                 f"{args.p},{args.n},{args.m},{trial},{E.size},coset,{ser},"
-                f"{res.spatial},{res.spectral:.12g},"
-                f"{abs(res.spatial - res.spectral):.12g},{1 if res.passed else 0}"
+                f"{spatial},{spectral:.12g},"
+                f"{abs(spatial - spectral):.12g},{1 if passed else 0}"
             )
     text = "\n".join(lines) + "\n"
     if args.out:

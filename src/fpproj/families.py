@@ -20,17 +20,18 @@ import numpy as np
 
 from .budgets import DEFAULT_SUBSPACE_BUDGET
 from .exact import floor_mul_pow, le_affine_pow, le_pow
-from .field import AmbientSpace, FpVector, decode, digit_table, gaussian_binomial, power_vector
+from .field import AmbientSpace, FpVector, decode, gaussian_binomial
 from .pointsets import PointSet, circle_set, moment_curve_set
 from .projection import family_coset_energy
 from .rng import TWO64, select_by_threshold
 from .subspaces import (
     Subspace,
     SubspaceStack,
-    contains_codes,
     enumerate_subspaces,
     member_chunks,
+    member_stack,
     span_of_point,
+    stacked_span_codes,
 )
 
 _log = logging.getLogger(__name__)
@@ -202,15 +203,9 @@ def spread_profile(G: Family, variant: str) -> np.ndarray:
     """
     if variant not in ("contains", "perp"):
         raise ValueError(f"unknown variant {variant!r}")
-    p, n = G.ambient.p, G.ambient.n
     rows = G.stack.bases if variant == "contains" else G.stack.annihilators
-    coeffs = digit_table(p, rows.shape[1])
-    weights = power_vector(p, n)
     counts = np.zeros(G.ambient.point_count, dtype=np.int64)
-    # each member's span lists every one of its points exactly once
-    for part in member_chunks(len(G), len(coeffs) * n):
-        points = coeffs @ rows[part]
-        codes = np.remainder(points, p, out=points) @ weights
+    for _, codes in stacked_span_codes(G.ambient, rows):
         counts += np.bincount(codes.ravel(), minlength=counts.size)
     return counts
 
@@ -273,12 +268,24 @@ def moment_family(p: int, n: int) -> Family:
 
 
 def hyperplane_intersection_max(S: PointSet, budget=DEFAULT_SUBSPACE_BUDGET) -> int:
-    """max over hyperplanes W of |W ∩ S| (full enumeration of G(n, n-1))."""
+    """max over hyperplanes W of |W ∩ S| (full enumeration of G(n, n-1)).
+
+    x lies in W iff x . a = 0 for the one annihilator row a of W, so a
+    chunk of hyperplanes is counted with one product against their
+    stacked normals.
+    """
     hyperplanes = enumerate_subspaces(S.ambient, S.ambient.n - 1, budget=budget)
     if S.size == 0:
         return 0
+    p = S.ambient.p
+    normals = member_stack(S.ambient, hyperplanes).annihilators[:, 0, :]
     pts = S.coordinates()
-    return max(int(contains_codes(W, pts).sum()) for W in hyperplanes)
+    best = 0
+    for part in member_chunks(len(normals), S.size):
+        residues = pts @ normals[part].T
+        hits = np.count_nonzero(np.remainder(residues, p, out=residues) == 0, axis=0)
+        best = max(best, int(hits.max()))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,15 @@ import numpy as np
 from .budgets import DEFAULT_POINT_BUDGET, check_budget
 from .field import AmbientSpace, decode_array
 from .pointsets import PointSet
-from .projection import fiber_counts
-from .subspaces import Subspace, _require_proper, perp, span_codes
+from .projection import battery_projection_stats
+from .subspaces import (
+    Subspace,
+    _require_proper,
+    member_stack,
+    perp,
+    span_codes,
+    stacked_span_codes,
+)
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,16 @@ def _dft_direct(E: PointSet, chunk: int = 4096) -> np.ndarray:
     return out
 
 
+def spectral_mass(table: SpectralTable) -> float:
+    """sum over all frequencies of |E_hat|^2; Parseval makes it p^n |E|."""
+    return float(np.sum(np.abs(table.values) ** 2))
+
+
 def plancherel_defect(E: PointSet, table: SpectralTable | None = None) -> float:
     """| sum |E_hat|^2 - p^n |E| |; small iff the transform is healthy."""
     if table is None:
         table = dft(E)
-    mass = float(np.sum(np.abs(table.values) ** 2))
-    return abs(mass - E.ambient.point_count * E.size)
+    return abs(spectral_mass(table) - E.ambient.point_count * E.size)
 
 
 def coset_energy_spectral(
@@ -98,7 +109,8 @@ def coset_energy_spectral(
     """p^-m times the spectral mass of E on the annihilator Per(W).
 
     Only the p^m frequencies spanned by Per(W) are touched, so after
-    the transform this costs O(p^m), not O(p^n).
+    the transform this costs O(p^m), not O(p^n).  This is the one-member
+    reference for the batched spectral side of verify_coset_identities.
     """
     _require_proper(W)
     if table is None:
@@ -115,16 +127,54 @@ class CosetIdentityResult(NamedTuple):
     passed: bool
 
 
+class CosetIdentityBattery(NamedTuple):
+    """The identity for S sets against K members, as (S, K) arrays."""
+
+    spatial: np.ndarray
+    spectral: np.ndarray
+    passed: np.ndarray
+
+
+def verify_coset_identities(
+    sets, G, tol: float = 1e-6, tables=None
+) -> CosetIdentityBattery:
+    """The coset-energy identity for every (set, member) pair at once.
+
+    The exact spatial side is the energy from battery_projection_stats.
+    The spectral side gathers E_hat over every member's annihilator span
+    and sums |E_hat|^2 along each member's row.  The stacked annihilator
+    rows list their span in increasing code order, the order of
+    span_codes(perp(W)), so each sum runs in the same order as
+    coset_energy_spectral and gives the same float.  A pair passes iff
+    |spatial - spectral| <= tol * max(1, spatial).
+    """
+    sets = tuple(sets)
+    if not sets:
+        raise ValueError("a battery needs at least one point set")
+    tables = tuple(dft(E) for E in sets) if tables is None else tuple(tables)
+    if len(tables) != len(sets):
+        raise ValueError(f"{len(tables)} spectral tables for {len(sets)} sets")
+    ambient = sets[0].ambient
+    stack = member_stack(ambient, G)
+    _, spatial = battery_projection_stats(sets, stack)
+    spectral = np.zeros(spatial.shape)
+    scale = ambient.p**stack.codim
+    for part, freqs in stacked_span_codes(ambient, stack.annihilators):
+        for s, table in enumerate(tables):
+            spectral[s, part] = np.sum(np.abs(table.values[freqs]) ** 2, axis=1) / scale
+    passed = np.abs(spatial - spectral) <= tol * np.maximum(1, spatial)
+    return CosetIdentityBattery(spatial, spectral, passed)
+
+
 def verify_coset_identity(
     E: PointSet, W: Subspace, tol: float = 1e-6, table: SpectralTable | None = None
 ) -> CosetIdentityResult:
-    """Exact squared-fiber energy vs its spectral evaluation.
+    """Exact squared-fiber energy vs its spectral evaluation, for one W.
 
     pass iff |spatial - spectral| <= tol * max(1, spatial); the integer
     spatial side is the reference.
     """
-    counts = fiber_counts(E, W)
-    spatial = int(np.dot(counts, counts))
-    spectral = coset_energy_spectral(E, W, table=table)
-    passed = abs(spatial - spectral) <= tol * max(1, spatial)
-    return CosetIdentityResult(spatial, spectral, passed)
+    res = verify_coset_identities((E,), (W,), tol, None if table is None else (table,))
+    return CosetIdentityResult(
+        int(res.spatial[0, 0]), float(res.spectral[0, 0]), bool(res.passed[0, 0])
+    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .budgets import DEFAULT_POINT_BUDGET
 from .field import (
     AmbientSpace,
     FpVector,
@@ -113,16 +114,20 @@ class PointSet:
         return f"PointSet(p={self.ambient.p}, n={self.ambient.n}, size={self.size})"
 
 
-def random_point_set(ambient: AmbientSpace, size: int, seed: int) -> PointSet:
+def random_point_set(
+    ambient: AmbientSpace, size: int, seed: int, budget=DEFAULT_POINT_BUDGET
+) -> PointSet:
     """Uniform random subset of exactly `size` points.
 
     Sampling is without replacement and fully determined by
     (ambient, size, seed): the members are the `size` codes with the
-    smallest counter-based keys (see rng module).
+    smallest counter-based keys (see rng module).  p^n is checked
+    against budget before the keys and the membership mask are
+    allocated.
     """
     if not 0 <= size <= ambient.point_count:
         raise ValueError(f"size {size} out of range [0, {ambient.point_count}]")
-    codes = choose_without_replacement(seed, ambient.point_count, size)
+    codes = choose_without_replacement(seed, ambient.point_count, size, budget=budget)
     return PointSet.from_codes(ambient, codes)
 
 

@@ -20,12 +20,10 @@ import numpy as np
 
 from .budgets import DEFAULT_SUBSPACE_BUDGET
 from .exact import le_pow
-from .field import power_vector
 from .pointsets import PointSet
 from .subspaces import (
     CosetLabel,
     Subspace,
-    SubspaceStack,
     _require_proper,
     enumerate_subspaces,
     member_chunks,
@@ -110,10 +108,8 @@ def incidence_decomposition(E: PointSet, G) -> tuple[int, int]:
 
 def cauchy_schwarz_gap(E: PointSet, W: Subspace) -> tuple[int, int]:
     """(|E|^2, |image| * sum of squared fiber sizes); left <= right always."""
-    counts = fiber_counts(E, W)
-    lhs = E.size * E.size
-    rhs = int(counts.size) * int(np.dot(counts, counts))
-    return lhs, rhs
+    sizes, energies = family_projection_stats(E, (W,))
+    return E.size * E.size, int(sizes[0]) * int(energies[0])
 
 
 def family_projection_stats(E: PointSet, G) -> tuple[np.ndarray, np.ndarray]:
@@ -122,41 +118,73 @@ def family_projection_stats(E: PointSet, G) -> tuple[np.ndarray, np.ndarray]:
     G is a Family (its cached stack is used) or any sequence of
     subspaces of one dimension.  One pass over the family feeds every
     threshold query; the sweep runner uses this to evaluate several N
-    against the same family.
+    against the same family.  This is the one-set case of
+    battery_projection_stats.
     """
-    return _stack_stats(E, member_stack(E.ambient, G))
+    sizes, energies = battery_projection_stats((E,), G)
+    return sizes[0], energies[0]
 
 
-def _stack_stats(E: PointSet, stack: SubspaceStack) -> tuple[np.ndarray, np.ndarray]:
-    """The batched kernel behind family_projection_stats.
+def battery_projection_stats(sets, G) -> tuple[np.ndarray, np.ndarray]:
+    """Image sizes and coset energies of every set against every member.
+
+    sets is a sequence of S point sets of one ambient space and G a
+    Family or a sequence of subspaces of one dimension, as for
+    family_projection_stats; both results have shape (S, |G|).
 
     x and y share a coset of W iff x.a = y.a for every annihilator row a,
     so a point's coset label is (x . A^T mod p) read as a base-p number
-    in [0, p^m).  Per chunk of members, each member's |E| labels are
-    sorted; the runs of equal labels are the fibers, so the run count is
-    the image size and the sum of squared run lengths is the energy.
+    in [0, p^m).  The sets' points are labelled together, set s adding
+    s * p^m, so that sorting one member's labels lays the sets out in
+    blocks at fixed offsets, and a run of equal labels never crosses a
+    block boundary.  The runs are the fibers: per block, the run count
+    is the image size and the sum of squared run lengths the energy.
     """
-    K = len(stack)
-    sizes = np.zeros(K, dtype=np.int64)
-    energies = np.zeros(K, dtype=np.int64)
-    if K and not 0 < stack.dim < E.ambient.n:
+    sets = tuple(sets)
+    if not sets:
+        raise ValueError("a battery needs at least one point set")
+    ambient = sets[0].ambient
+    for E in sets:
+        if E.ambient != ambient:
+            raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
+    stack = member_stack(ambient, G)
+    S, K = len(sets), len(stack)
+    sizes = np.zeros((S, K), dtype=np.int64)
+    energies = np.zeros((S, K), dtype=np.int64)
+    if K and not 0 < stack.dim < ambient.n:
         raise ValueError("cosets are only defined for proper nontrivial subspaces")
-    if K == 0 or E.size == 0:
+    p, m = ambient.p, stack.codim
+    if K and S * p**m >= 2**63:
+        raise ValueError(f"{S} sets of p^m = {p**m} labels exceed the exact int64 range")
+    counts = np.array([E.size for E in sets], dtype=np.int64)
+    total = int(counts.sum())
+    if K == 0 or total == 0:
         return sizes, energies
-    p, m = E.ambient.p, stack.codim
-    points = E.coordinates()
-    weights = power_vector(p, m)
-    for part in member_chunks(K, E.size * m):
-        residues = points @ stack.annihilators[part].transpose(0, 2, 1)
-        labels = np.remainder(residues, p, out=residues) @ weights
+    points = np.ascontiguousarray(np.concatenate([E.coordinates() for E in sets]).T)
+    set_index = np.repeat(np.arange(S, dtype=np.int64), counts)
+    block_starts = np.concatenate(([0], np.cumsum(counts)))  # S + 1 column offsets
+    for part in member_chunks(K, total * m):
+        rows = stack.annihilators[part]
+        chunk = len(rows)
+        residues = rows.reshape(chunk * m, -1) @ points
+        residues = np.remainder(residues, p, out=residues).reshape(chunk, m, total)
+        # Horner from the set index down: set * p^m + sum_j residue_j * p^j
+        labels = set_index * p + residues[:, m - 1]
+        for j in range(m - 2, -1, -1):
+            labels *= p
+            labels += residues[:, j]
         labels.sort(axis=1)
         new_run = np.ones(labels.shape, dtype=bool)
         np.not_equal(labels[:, 1:], labels[:, :-1], out=new_run[:, 1:])
-        runs = np.diff(np.flatnonzero(new_run), append=new_run.size)
-        part_sizes = new_run.sum(axis=1)
-        first_runs = np.concatenate(([0], np.cumsum(part_sizes)[:-1]))
-        sizes[part] = part_sizes
-        energies[part] = np.add.reduceat(runs * runs, first_runs)
+        run_starts = np.flatnonzero(new_run)
+        runs = np.diff(run_starts, append=new_run.size)
+        squares = np.zeros(runs.size + 1, dtype=np.int64)
+        np.cumsum(runs * runs, out=squares[1:])
+        # (member, set) blocks in flat order; every block start is a run start
+        edges = np.arange(chunk, dtype=np.int64)[:, None] * total + block_starts[:-1]
+        bounds = np.searchsorted(run_starts, np.append(edges.ravel(), new_run.size))
+        sizes[:, part] = np.diff(bounds).reshape(chunk, S).T
+        energies[:, part] = np.diff(squares[bounds]).reshape(chunk, S).T
     return sizes, energies
 
 
@@ -203,7 +231,7 @@ def exceptional_count(E: PointSet, G, N: int) -> ExceptionalReport:
     stack = member_stack(E.ambient, G)
     if not len(stack):
         raise ValueError("empty family")
-    sizes, energies = _stack_stats(E, stack)
+    sizes, energies = family_projection_stats(E, stack)
     return exceptional_report_from_stats(E, stack.codim, sizes, energies, N)
 
 

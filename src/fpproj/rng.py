@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .budgets import DEFAULT_POINT_BUDGET, check_budget
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -53,17 +55,37 @@ def select_by_threshold(seed: int, count: int, threshold: int) -> np.ndarray:
     return key64_array(seed, count) < np.uint64(threshold)
 
 
-def choose_without_replacement(seed: int, population: int, size: int) -> np.ndarray:
+def smallest_keys(keys: np.ndarray, size: int) -> np.ndarray:
+    """Sorted indices of the `size` smallest keys, ties broken by index.
+
+    The same indices as np.argsort(keys, kind="stable")[:size], sorted,
+    without sorting all of keys: a partition finds the size-th smallest
+    value, every key below it is taken, and of the keys equal to it the
+    lowest-indexed fill the remaining places.
+    """
+    if not 0 <= size <= keys.size:
+        raise ValueError(f"size {size} out of range for {keys.size} keys")
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    kth = np.partition(keys, size - 1)[size - 1]
+    below = np.flatnonzero(keys < kth)
+    ties = np.flatnonzero(keys == kth)[: size - below.size]
+    return np.sort(np.concatenate((below, ties)))
+
+
+def choose_without_replacement(
+    seed: int, population: int, size: int, budget=DEFAULT_POINT_BUDGET
+) -> np.ndarray:
     """The `size` items of range(population) with the smallest keys, sorted.
 
     Distinct uniform keys make every size-subset equally likely; ties
     (probability ~2^-64) are broken by index, keeping the result
-    deterministic regardless.
+    deterministic regardless.  population is checked against budget
+    before any array of that length is allocated.
     """
     if not 0 <= size <= population:
         raise ValueError(f"size {size} out of range for population {population}")
+    check_budget(population, budget, "population to sample from")
     if size == population:
         return np.arange(population, dtype=np.int64)
-    keys = key64_array(seed, population)
-    order = np.argsort(keys, kind="stable")
-    return np.sort(order[:size]).astype(np.int64)
+    return smallest_keys(key64_array(seed, population), size)

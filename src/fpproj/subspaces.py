@@ -26,6 +26,7 @@ from .field import (
     encode_array,
     gaussian_binomial,
     nullspace,
+    power_vector,
     rref,
 )
 
@@ -317,9 +318,27 @@ def _annihilator_rows(p: int, bases: np.ndarray) -> np.ndarray:
     return out
 
 
+def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray):
+    """(part, codes) per chunk of a (K, r, n) stack of independent rows.
+
+    codes[i] lists the codes of the p^r points spanned by rows[part][i],
+    each once, in the order of the coefficient digits (digit_table).
+    For a stack of annihilators that order is increasing: row j's last
+    nonzero coordinate is its free column f_j, where every other row is
+    zero, and above f_j only rows l > j are nonzero, so a span point's
+    code compares as its coefficients read from the last.
+    """
+    p = ambient.p
+    coeffs = digit_table(p, rows.shape[1])
+    weights = power_vector(p, ambient.n)
+    for part in member_chunks(len(rows), len(coeffs) * ambient.n):
+        points = coeffs @ rows[part]
+        yield part, np.remainder(points, p, out=points) @ weights
+
+
 def member_stack(ambient: AmbientSpace, G) -> SubspaceStack:
-    """The stack of a family: cached on a Family, built here for any other iterable."""
-    stack = getattr(G, "stack", None)
+    """The stack of a family: G itself, cached on a Family, or built from an iterable."""
+    stack = G if isinstance(G, SubspaceStack) else getattr(G, "stack", None)
     if isinstance(stack, SubspaceStack):
         if stack.ambient != ambient:
             raise ValueError(f"ambient mismatch: {ambient} vs {stack.ambient}")

@@ -5,9 +5,15 @@ twice so the determinism criterion can compare artifact bytes); each
 test prints its criterion's pass/fail line and asserts it.
 """
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from fpproj import acceptance
+
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +97,13 @@ def test_artifacts_round_trip(tmp_path, suite):
     for result, path in zip(suite.results, paths):
         with open(path, "r", encoding="utf-8") as fh:
             assert fh.read() == acceptance.render_csv(result)
+
+
+def test_artifacts_match_benchmark_reference(suite):
+    # the digest perfbench's accept workload checks: sorted artifact
+    # names, each hashed as name NUL data NUL
+    digest = hashlib.sha256()
+    for result in sorted(suite.results, key=lambda r: r.artifact_name()):
+        digest.update(result.artifact_name().encode() + b"\0" + result.csv.encode() + b"\0")
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["accept"]
+    assert digest.hexdigest() == reference

@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
+
 from fpproj.cli import main
 from fpproj.families import load_family, sample_random_family, RandomFamilyConfig
 from fpproj.field import AmbientSpace
+from fpproj.fourier import coset_energy_spectral, dft, plancherel_defect
 from fpproj.pointsets import random_point_set, save_point_set
+from fpproj.projection import fiber_counts
+from fpproj.subspaces import enumerate_subspaces, serialize_subspace
 from fractions import Fraction
 
 
@@ -44,6 +49,15 @@ def test_project_bad_spec_is_usage_error(capsys):
                "--set", "nonsense:1") == 2
 
 
+def test_project_point_budget_reaches_random_sets(capsys):
+    # p^n = 2^17 = 131072 exceeds the default point budget of 100,000
+    args = ("project", "--p", "2", "--n", "17", "--subspace", ",".join("1" + "0" * 16),
+            "--set", "random:3:1")
+    assert run(*args) == 3
+    assert run(*args, "--point-budget", "200000") == 0
+    assert "set_size 3" in capsys.readouterr().out
+
+
 def test_project_flat_set_needs_no_grassmannian(capsys):
     # |G(6,3)| over F_5 is 2,558,556, far above the subspace budget; a
     # flat takes span(e3, e4, e5) without enumerating G(6,3).
@@ -66,6 +80,34 @@ def test_identity_check_passes(tmp_path, capsys):
     # 5 trials x (1 plancherel + 13 subspaces)
     assert len(lines) == 1 + 5 * 14
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_identity_check_rows_match_per_member_functions(capsys):
+    # the same rows built one subspace at a time from the per-W functions
+    ambient = AmbientSpace(3, 3)
+    expected = ["p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass"]
+    for trial in range(5):
+        size = 1 + trial * 13 % 27
+        E = random_point_set(ambient, size, seed=trial)
+        table = dft(E)
+        mass = float(np.sum(np.abs(table.values) ** 2))
+        defect = plancherel_defect(E, table)
+        ok = defect / (27 * size) <= 1e-6
+        expected.append(
+            f"3,3,1,{trial},{size},plancherel,,{27 * size},{mass:.12g},{defect:.12g},{int(ok)}"
+        )
+        for W in enumerate_subspaces(ambient, 2):
+            counts = fiber_counts(E, W)
+            spatial = int(np.dot(counts, counts))
+            spectral = coset_energy_spectral(E, W, table=table)
+            ser = serialize_subspace(W).replace(",", " ").replace(";", "|")
+            ok = abs(spatial - spectral) <= 1e-6 * max(1, spatial)
+            expected.append(
+                f"3,3,1,{trial},{size},coset,{ser},{spatial},{spectral:.12g},"
+                f"{abs(spatial - spectral):.12g},{int(ok)}"
+            )
+    assert run("identity-check", "--p", "3", "--n", "3", "--m", "1", "--trials", "5") == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_identity_check_zero_trials(tmp_path):

@@ -13,7 +13,8 @@ from fpproj.exact import (
     le_pow,
     parse_fraction,
 )
-from fpproj.rng import TWO64, choose_without_replacement, key64, key64_array
+from fpproj.budgets import BudgetError
+from fpproj.rng import TWO64, choose_without_replacement, key64, key64_array, smallest_keys
 
 
 # -- integer roots ---------------------------------------------------------
@@ -138,6 +139,55 @@ def test_choose_without_replacement_contract():
     assert np.array_equal(out, choose_without_replacement(7, 100, 30))
     with pytest.raises(ValueError):
         choose_without_replacement(7, 10, 11)
+
+
+def _stable_smallest(keys, size):
+    return np.sort(np.argsort(keys, kind="stable")[:size])
+
+
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=40),
+    st.data(),
+)
+def test_smallest_keys_matches_stable_argsort_with_ties(values, data):
+    # keys drawn from {0..5} are heavily tied, so the tie break by index decides
+    keys = np.array(values, dtype=np.uint64)
+    size = data.draw(st.integers(0, keys.size))
+    assert np.array_equal(smallest_keys(keys, size), _stable_smallest(keys, size))
+
+
+@pytest.mark.parametrize("population", [1, 2, 7, 300])
+def test_smallest_keys_boundary_sizes(population):
+    keys = key64_array(11, population)
+    tied = np.full(population, 2**63, dtype=np.uint64)
+    tied[::3] = 5
+    for k in (keys, tied):
+        for size in (0, 1, population):
+            out = smallest_keys(k, size)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, _stable_smallest(k, size))
+    with pytest.raises(ValueError):
+        smallest_keys(keys, population + 1)
+
+
+def test_choose_without_replacement_matches_full_sort():
+    for seed in range(20):
+        for population, size in ((1, 1), (50, 0), (50, 1), (50, 17), (343, 300)):
+            expected = _stable_smallest(key64_array(seed, population), size)
+            assert np.array_equal(choose_without_replacement(seed, population, size), expected)
+
+
+def test_choose_without_replacement_checks_budget_first(monkeypatch):
+    import fpproj.rng
+
+    def no_keys(*args):
+        raise AssertionError("keys allocated before the budget check")
+
+    monkeypatch.setattr(fpproj.rng, "key64_array", no_keys)
+    with pytest.raises(BudgetError):
+        choose_without_replacement(0, 2**40, 3)
+    with pytest.raises(BudgetError):
+        choose_without_replacement(0, 11, 3, budget=10)
 
 
 def test_choose_without_replacement_is_roughly_uniform():

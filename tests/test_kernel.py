@@ -1,9 +1,11 @@
 """The batched family kernel against the per-member path and the oracles.
 
-family_projection_stats and spread_profile work on stacked member
-arrays in chunks; each test here recomputes the same quantity one
-member at a time (fiber_counts, span_codes) and, where it is cheap
-enough, from first principles (tests/oracles.py).
+battery_projection_stats (and its one-set case family_projection_stats),
+the batched coset identity, hyperplane_intersection_max and
+spread_profile work on stacked member arrays in chunks; each test here
+recomputes the same quantity one set and one member at a time
+(fiber_counts, coset_energy_spectral, contains_codes, span_codes) and,
+where it is cheap enough, from first principles (tests/oracles.py).
 """
 
 import numpy as np
@@ -12,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpproj.subspaces
-from fpproj.families import Family, full_family, spread_profile
+from fpproj.families import Family, full_family, hyperplane_intersection_max, spread_profile
 from fpproj.field import AmbientSpace, decode
+from fpproj.fourier import coset_energy_spectral, dft, verify_coset_identities
 from fpproj.pointsets import PointSet, random_point_set
 from fpproj.projection import (
+    battery_projection_stats,
+    cauchy_schwarz_gap,
     family_coset_energy,
     family_projection_stats,
     fiber_counts,
@@ -25,15 +30,18 @@ from fpproj.subspaces import (
     CHUNK_ELEMENTS,
     Subspace,
     SubspaceStack,
+    contains_codes,
     enumerate_subspaces,
     first_subspace,
     member_chunks,
     perp,
     span_codes,
+    stacked_span_codes,
 )
 from oracles import brute_fiber_counts, span_set
 
 CHUNKS = (1, 3, 17, CHUNK_ELEMENTS)
+BATTERY_CHUNKS = (1, 2, 3, 17)
 
 
 @st.composite
@@ -129,6 +137,19 @@ def test_annihilator_stack_spans_perp(case):
         assert span == perp(W)
 
 
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.sampled_from(BATTERY_CHUNKS))
+def test_annihilator_spans_come_out_sorted(case, chunk):
+    # the batched spectral side sums in this order; it must be span_codes'
+    ambient, m, members, _ = case
+    stack = SubspaceStack.of(ambient, ambient.n - m, members)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+        spans = [codes for _, codes in stacked_span_codes(ambient, stack.annihilators)]
+    rows = np.concatenate(spans) if spans else np.empty((0, ambient.p**m), dtype=np.int64)
+    assert rows.tolist() == [span_codes(perp(W)).tolist() for W in members]
+
+
 def test_annihilator_stack_of_trivial_dimensions():
     a = AmbientSpace(3, 3)
     zero = SubspaceStack.of(a, 0, (Subspace.zero(a),))
@@ -184,3 +205,130 @@ def test_first_subspace_is_first_enumerated(p):
             assert first_subspace(a, k) == enumerate_subspaces(a, k)[0]
     with pytest.raises(ValueError):
         first_subspace(AmbientSpace(p, 2), 3)
+
+
+# -- multi-set kernel --------------------------------------------------------------
+
+
+@st.composite
+def batteries(draw):
+    """(ambient, members, sets): members of G(n, n-m) and 1-6 point sets.
+
+    Each set is empty, a single point, a random subset, or a repeat of
+    an earlier set of the battery.
+    """
+    ambient, _, members, _ = draw(instances())
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("empty", "single", "random", "repeat")))
+        if kind == "repeat" and sets:
+            sets.append(sets[draw(st.integers(0, len(sets) - 1))])
+            continue
+        if kind == "empty":
+            codes = []
+        elif kind == "single":
+            codes = [draw(st.integers(0, ambient.point_count - 1))]
+        else:
+            codes = draw(
+                st.lists(st.integers(0, ambient.point_count - 1), max_size=30, unique=True)
+            )
+        sets.append(PointSet.from_codes(ambient, codes))
+    return ambient, members, sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(batteries(), st.sampled_from(BATTERY_CHUNKS))
+def test_battery_stats_match_per_set_stats_and_oracle(case, chunk):
+    ambient, members, sets = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+        sizes, energies = battery_projection_stats(sets, members)
+        per_set = [family_projection_stats(E, members) for E in sets]
+    assert sizes.shape == energies.shape == (len(sets), len(members))
+    for E, row_sizes, row_energies, (one_sizes, one_energies) in zip(
+        sets, sizes, energies, per_set
+    ):
+        assert row_sizes.tolist() == one_sizes.tolist()
+        assert row_energies.tolist() == one_energies.tolist()
+        assert (row_sizes.tolist(), row_energies.tolist()) == oracle_stats(E, members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batteries(), st.sampled_from(BATTERY_CHUNKS))
+def test_batched_spectral_side_is_bit_equal_to_per_member(case, chunk):
+    ambient, members, sets = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+        res = verify_coset_identities(sets, members)
+    assert res.spatial.shape == res.spectral.shape == (len(sets), len(members))
+    for E, spatial, spectral, passed in zip(sets, res.spatial, res.spectral, res.passed):
+        table = dft(E)
+        expected = [coset_energy_spectral(E, W, table=table) for W in members]
+        assert spectral.tolist() == expected  # == on float64, not a tolerance
+        assert spatial.tolist() == per_member_stats(E, members)[1]
+        assert passed.all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(batteries())
+def test_cauchy_schwarz_gap_is_the_one_member_case(case):
+    ambient, members, sets = case
+    for E in sets:
+        for W in members:
+            counts = fiber_counts(E, W)
+            expected = (E.size**2, int(counts.size) * int(np.dot(counts, counts)))
+            assert cauchy_schwarz_gap(E, W) == expected
+
+
+def test_battery_checks():
+    a = AmbientSpace(3, 3)
+    G = full_family(a, 1)
+    E = random_point_set(a, 5, seed=1)
+    with pytest.raises(ValueError):
+        battery_projection_stats([], G)
+    with pytest.raises(ValueError):
+        battery_projection_stats([E, random_point_set(AmbientSpace(3, 2), 2, seed=1)], G)
+    with pytest.raises(ValueError):
+        verify_coset_identities([E, E], G, tables=[dft(E)])
+    sizes, energies = battery_projection_stats([E, E], ())
+    assert sizes.shape == energies.shape == (2, 0)
+
+
+def test_battery_rejects_inexact_labels():
+    # S * p^m >= 2^63 although p^m < 2^63 and n(p-1)^2 is small; the
+    # guard fires before any point is read, so a stand-in set suffices.
+    a = AmbientSpace(3, 39)
+
+    class OnePoint:
+        ambient = a
+        size = 1
+
+    assert 3**38 < 2**63 <= 7 * 3**38
+    W = first_subspace(a, 1)
+    with pytest.raises(ValueError, match="int64"):
+        battery_projection_stats([OnePoint()] * 7, (W,))
+
+
+# -- hyperplanes -------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(p, n) for p in (2, 3, 5, 7) for n in (2, 3, 4) if p**n <= 400]),
+    st.data(),
+    st.sampled_from(BATTERY_CHUNKS),
+)
+def test_hyperplane_max_matches_member_loop_and_brute_force(shape, data, chunk):
+    p, n = shape
+    ambient = AmbientSpace(p, n)
+    codes = data.draw(st.lists(st.integers(0, ambient.point_count - 1), max_size=30, unique=True))
+    S = PointSet.from_codes(ambient, codes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+        batched = hyperplane_intersection_max(S)
+    hyperplanes = enumerate_subspaces(ambient, n - 1)
+    pts = S.coordinates()
+    loop = max((int(contains_codes(W, pts).sum()) for W in hyperplanes), default=0)
+    points = {decode(ambient, int(c)).coords for c in S.codes}
+    brute = max(len(points & span_set(W.basis, p, n)) for W in hyperplanes)
+    assert batched == loop == brute

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fpproj.budgets import BudgetError
 from fpproj.field import AmbientSpace, FpVector
 from fpproj.pointsets import (
     PointSet,
@@ -55,6 +56,21 @@ def test_random_set_edges():
     assert random_point_set(a, 27, seed=1) == PointSet.full(a)
     with pytest.raises(ValueError):
         random_point_set(a, 28, seed=1)
+
+
+def test_random_set_budget_is_checked_before_allocating(monkeypatch):
+    import fpproj.rng
+
+    def no_keys(*args):
+        raise AssertionError("keys allocated before the budget check")
+
+    monkeypatch.setattr(fpproj.rng, "key64_array", no_keys)
+    with pytest.raises(BudgetError):
+        random_point_set(AmbientSpace(2, 40), 3, 0)  # 2^40 keys would be 8 TiB
+    with pytest.raises(BudgetError):
+        random_point_set(amb(3, 3), 3, 0, budget=26)
+    monkeypatch.undo()
+    assert random_point_set(amb(3, 3), 3, 0, budget=27) == random_point_set(amb(3, 3), 3, 0)
 
 
 def test_random_set_deterministic():
