@@ -1,19 +1,25 @@
 """The acceptance suite: 12 deterministic criteria with CSV artifacts.
 
-Each criterion function recomputes everything it needs from fixed
-parameters and seeds, returns a CriterionResult whose rows render to a
-CSV artifact, and is pure: running the suite twice must produce
-byte-identical artifacts (that determinism is itself criterion 12).
+Each criterion function computes what it needs from fixed parameters
+and seeds and returns a CriterionResult whose rows render to a CSV
+artifact.  Criteria 6 and 8 read the same random-model cells (family,
+standard battery and battery stats per (p, m, alpha, seed)), so each
+cell is built once per pass and kept in a bounded cache; a criterion
+called alone builds the cells it misses, so its output does not depend
+on what ran before it.  ``run_suite`` clears the cache before each
+pass, so the two passes that criterion 12 compares byte for byte are
+still two independent computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .budgets import DEFAULT_POINT_BUDGET
 from .families import (
     Family,
     RandomFamilyConfig,
@@ -60,8 +66,7 @@ class CriterionResult:
     def csv(self) -> str:
         """The artifact text, rendered once per result."""
         lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(_cell(c) for c in row))
+        lines.extend(",".join(map(_cell, row)) for row in self.rows)
         return "\n".join(lines) + "\n"
 
 
@@ -69,7 +74,20 @@ def render_csv(result: CriterionResult) -> str:
     return result.csv
 
 
+_CELL_BY_TYPE = {
+    bool: lambda v: "1" if v else "0",
+    int: str,
+    str: str,
+    float: "{:.12g}".format,
+    Fraction: lambda v: f"{v.numerator}/{v.denominator}",
+}
+
+
 def _cell(value) -> str:
+    render = _CELL_BY_TYPE.get(type(value))
+    if render is not None:
+        return render(value)
+    # subclasses and other types (numpy scalars, ...)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, Fraction):
@@ -86,19 +104,20 @@ def _cell(value) -> str:
 _LADDER = (2, 5, 12, 30, 70, 150, 300)
 
 
-def standard_sets(ambient: AmbientSpace, base_seed: int):
+def standard_sets(ambient: AmbientSpace, base_seed: int, budget=DEFAULT_POINT_BUDGET):
     """Ten deterministic test sets: seven random sizes, two flats, one union."""
     out = []
     for i, raw in enumerate(_LADDER):
         size = min(raw, ambient.point_count - 1)
-        out.append((f"random:{size}:{base_seed + i}", random_point_set(ambient, size, base_seed + i)))
+        E = random_point_set(ambient, size, base_seed + i, budget=budget)
+        out.append((f"random:{size}:{base_seed + i}", E))
     line = first_subspace(ambient, 1)
     plane = first_subspace(ambient, 2) if ambient.n >= 3 else line
     offset = decode(ambient, (base_seed * 7 + 3) % ambient.point_count)
     out.append(("flat:1", affine_flat_set(line, offset)))
     out.append(("flat:2", affine_flat_set(plane, offset)))
     union = affine_flat_set(line, offset).union(
-        random_point_set(ambient, min(30, ambient.point_count - 1), base_seed + 97)
+        random_point_set(ambient, min(30, ambient.point_count - 1), base_seed + 97, budget=budget)
     )
     out.append(("union:flat+random", union))
     return out
@@ -107,16 +126,20 @@ def standard_sets(ambient: AmbientSpace, base_seed: int):
 _RATIO_NS = (1, 2, 4, 8)
 
 
-def ratio_rows(tag: str, G: Family, family_id: str, sets, C: Fraction, seed_field):
+def battery_stats(sets, G: Family):
+    """(S, K) image sizes and energies of a battery of (set_id, E) pairs."""
+    return battery_projection_stats([E for _, E in sets], G)
+
+
+def ratio_rows(tag: str, G: Family, family_id: str, sets, stats, C: Fraction, seed_field):
     """Exceptional-ratio rows for one family over one set battery.
 
-    Returns (rows, all_ok); a row fails if ratio > C.  Thresholds are
-    the fixed battery N in (1, 2, 4, 8).
+    `stats` is battery_stats(sets, G).  Returns (rows, all_ok); a row
+    fails if ratio > C.  Thresholds are the fixed battery N in (1, 2, 4, 8).
     """
     rows = []
     all_ok = True
-    battery = battery_projection_stats([E for _, E in sets], G)
-    for (set_id, E), sizes, energies in zip(sets, *battery):
+    for (set_id, E), sizes, energies in zip(sets, *stats):
         for N in _RATIO_NS:
             report = exceptional_report_from_stats(E, G.m, sizes, energies, N)
             ok = report.ratio <= C
@@ -175,6 +198,36 @@ def random_model_grid():
 
 
 _RANDOM_SEED_COUNT = 20
+_RANDOM_CELL_COUNT = len(random_model_grid()) * _RANDOM_SEED_COUNT
+
+
+@lru_cache(maxsize=_RANDOM_CELL_COUNT)
+def _random_model_battery(p: int, m: int, seed: int):
+    # the battery seed does not depend on alpha: both alphas share it
+    return tuple(standard_sets(AmbientSpace(p, 3), base_seed=seed * 100 + m))
+
+
+@lru_cache(maxsize=_RANDOM_CELL_COUNT)
+def random_model_cell(p: int, m: int, alpha: Fraction, seed: int):
+    """(G, sets, sizes, energies) of one criterion-6/8 cell, n = 3.
+
+    An empty family has no battery: sets is () and the stats are None.
+    Every caller gets the same objects, so the stats are read-only.
+    """
+    G = sample_random_family(RandomFamilyConfig(AmbientSpace(p, 3), m, alpha, seed))
+    if len(G) == 0:
+        return G, (), None, None
+    sets = _random_model_battery(p, m, seed)
+    sizes, energies = battery_stats(sets, G)
+    sizes.setflags(write=False)
+    energies.setflags(write=False)
+    return G, sets, sizes, energies
+
+
+def clear_random_model_cells() -> None:
+    """Drop every cached cell and battery; run_suite does so around each pass."""
+    random_model_cell.cache_clear()
+    _random_model_battery.cache_clear()
 
 
 def coset_identity_grid():
@@ -332,7 +385,7 @@ def criterion6() -> CriterionResult:
         ambient = AmbientSpace(p, n)
         G = full_family(ambient, m)
         sets = coset_identity_sets(ambient, m)
-        sizes, energies = battery_projection_stats([E for _, E in sets], G)
+        sizes, energies = battery_stats(sets, G)
         block_ok = True
         for (set_id, E), products in zip(sets, (sizes * energies).tolist()):
             lhs = E.size * E.size
@@ -345,16 +398,12 @@ def criterion6() -> CriterionResult:
         rows.append(("pairs", p, n, m, "all-20-sets", len(G) * 20, "", block_ok))
     # step two: |Theta| |E|^2 <= energy(E, Theta cosets) * N, criterion-8 cells
     for p, m, alpha in random_model_grid():
-        ambient = AmbientSpace(p, 3)
         block_ok = True
         for seed in range(_RANDOM_SEED_COUNT):
-            cfg = RandomFamilyConfig(ambient, m, alpha, seed)
-            G = sample_random_family(cfg)
+            G, sets, *stats = random_model_cell(p, m, alpha, seed)
             if len(G) == 0:
                 continue
-            sets = standard_sets(ambient, base_seed=seed * 100 + m)
-            battery = battery_projection_stats([E for _, E in sets], G)
-            for (set_id, E), sizes, energies in zip(sets, *battery):
+            for (set_id, E), sizes, energies in zip(sets, *stats):
                 for N in _RATIO_NS:
                     mask = sizes <= N
                     lhs = int(mask.sum()) * E.size * E.size
@@ -439,16 +488,13 @@ def criterion8() -> CriterionResult:
     passed = True
     C_ratio = Fraction(16)
     for p, m, alpha in random_model_grid():
-        ambient = AmbientSpace(p, 3)
         for seed in range(_RANDOM_SEED_COUNT):
-            cfg = RandomFamilyConfig(ambient, m, alpha, seed)
-            G = sample_random_family(cfg)
+            G, sets, *stats = random_model_cell(p, m, alpha, seed)
             family_id = f"random:{alpha}:{seed}"
             if len(G) == 0:
                 spread_rows.append((p, 3, m, family_id, 0, "empty", 0, True))
                 continue
-            sets = standard_sets(ambient, base_seed=seed * 100 + m)
-            batch, ok = ratio_rows("random-model", G, family_id, sets, C_ratio, seed)
+            batch, ok = ratio_rows("random-model", G, family_id, sets, stats, C_ratio, seed)
             rows.extend(batch)
             passed = passed and ok
             # spreadness with C = 8: count <= 8 |G| p^-beta, cross-multiplied
@@ -516,7 +562,7 @@ def criterion10() -> CriterionResult:
             ("summary", p, 3, 2, "circle", len(G), "", f"|S1|={S.size}", S.size, "", oracle, "", "", "", ok)
         )
         sets = standard_sets(S.ambient, base_seed=p)
-        batch, ratios_ok = ratio_rows("circle", G, "circle", sets, Fraction(16), "")
+        batch, ratios_ok = ratio_rows("circle", G, "circle", sets, battery_stats(sets, G), Fraction(16), "")
         rows.extend(batch)
         passed = passed and ratios_ok
     return CriterionResult(
@@ -544,7 +590,7 @@ def criterion11() -> CriterionResult:
                 ("summary", p, n, n - 1, "moment", len(G), "", f"hyperplane_max={hyper}", S.size, "", hyper, "", "", "", ok)
             )
             sets = standard_sets(S.ambient, base_seed=p + n)
-            batch, ratios_ok = ratio_rows("moment", G, "moment", sets, Fraction(16), "")
+            batch, ratios_ok = ratio_rows("moment", G, "moment", sets, battery_stats(sets, G), Fraction(16), "")
             rows.extend(batch)
             passed = passed and ratios_ok
     return CriterionResult(
@@ -583,8 +629,12 @@ class SuiteResult:
 
 def run_suite() -> SuiteResult:
     """Run criteria 1..11 twice; criterion 12 is byte-equality of the artifacts."""
-    first = [fn() for fn in CRITERIA]
-    second = [fn() for fn in CRITERIA]
+    passes = []
+    for _ in range(2):
+        clear_random_model_cells()  # each pass builds its own cells
+        passes.append([fn() for fn in CRITERIA])
+    clear_random_model_cells()
+    first, second = passes
     mismatches = [a.artifact_name() for a, b in zip(first, second) if a.csv != b.csv]
     rows = tuple(
         (r.artifact_name(), "identical" if r.artifact_name() not in mismatches else "MISMATCH")

@@ -153,6 +153,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     ambient = AmbientSpace(args.p, args.n)
     check_budget(ambient.point_count, args.point_budget, "p^n for the transform")
     subs = enumerate_subspaces(ambient, args.n - args.m, budget=args.subspace_budget)
@@ -207,9 +209,10 @@ def cmd_random_family(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    if args.which == "circle" and args.n != 3:
+        raise ValueError("the circle family lives in n = 3")
+    check_budget(args.p**args.n, args.point_budget, "p^n for point sets")
     if args.which == "circle":
-        if args.n != 3:
-            raise ValueError("the circle family lives in n = 3")
         G, S = circle_family(args.p), circle_set(args.p)
     else:
         G, S = moment_family(args.p, args.n), moment_curve_set(args.p, args.n)
@@ -219,8 +222,8 @@ def cmd_examples(args) -> int:
     if args.which == "moment":
         print(f"hyperplane_max {hyperplane_intersection_max(S, budget=args.subspace_budget)}")
     failed = False
-    for set_id, E in acceptance.standard_sets(S.ambient, base_seed=args.p):
-        sizes, energies = family_projection_stats(E, G)
+    sets = acceptance.standard_sets(S.ambient, base_seed=args.p, budget=args.point_budget)
+    for (set_id, E), sizes, energies in zip(sets, *acceptance.battery_stats(sets, G)):
         for N in (1, 2, 4, 8):
             report = exceptional_report_from_stats(E, G.m, sizes, energies, N)
             ok = report.ratio <= 16

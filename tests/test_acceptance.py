@@ -2,13 +2,17 @@
 
 The whole suite is computed once per test session (criteria 1..11 run
 twice so the determinism criterion can compare artifact bytes); each
-test prints its criterion's pass/fail line and asserts it.
+test prints its criterion's pass/fail line and asserts it.  That run
+also logs, per pass, which random-model cells were sampled.
 """
 
 import hashlib
 import json
 import pathlib
+from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fpproj import acceptance
@@ -17,8 +21,30 @@ REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "refe
 
 
 @pytest.fixture(scope="module")
-def suite():
-    return acceptance.run_suite()
+def logged_suite():
+    """run_suite() with each acceptance.sample_random_family call counted per pass."""
+    passes = []
+    first, *rest = acceptance.CRITERIA
+    sample = acceptance.sample_random_family
+
+    def start_pass():
+        passes.append(Counter())
+        return first()
+
+    def counted_sample(cfg, *args, **kwargs):
+        passes[-1][(cfg.ambient.p, cfg.m, cfg.alpha, cfg.seed)] += 1
+        return sample(cfg, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "CRITERIA", (start_pass, *rest))
+        mp.setattr(acceptance, "sample_random_family", counted_sample)
+        suite = acceptance.run_suite()
+    return suite, passes
+
+
+@pytest.fixture(scope="module")
+def suite(logged_suite):
+    return logged_suite[0]
 
 
 def _check(suite, index):
@@ -107,3 +133,59 @@ def test_artifacts_match_benchmark_reference(suite):
         digest.update(result.artifact_name().encode() + b"\0" + result.csv.encode() + b"\0")
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["accept"]
     assert digest.hexdigest() == reference
+
+
+# -- random-model cells shared by criteria 6 and 8 ------------------------------
+
+
+def test_each_random_model_cell_sampled_once_per_pass(logged_suite):
+    _, passes = logged_suite
+    cells = {
+        (p, m, alpha, seed)
+        for p, m, alpha in acceptance.random_model_grid()
+        for seed in range(20)
+    }
+    assert len(cells) == 160
+    assert len(passes) == 2
+    for sampled in passes:
+        assert set(sampled) == cells
+        assert set(sampled.values()) == {1}
+    assert sum(sum(sampled.values()) for sampled in passes) == 320
+
+
+@pytest.mark.parametrize("criterion", [acceptance.criterion6, acceptance.criterion8])
+def test_random_model_criterion_alone_matches_suite(suite, criterion):
+    acceptance.clear_random_model_cells()
+    result = criterion()
+    assert result.csv == suite.results[result.index - 1].csv
+    acceptance.clear_random_model_cells()
+
+
+# -- CSV cell rendering ----------------------------------------------------------------
+
+
+def _isinstance_cell(value):
+    # the rendering _cell had before it dispatched on the exact type
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        True, False, 0, 1, -7, 2**70,
+        0.1, -2.5e-7, 3.0, 1 / 3, float("inf"), float("nan"),
+        Fraction(3, 4), Fraction(-5), Fraction(0),
+        "", "random:30:7", "alpha=5/4",
+        np.int64(7), np.float64(0.25), np.bool_(True), None,
+    ],
+    ids=repr,
+)
+def test_cell_matches_isinstance_rendering(value):
+    # True must render "1", not str(True); numpy scalars take the fallback
+    assert acceptance._cell(value) == _isinstance_cell(value)

@@ -117,6 +117,14 @@ def test_identity_check_zero_trials(tmp_path):
     assert out.read_text().count("\n") == 1  # header only
 
 
+def test_identity_check_negative_trials_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "id.csv"
+    assert run("identity-check", "--p", "3", "--n", "2", "--m", "1",
+               "--trials", "-2", "--out", str(out)) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- random-family ------------------------------------------------------------
 
 
@@ -154,6 +162,25 @@ def test_examples_circle_rejects_other_n(capsys):
     assert "n = 3" in capsys.readouterr().err
     assert run("examples", "circle", "--p", "5", "--n", "3") == 0
     assert "family_size 4" in capsys.readouterr().out
+
+
+def test_examples_point_budget_checked_before_building(capsys):
+    # p^n = 125 and 13^4 = 28,561 points exceed a budget of 10: nothing is printed
+    assert run("examples", "circle", "--p", "5", "--point-budget", "10") == 3
+    assert capsys.readouterr().out == ""
+    assert run("examples", "moment", "--p", "13", "--n", "4", "--point-budget", "10") == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "28561" in captured.err
+
+
+def test_examples_point_budget_reaches_battery(capsys):
+    # 47^3 = 103,823 points exceed the default point budget of
+    # 100,000; a larger --point-budget must reach the battery's random sets
+    for args in (("circle", "--p", "47"), ("moment", "--p", "47", "--n", "3")):
+        assert run("examples", *args) == 3
+        assert capsys.readouterr().out == ""
+        assert run("examples", *args, "--point-budget", "200000") == 0
+        assert "ratio union:flat+random N=8" in capsys.readouterr().out
 
 
 # -- sweep -------------------------------------------------------------------------
