@@ -40,13 +40,7 @@ from .pointsets import (
     random_point_set,
 )
 from .projection import exceptional_report_from_stats, family_projection_stats, project
-from .subspaces import (
-    enumerate_subspaces,
-    first_subspace,
-    member_stack,
-    parse_subspace,
-    serialize_subspace,
-)
+from .subspaces import first_subspace, grassmannian, parse_subspace, serialize_subspace
 
 SWEEP_HEADER = (
     "p,n,m,family_id,family_size,set_id,set_size,threshold_kind,threshold,"
@@ -130,12 +124,12 @@ def parse_family_spec(
 def cmd_count(args) -> int:
     formula = gaussian_binomial(args.n, args.k, args.p)
     try:
-        subs = enumerate_subspaces(AmbientSpace(args.p, args.n), args.k, budget=args.subspace_budget)
+        count = len(grassmannian(AmbientSpace(args.p, args.n), args.k, budget=args.subspace_budget))
     except BudgetError:
         print(f"{formula} SKIPPED(budget)")
         return 3
-    print(f"{formula} {len(subs)}")
-    return 0 if len(subs) == formula else 1
+    print(f"{formula} {count}")
+    return 0 if count == formula else 1
 
 
 def cmd_project(args) -> int:
@@ -157,9 +151,8 @@ def cmd_identity_check(args) -> int:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     ambient = AmbientSpace(args.p, args.n)
     check_budget(ambient.point_count, args.point_budget, "p^n for the transform")
-    subs = enumerate_subspaces(ambient, args.n - args.m, budget=args.subspace_budget)
-    stack = member_stack(ambient, subs)
-    names = [serialize_subspace(W).replace(",", " ").replace(";", "|") for W in subs]
+    stack = grassmannian(ambient, args.n - args.m, budget=args.subspace_budget)
+    names = [serialize_subspace(W).replace(",", " ").replace(";", "|") for W in stack.members]
     lines = ["p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass"]
     failed = False
     for trial in range(args.trials):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,9 +26,8 @@ from .rng import TWO64, select_by_threshold
 from .subspaces import (
     Subspace,
     SubspaceStack,
-    enumerate_subspaces,
+    grassmannian,
     member_chunks,
-    member_stack,
     span_of_point,
     stacked_span_codes,
 )
@@ -37,49 +35,48 @@ from .subspaces import (
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
 class Family:
-    """A deduplicated set of subspaces of one codimension m."""
+    """A deduplicated set of subspaces of one codimension m.
 
-    ambient: AmbientSpace
-    m: int
-    members: tuple[Subspace, ...]
+    members is any iterable of Subspaces or a SubspaceStack; the family
+    holds their distinct bases, sorted, as one stack.
+    """
 
-    def __post_init__(self):
-        n = self.ambient.n
-        if not 1 <= self.m <= n - 1:
-            raise ValueError(f"codimension m = {self.m} out of range [1, {n - 1}]")
-        members = sorted(set(self.members), key=lambda W: W.basis)
-        for W in members:
-            if W.ambient != self.ambient:
-                raise ValueError("family members must share the ambient space")
-            if W.dim != n - self.m:
-                raise ValueError(
-                    f"member of dimension {W.dim} in a family of dimension {n - self.m}"
-                )
-        object.__setattr__(self, "members", tuple(members))
+    def __init__(self, ambient: AmbientSpace, m: int, members):
+        n = ambient.n
+        if not 1 <= m <= n - 1:
+            raise ValueError(f"codimension m = {m} out of range [1, {n - 1}]")
+        self.ambient = ambient
+        self.m = m
+        self.stack = SubspaceStack.of(ambient, n - m, members).distinct()
 
-    @cached_property
-    def stack(self) -> SubspaceStack:
-        """The members' bases and annihilators as arrays, built on first use."""
-        return SubspaceStack.of(self.ambient, self.ambient.n - self.m, self.members)
+    @property
+    def members(self) -> tuple[Subspace, ...]:
+        return self.stack.members
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(self.stack.members)
 
     def __len__(self):
-        return len(self.members)
+        return len(self.stack)
 
-    def __contains__(self, W: Subspace):
-        return W in set(self.members)
+    def __eq__(self, other):
+        if not isinstance(other, Family):
+            return NotImplemented
+        return (self.ambient, self.m) == (other.ambient, other.m) and np.array_equal(
+            self.stack.bases, other.stack.bases
+        )
+
+    def __hash__(self):
+        return hash((self.ambient, self.m, self.stack.bases.tobytes()))
 
     def __repr__(self):
-        return f"Family(p={self.ambient.p}, n={self.ambient.n}, m={self.m}, size={len(self.members)})"
+        return f"Family(p={self.ambient.p}, n={self.ambient.n}, m={self.m}, size={len(self)})"
 
 
 def full_family(ambient: AmbientSpace, m: int, budget=DEFAULT_SUBSPACE_BUDGET) -> Family:
     """The whole Grassmannian of codimension m as a Family."""
-    return Family(ambient, m, enumerate_subspaces(ambient, ambient.n - m, budget=budget))
+    return Family(ambient, m, grassmannian(ambient, ambient.n - m, budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +138,8 @@ def inclusion_mask(cfg: RandomFamilyConfig) -> np.ndarray:
 
 def sample_random_family(cfg: RandomFamilyConfig, budget=DEFAULT_SUBSPACE_BUDGET) -> Family:
     """Draw the family for this config; same config, same members, always."""
-    grassmannian = enumerate_subspaces(cfg.ambient, cfg.ambient.n - cfg.m, budget=budget)
-    mask = inclusion_mask(cfg)
-    members = tuple(W for W, keep in zip(grassmannian, mask) if keep)
-    return Family(cfg.ambient, cfg.m, members)
+    G = grassmannian(cfg.ambient, cfg.ambient.n - cfg.m, budget=budget)
+    return Family(cfg.ambient, cfg.m, G.take(inclusion_mask(cfg)))
 
 
 @dataclass(frozen=True)
@@ -274,11 +269,11 @@ def hyperplane_intersection_max(S: PointSet, budget=DEFAULT_SUBSPACE_BUDGET) -> 
     chunk of hyperplanes is counted with one product against their
     stacked normals.
     """
-    hyperplanes = enumerate_subspaces(S.ambient, S.ambient.n - 1, budget=budget)
+    hyperplanes = grassmannian(S.ambient, S.ambient.n - 1, budget=budget)
     if S.size == 0:
         return 0
     p = S.ambient.p
-    normals = member_stack(S.ambient, hyperplanes).annihilators[:, 0, :]
+    normals = hyperplanes.annihilators[:, 0, :]
     pts = S.coordinates()
     best = 0
     for part in member_chunks(len(normals), S.size):

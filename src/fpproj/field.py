@@ -244,7 +244,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def power_vector(p: int, length: int) -> np.ndarray:
     """int64 vector (1, p, p^2, ...) used to encode digit matrices."""
     out = p ** np.arange(length, dtype=np.int64)

@@ -10,23 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET
-from .field import (
-    AmbientSpace,
-    FpVector,
-    decode,
-    decode_array,
-    digit_table,
-    encode,
-    encode_array,
-)
+from .field import AmbientSpace, FpVector, decode, decode_array, encode, encode_array
 from .rng import choose_without_replacement
-from .subspaces import Subspace, _basis_info
+from .subspaces import Subspace, flat_codes
 
 
 class PointSet:
     """An exact subset of F_p^n with cached cardinality."""
 
-    __slots__ = ("ambient", "_mask", "_codes")
+    __slots__ = ("ambient", "size", "_mask", "_codes")
 
     def __init__(self, ambient: AmbientSpace, mask: np.ndarray):
         mask = np.array(mask, dtype=bool)
@@ -36,6 +28,7 @@ class PointSet:
             )
         mask.setflags(write=False)
         self.ambient = ambient
+        self.size = int(np.count_nonzero(mask))
         self._mask = mask
         self._codes = None
 
@@ -77,10 +70,6 @@ class PointSet:
             codes.setflags(write=False)
             self._codes = codes
         return self._codes
-
-    @property
-    def size(self) -> int:
-        return int(self.codes.size)
 
     def __len__(self) -> int:
         return self.size
@@ -135,15 +124,7 @@ def affine_flat_set(W: Subspace, offset: FpVector) -> PointSet:
     """The plane offset+W as a point set; cardinality p^dim(W)."""
     if W.ambient != offset.ambient:
         raise ValueError("ambient mismatch")
-    ambient = W.ambient
-    off = np.array(offset.coords, dtype=np.int64)
-    if W.dim == 0:
-        pts = off[None, :]
-    else:
-        basis, _ = _basis_info(W)
-        coeffs = digit_table(ambient.p, W.dim)
-        pts = ((coeffs @ basis) + off) % ambient.p
-    return PointSet.from_codes(ambient, encode_array(ambient, pts))
+    return PointSet.from_codes(W.ambient, flat_codes(W, offset.coords))
 
 
 def circle_set(p: int) -> PointSet:

@@ -25,7 +25,7 @@ from .subspaces import (
     CosetLabel,
     Subspace,
     _require_proper,
-    enumerate_subspaces,
+    grassmannian,
     member_chunks,
     member_stack,
     reduce_points,
@@ -276,8 +276,7 @@ def exceptional_bound_check(
     p, n = ambient.p, ambient.n
     if not 1 <= m <= n - 1:
         raise ValueError(f"m = {m} out of range [1, {n - 1}]")
-    grassmannian = enumerate_subspaces(ambient, n - m, budget=budget)
-    sizes = family_projection_stats(E, grassmannian)[0].tolist()
+    sizes = family_projection_stats(E, grassmannian(ambient, n - m, budget=budget))[0].tolist()
 
     if E.size <= p**m:
         if t is None:

@@ -5,13 +5,16 @@ equality, hashing and enumeration order are all deterministic.  Cosets
 of a proper nontrivial subspace W are labeled by the smallest point
 code they contain; the labeling is computed by eliminating coordinates
 from the most significant end, which lands exactly on that minimum.
+Any collection of subspaces of one dimension, a whole Grassmannian or a
+family, is one SubspaceStack of bases; Subspace objects are built from
+it only when a caller iterates.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from .field import (
     FpMatrix,
     FpVector,
     decode,
-    decode_array,
     digit_table,
     encode_array,
     gaussian_binomial,
@@ -111,44 +113,46 @@ def parse_subspace(ambient: AmbientSpace, text: str) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_subspaces(
-    ambient: AmbientSpace, k: int, budget=DEFAULT_SUBSPACE_BUDGET
-) -> tuple[Subspace, ...]:
-    """All k-dimensional subspaces, sorted by their flattened basis tuples.
+def grassmannian(ambient: AmbientSpace, k: int, budget=DEFAULT_SUBSPACE_BUDGET) -> SubspaceStack:
+    """All k-dimensional subspaces as one stack, sorted by their flattened bases.
 
     The order is a fixed total order (lexicographic on the canonical
     basis read row by row), which gives every subspace the stable index
-    required by the seeded family sampler.  The total count always
-    equals the Gaussian binomial.
+    required by the seeded family sampler.  |G(n, k)| is checked against
+    budget before anything is allocated.
     """
     if not 0 <= k <= ambient.n:
         raise ValueError(f"k = {k} out of range [0, {ambient.n}]")
     total = gaussian_binomial(ambient.n, k, ambient.p)
     check_budget(total, budget, f"|G({ambient.n},{k})| over F_{ambient.p}")
-    return _enumerate_cached(ambient, k)
+    return _grassmannian(ambient, k)
 
 
 @lru_cache(maxsize=32)
-def _enumerate_cached(ambient: AmbientSpace, k: int) -> tuple[Subspace, ...]:
+def _grassmannian(ambient: AmbientSpace, k: int) -> SubspaceStack:
+    # One block per pivot pattern: 1 at each pivot, every free entry (right
+    # of its row's pivot, outside the pivot columns) running over F_p.
     p, n = ambient.p, ambient.n
-    bases = []
+    bases = np.zeros((gaussian_binomial(n, k, p), k, n), dtype=np.int64)
+    start = 0
     for pivots in itertools.combinations(range(n), k):
-        free_slots = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        ]
-        template = [[0] * n for _ in range(k)]
-        for i, c in enumerate(pivots):
-            template[i][c] = 1
-        for values in itertools.product(range(p), repeat=len(free_slots)):
-            rows = [list(r) for r in template]
-            for (i, j), v in zip(free_slots, values):
-                rows[i][j] = v
-            bases.append(tuple(tuple(r) for r in rows))
-    bases.sort()
-    return tuple(Subspace._canonical(ambient, b) for b in bases)
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        block = bases[start : start + p ** len(free)]
+        block[:, np.arange(k), list(pivots)] = 1
+        rows, cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        block[:, rows, cols] = digit_table(p, len(free))
+        start += len(block)
+    return SubspaceStack(ambient, bases).distinct()
+
+
+def enumerate_subspaces(
+    ambient: AmbientSpace, k: int, budget=DEFAULT_SUBSPACE_BUDGET
+) -> tuple[Subspace, ...]:
+    """The members of grassmannian(ambient, k, budget) as Subspace objects.
+
+    The total count always equals the Gaussian binomial.
+    """
+    return grassmannian(ambient, k, budget).members
 
 
 def first_subspace(ambient: AmbientSpace, k: int) -> Subspace:
@@ -167,7 +171,8 @@ def span_of_point(x: FpVector) -> Subspace:
     return Subspace.from_rows(x.ambient, [x.coords])
 
 
-@lru_cache(maxsize=None)
+# One acceptance pass takes Per of about 1,500 distinct subspaces.
+@lru_cache(maxsize=2048)
 def perp(W: Subspace) -> Subspace:
     """The annihilator Per(W) = {x : x.w = 0 for all w in W}.
 
@@ -184,50 +189,30 @@ def perp(W: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _basis_info(W: Subspace):
-    """(basis array, pivot columns) with the array read-only int64."""
-    arr = np.array(W.basis, dtype=np.int64).reshape(W.dim, W.ambient.n)
-    arr.setflags(write=False)
-    pivots = []
-    for row in W.basis:
-        pivots.append(next(j for j, c in enumerate(row) if c))
-    return arr, tuple(pivots)
-
-
 def contains(W: Subspace, v: FpVector) -> bool:
-    """True iff v lies in W (membership solve against the RREF basis)."""
+    """True iff v lies in W: the coset v+W has minimum 0."""
     if W.ambient != v.ambient:
         raise ValueError(f"ambient mismatch: {W.ambient} vs {v.ambient}")
-    p = W.ambient.p
-    x = list(v.coords)
-    for row, c in zip(W.basis, _basis_info(W)[1]):
-        f = x[c]
-        if f:
-            x = [(a - f * b) % p for a, b in zip(x, row)]
-    return all(a == 0 for a in x)
+    return bool(contains_codes(W, np.array([v.coords], dtype=np.int64))[0])
 
 
 def contains_codes(W: Subspace, points: np.ndarray) -> np.ndarray:
     """Vectorized membership for a (m, n) coordinate matrix."""
+    return reduce_points(W, points) == 0
+
+
+def flat_codes(W: Subspace, offset) -> np.ndarray:
+    """Codes of the p^dim points offset + W, in coefficient-digit order."""
     p = W.ambient.p
-    basis, pivots = _basis_info(W)
-    x = points.copy()
-    for row, c in zip(basis, pivots):
-        x = (x - x[:, c : c + 1] * row) % p
-    return ~x.any(axis=1)
+    basis = np.array(W.basis, dtype=np.int64).reshape(W.dim, W.ambient.n)
+    points = digit_table(p, W.dim) @ basis + np.asarray(offset, dtype=np.int64)
+    return encode_array(W.ambient, np.remainder(points, p, out=points))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def span_codes(W: Subspace) -> np.ndarray:
     """Sorted codes of all p^dim points of W (read-only)."""
-    if W.dim == 0:
-        out = np.zeros(1, dtype=np.int64)
-    else:
-        basis, _ = _basis_info(W)
-        coeffs = digit_table(W.ambient.p, W.dim)
-        pts = (coeffs @ basis) % W.ambient.p
-        out = np.sort(encode_array(W.ambient, pts))
+    out = np.sort(flat_codes(W, 0))
     out.setflags(write=False)
     return out
 
@@ -255,34 +240,42 @@ def member_chunks(count: int, per_member: int):
 class SubspaceStack:
     """K subspaces of one dimension k as int64 arrays.
 
-    bases is (K, k, n) with each member's canonical RREF basis;
-    annihilators is (K, n-k, n) with a basis of each member's Per(W).
-    Two points lie in one coset of W iff they have equal dot products
-    with every annihilator row, so these rows label cosets.  Every
-    matrix product against the stacks sums n products of residues, so
-    n(p-1)^2 < 2^63 keeps them exact in int64; construction checks it.
+    bases is (K, k, n) with each member's canonical RREF basis (read
+    only).  annihilators, built on first use, is (K, n-k, n) with a
+    basis of each member's Per(W): two points lie in one coset of W iff
+    they have equal dot products with every annihilator row, so these
+    rows label cosets.  Every matrix product against the stacks sums n
+    products of residues, so n(p-1)^2 < 2^63 keeps them exact in int64;
+    construction checks it.
     """
 
     ambient: AmbientSpace
     bases: np.ndarray
-    annihilators: np.ndarray
+
+    def __post_init__(self):
+        p, n = self.ambient.p, self.ambient.n
+        if n * (p - 1) ** 2 >= 2**63:
+            raise ValueError(f"n(p-1)^2 for p={p}, n={n} exceeds the exact int64 range")
+        self.bases.setflags(write=False)
 
     @classmethod
     def of(cls, ambient: AmbientSpace, dim: int, members) -> "SubspaceStack":
-        p, n = ambient.p, ambient.n
-        if n * (p - 1) ** 2 >= 2**63:
-            raise ValueError(f"n(p-1)^2 for p={p}, n={n} exceeds the exact int64 range")
+        """The stack of dim-dimensional subspaces of ambient: members itself if a stack."""
+        if isinstance(members, cls):
+            if (members.ambient, members.dim) != (ambient, dim):
+                raise ValueError(
+                    f"stack of dimension {members.dim} in {members.ambient}, "
+                    f"expected dimension {dim} in {ambient}"
+                )
+            return members
         members = tuple(members)
         for W in members:
             if W.ambient != ambient:
                 raise ValueError(f"ambient mismatch: {ambient} vs {W.ambient}")
             if W.dim != dim:
-                raise ValueError("family members must share one codimension")
-        bases = np.array([W.basis for W in members], dtype=np.int64).reshape(len(members), dim, n)
-        annihilators = _annihilator_rows(p, bases)
-        bases.setflags(write=False)
-        annihilators.setflags(write=False)
-        return cls(ambient, bases, annihilators)
+                raise ValueError(f"member of dimension {W.dim} in a stack of dimension {dim}")
+        bases = np.array([W.basis for W in members], dtype=np.int64)
+        return cls(ambient, bases.reshape(len(members), dim, ambient.n))
 
     def __len__(self) -> int:
         return self.bases.shape[0]
@@ -293,7 +286,36 @@ class SubspaceStack:
 
     @property
     def codim(self) -> int:
-        return self.annihilators.shape[1]
+        return self.ambient.n - self.dim
+
+    @cached_property
+    def annihilators(self) -> np.ndarray:
+        out = _annihilator_rows(self.ambient.p, self.bases)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def members(self) -> tuple[Subspace, ...]:
+        """One Subspace per member, in stack order, built on first use."""
+        ambient = self.ambient
+        return tuple(
+            Subspace._canonical(ambient, tuple(map(tuple, basis))) for basis in self.bases.tolist()
+        )
+
+    def take(self, index) -> "SubspaceStack":
+        """The members selected by an index array or boolean mask, as a new stack."""
+        return SubspaceStack(self.ambient, self.bases[index])
+
+    def distinct(self) -> "SubspaceStack":
+        """The distinct members sorted by basis read row by row (self if already so)."""
+        flat = self.bases.reshape(len(self), self.dim * self.ambient.n)
+        # lexsort's last key is the primary one; the member index only
+        # breaks ties, and keeps the key list nonempty when k = 0.
+        order = np.lexsort((np.arange(len(flat)), *flat.T[::-1]))
+        keep = np.ones(len(flat), dtype=bool)
+        keep[1:] = np.diff(flat[order], axis=0).any(axis=1)
+        index = order[keep]
+        return self if np.array_equal(index, np.arange(len(self))) else self.take(index)
 
 
 def _annihilator_rows(p: int, bases: np.ndarray) -> np.ndarray:
@@ -337,12 +359,10 @@ def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray):
 
 
 def member_stack(ambient: AmbientSpace, G) -> SubspaceStack:
-    """The stack of a family: G itself, cached on a Family, or built from an iterable."""
-    stack = G if isinstance(G, SubspaceStack) else getattr(G, "stack", None)
+    """The stack of a family: G itself, a Family's stack, or built from an iterable."""
+    stack = getattr(G, "stack", G)
     if isinstance(stack, SubspaceStack):
-        if stack.ambient != ambient:
-            raise ValueError(f"ambient mismatch: {ambient} vs {stack.ambient}")
-        return stack
+        return SubspaceStack.of(ambient, stack.dim, stack)
     members = tuple(G)
     dim = members[0].dim if members else 0
     return SubspaceStack.of(ambient, dim, members)
@@ -364,44 +384,20 @@ class CosetLabel:
         return decode(self.subspace.ambient, self.representative)
 
 
-@lru_cache(maxsize=None)
 def _coset_reduction(W: Subspace):
-    """Basis of W re-reduced against trailing (highest-index) entries.
+    """Basis of W in RREF over the reversed columns, and its pivot columns.
 
-    Row r is scaled to 1 at its trailing column trail[r], and every
-    other row vanishes there.  Subtracting x[trail[r]] * row_r for all r
-    zeroes the trailing columns of x; any other coset element differs
-    first (from the most significant coordinate down) by a nonzero
-    entry at some trail[r], so the reduced point is the coset minimum
-    in point-code order.
+    Row r is 1 at its trailing (highest-index) column trail[r], and
+    every other row vanishes there.  Subtracting x[trail[r]] * row_r
+    for all r zeroes the trailing columns of x; any other coset element
+    differs first (from the most significant coordinate down) by a
+    nonzero entry at some trail[r], so the reduced point is the coset
+    minimum in point-code order.
     """
-    p, n = W.ambient.p, W.ambient.n
-    rows = [list(r) for r in W.basis]
-    trail = []
-    r = 0
-    for col in reversed(range(n)):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        trail.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    assert r == W.dim
-    arr = np.array(rows, dtype=np.int64).reshape(W.dim, n)
-    arr.setflags(write=False)
-    return arr, tuple(trail)
+    n = W.ambient.n
+    R, _, pivots = rref(FpMatrix(W.ambient, tuple(row[::-1] for row in W.basis)))
+    rows = np.array(R.rows, dtype=np.int64).reshape(W.dim, n)[:, ::-1]
+    return rows, tuple(n - 1 - c for c in pivots)
 
 
 def _require_proper(W: Subspace):
@@ -444,11 +440,4 @@ def enumerate_cosets(W: Subspace) -> list[CosetLabel]:
 def coset_points(label: CosetLabel) -> np.ndarray:
     """Sorted codes of the points of the coset."""
     W = label.subspace
-    rep = decode_array(W.ambient, np.array([label.representative], dtype=np.int64))
-    if W.dim == 0:
-        pts = rep
-    else:
-        basis, _ = _basis_info(W)
-        coeffs = digit_table(W.ambient.p, W.dim)
-        pts = ((coeffs @ basis) + rep) % W.ambient.p
-    return np.sort(encode_array(W.ambient, pts))
+    return np.sort(flat_codes(W, decode(W.ambient, label.representative).coords))

@@ -107,3 +107,25 @@ def direct_dft_value(E_points, xi, p):
 
 def brute_gaussian_count(p, n, k):
     return len(all_subspace_spans(p, n, k))
+
+
+def enumerate_rref_bases(p, n, k):
+    """Every k x n RREF basis of full rank as nested tuples, sorted.
+
+    One template per pivot pattern, every free entry (right of its
+    row's pivot, outside the pivot columns) running over F_p: the
+    reference for the library's array-built Grassmannian and its order.
+    """
+    bases = []
+    for pivots in itertools.combinations(range(n), k):
+        free_slots = [
+            (i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots
+        ]
+        for values in itertools.product(range(p), repeat=len(free_slots)):
+            rows = [[0] * n for _ in range(k)]
+            for i, c in enumerate(pivots):
+                rows[i][c] = 1
+            for (i, j), v in zip(free_slots, values):
+                rows[i][j] = v
+            bases.append(tuple(tuple(r) for r in rows))
+    return sorted(bases)

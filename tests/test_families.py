@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpproj.families import (
     Family,
@@ -29,7 +31,7 @@ from fpproj.pointsets import (
     moment_curve_set,
     random_point_set,
 )
-from fpproj.subspaces import contains, enumerate_subspaces, perp, span_of_point
+from fpproj.subspaces import contains, enumerate_subspaces, grassmannian, perp, span_of_point
 
 
 def amb(p, n):
@@ -56,6 +58,62 @@ def test_family_rejects_mixed_dimension():
 def test_family_rejects_bad_codimension():
     with pytest.raises(ValueError):
         Family(amb(3, 3), 3, ())
+
+
+def test_family_rejects_stack_of_other_shape():
+    a = amb(3, 3)
+    with pytest.raises(ValueError):
+        Family(a, 1, grassmannian(a, 1))
+    with pytest.raises(ValueError):
+        Family(a, 1, grassmannian(amb(5, 3), 2))
+
+
+def test_membership_by_iteration():
+    a = amb(3, 3)
+    planes = enumerate_subspaces(a, 2)
+    G = Family(a, 1, planes[::2])
+    assert planes[0] in G
+    assert planes[1] not in G  # same dimension, not a member
+    assert enumerate_subspaces(a, 1)[0] not in G  # another dimension
+    assert enumerate_subspaces(amb(5, 3), 2)[0] not in G  # another ambient space
+    assert planes[1] not in Family(a, 1, ())
+
+
+@st.composite
+def grassmannian_cases(draw):
+    """(ambient, m, G(n, n-m)) for p <= 7, n <= 4."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1))
+    a = amb(p, n)
+    return a, m, grassmannian(a, n - m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grassmannian_cases(), st.data())
+def test_family_of_shuffled_members_with_repeats(case, data):
+    a, m, G = case
+    index = st.integers(0, len(G) - 1)
+    ms = [G.members[i] for i in data.draw(st.lists(index, max_size=30))]
+    F = Family(a, m, ms)
+    assert F.members == tuple(sorted(set(ms), key=lambda W: W.basis))
+    assert len(F) == len(set(ms)) and list(F) == list(F.members)
+    assert F == Family(a, m, reversed(ms)) and hash(F) == hash(Family(a, m, set(ms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grassmannian_cases(), st.data())
+def test_family_of_a_grassmannian_subset(case, data):
+    a, m, G = case
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(G), max_size=len(G))))
+    F = Family(a, m, G.take(mask))
+    kept = [W for W, keep in zip(G.members, mask) if keep]
+    assert F == Family(a, m, kept)
+    assert F.members == tuple(kept)
+    assert Family(a, m, G.take(np.flatnonzero(mask)[::-1])) == F
+    dropped = [W for W, keep in zip(G.members, mask) if not keep]
+    if kept and dropped:  # one member swapped: same size, not equal
+        assert Family(a, m, kept[1:] + dropped[:1]) != F
 
 
 # -- random model -----------------------------------------------------------

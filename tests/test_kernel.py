@@ -8,13 +8,22 @@ recomputes the same quantity one set and one member at a time
 where it is cheap enough, from first principles (tests/oracles.py).
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpproj.subspaces
-from fpproj.families import Family, full_family, hyperplane_intersection_max, spread_profile
+from fpproj.families import (
+    Family,
+    RandomFamilyConfig,
+    full_family,
+    hyperplane_intersection_max,
+    sample_random_family,
+    spread_profile,
+)
 from fpproj.field import AmbientSpace, decode
 from fpproj.fourier import coset_energy_spectral, dft, verify_coset_identities
 from fpproj.pointsets import PointSet, random_point_set
@@ -30,9 +39,11 @@ from fpproj.subspaces import (
     CHUNK_ELEMENTS,
     Subspace,
     SubspaceStack,
+    _annihilator_rows,
     contains_codes,
     enumerate_subspaces,
     first_subspace,
+    grassmannian,
     member_chunks,
     perp,
     span_codes,
@@ -148,6 +159,28 @@ def test_annihilator_spans_come_out_sorted(case, chunk):
         spans = [codes for _, codes in stacked_span_codes(ambient, stack.annihilators)]
     rows = np.concatenate(spans) if spans else np.empty((0, ambient.p**m), dtype=np.int64)
     assert rows.tolist() == [span_codes(perp(W)).tolist() for W in members]
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_annihilators_built_on_first_use(case):
+    ambient, m, members, _ = case
+    stack = SubspaceStack.of(ambient, ambient.n - m, members)
+    assert "annihilators" not in vars(stack)
+    expected = _annihilator_rows(ambient.p, stack.bases)
+    assert np.array_equal(stack.annihilators, expected)
+    assert stack.annihilators is stack.annihilators
+    assert not stack.annihilators.flags.writeable
+
+
+def test_sampling_builds_no_grassmannian_annihilators():
+    fpproj.subspaces._grassmannian.cache_clear()  # a fresh G(4, 2)
+    a = AmbientSpace(5, 4)
+    G = grassmannian(a, 2)
+    sample = sample_random_family(RandomFamilyConfig(a, 2, Fraction(5, 2), seed=1))
+    family_projection_stats(random_point_set(a, 9, seed=2), sample)
+    assert "annihilators" in vars(sample.stack)
+    assert "annihilators" not in vars(G)
 
 
 def test_annihilator_stack_of_trivial_dimensions():

@@ -35,6 +35,12 @@ def test_from_codes_rejects_out_of_range():
         PointSet.from_codes(amb(3, 2), [9])
 
 
+def test_size_is_counted_once_and_matches_codes():
+    a = AmbientSpace(3, 3)
+    for E in (PointSet.empty(a), PointSet.full(a), random_point_set(a, 11, seed=4)):
+        assert E.size == len(E) == E.codes.size
+
+
 def test_empty_and_full():
     a = amb(3, 2)
     assert PointSet.empty(a).size == 0

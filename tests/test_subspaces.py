@@ -12,13 +12,20 @@ from fpproj.subspaces import (
     coset_points,
     enumerate_cosets,
     enumerate_subspaces,
+    grassmannian,
     parse_subspace,
     perp,
     serialize_subspace,
     span_codes,
     span_of_point,
 )
-from oracles import all_vectors, all_subspace_spans, min_code_in_coset, span_set
+from oracles import (
+    all_subspace_spans,
+    all_vectors,
+    enumerate_rref_bases,
+    min_code_in_coset,
+    span_set,
+)
 
 
 def amb(p, n):
@@ -82,6 +89,28 @@ def test_enumerated_and_perp_bases_pass_validation(p, n):
 def test_enumeration_budget():
     with pytest.raises(BudgetError):
         enumerate_subspaces(amb(5, 4), 2, budget=100)
+    with pytest.raises(BudgetError):
+        grassmannian(amb(5, 4), 2, budget=100)
+    with pytest.raises(ValueError):
+        grassmannian(amb(5, 4), 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_enumeration_equals_tuple_reference_in_order(p):
+    for n in range(1, 5):
+        a = amb(p, n)
+        for k in range(n + 1):
+            subs = enumerate_subspaces(a, k)
+            assert [W.basis for W in subs] == enumerate_rref_bases(p, n, k)
+            assert all(W.ambient == a for W in subs)
+            assert grassmannian(a, k).bases.tolist() == [list(map(list, W.basis)) for W in subs]
+
+
+def test_enumeration_views_are_built_once():
+    a = amb(3, 4)
+    assert enumerate_subspaces(a, 2) is enumerate_subspaces(a, 2)
+    assert grassmannian(a, 2) is grassmannian(a, 2, budget=10**6)
+    assert not grassmannian(a, 2).bases.flags.writeable
 
 
 # -- perp ----------------------------------------------------------------
