@@ -3,16 +3,17 @@
 Each criterion function computes what it needs from fixed parameters
 and seeds and returns a CriterionResult whose rows render to a CSV
 artifact.  Criteria 6 and 8 read the same random-model cells (family,
-standard battery and battery stats per (p, m, alpha, seed)), so each
-cell is built once per pass and kept in a bounded cache; a criterion
-called alone builds the cells it misses, so its output does not depend
-on what ran before it.  ``run_suite`` clears the cache before each
-pass, so the two passes that criterion 12 compares byte for byte are
-still two independent computations.
+standard battery and its exceptional census per (p, m, alpha, seed)),
+so each cell is built once per pass and kept in a bounded cache; a
+criterion called alone builds the cells it misses, so its output does
+not depend on what ran before it.  ``run_suite`` clears every cache of
+the package before each pass, so the two passes that criterion 12
+compares byte for byte are two independent computations.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -38,12 +39,8 @@ from .exact import floor_pow
 from .field import AmbientSpace, decode, gaussian_binomial
 from .fourier import plancherel_defect, verify_coset_identities
 from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_set
-from .projection import (
-    battery_projection_stats,
-    exceptional_bound_check,
-    exceptional_report_from_stats,
-)
-from .subspaces import enumerate_subspaces, first_subspace, perp, serialize_subspace
+from .projection import battery_projection_stats, census_cells, explicit_bound_from_sizes
+from .subspaces import enumerate_subspaces, first_subspace, grassmannian, perp, serialize_subspace
 
 
 @dataclass(frozen=True)
@@ -124,6 +121,7 @@ def standard_sets(ambient: AmbientSpace, base_seed: int, budget=DEFAULT_POINT_BU
 
 
 _RATIO_NS = (1, 2, 4, 8)
+_RATIO_C = Fraction(16)  # the report constant of every ratio audit
 
 
 def battery_stats(sets, G: Family):
@@ -131,19 +129,23 @@ def battery_stats(sets, G: Family):
     return battery_projection_stats([E for _, E in sets], G)
 
 
-def ratio_rows(tag: str, G: Family, family_id: str, sets, stats, C: Fraction, seed_field):
+def battery_census(sets, G: Family, C: Fraction = _RATIO_C):
+    """Per set of a battery, its census cells at the thresholds N in (1, 2, 4, 8)."""
+    return census_cells([E for _, E in sets], G.m, *battery_stats(sets, G), _RATIO_NS, C)
+
+
+def ratio_rows(tag: str, G: Family, family_id: str, sets, census, seed_field):
     """Exceptional-ratio rows for one family over one set battery.
 
-    `stats` is battery_stats(sets, G).  Returns (rows, all_ok); a row
-    fails if ratio > C.  Thresholds are the fixed battery N in (1, 2, 4, 8).
+    `census` is battery_census(sets, G, C).  Returns (rows, all_ok); a
+    row fails if ratio > C.  Thresholds are the fixed battery N in (1, 2, 4, 8).
     """
     rows = []
     all_ok = True
-    for (set_id, E), sizes, energies in zip(sets, *stats):
-        for N in _RATIO_NS:
-            report = exceptional_report_from_stats(E, G.m, sizes, energies, N)
-            ok = report.ratio <= C
-            all_ok = all_ok and ok and report.pairs_bound_ok
+    for (set_id, E), cells in zip(sets, census):
+        for cell in cells:
+            ok = cell.within
+            all_ok = all_ok and ok and cell.pairs_bound_ok
             rows.append(
                 (
                     tag,
@@ -155,11 +157,11 @@ def ratio_rows(tag: str, G: Family, family_id: str, sets, stats, C: Fraction, se
                     seed_field,
                     set_id,
                     E.size,
-                    N,
-                    report.count,
-                    report.bound,
-                    float(report.ratio),
-                    report.pairs_bound_ok,
+                    cell.threshold,
+                    cell.count,
+                    Fraction(cell.bound_num, cell.bound_den),
+                    cell.ratio,
+                    cell.pairs_bound_ok,
                     ok,
                 )
             )
@@ -209,25 +211,42 @@ def _random_model_battery(p: int, m: int, seed: int):
 
 @lru_cache(maxsize=_RANDOM_CELL_COUNT)
 def random_model_cell(p: int, m: int, alpha: Fraction, seed: int):
-    """(G, sets, sizes, energies) of one criterion-6/8 cell, n = 3.
+    """(G, sets, census) of one criterion-6/8 cell, n = 3.
 
-    An empty family has no battery: sets is () and the stats are None.
-    Every caller gets the same objects, so the stats are read-only.
+    The census is battery_census(sets, G) as nested tuples, since every
+    caller gets the same objects.  An empty family has no battery: sets
+    and census are ().
     """
     G = sample_random_family(RandomFamilyConfig(AmbientSpace(p, 3), m, alpha, seed))
     if len(G) == 0:
-        return G, (), None, None
+        return G, (), ()
     sets = _random_model_battery(p, m, seed)
-    sizes, energies = battery_stats(sets, G)
-    sizes.setflags(write=False)
-    energies.setflags(write=False)
-    return G, sets, sizes, energies
+    return G, sets, tuple(map(tuple, battery_census(sets, G)))
 
 
-def clear_random_model_cells() -> None:
-    """Drop every cached cell and battery; run_suite does so around each pass."""
-    random_model_cell.cache_clear()
-    _random_model_battery.cache_clear()
+def package_caches() -> dict:
+    """{qualified name: function} of every lru_cache in the loaded modules of the package.
+
+    A module not yet imported has cached nothing, so these are all the
+    caches that can hold a value.
+    """
+    prefix = __package__ + "."
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith(prefix):
+            continue
+        owners = [module, *(value for value in vars(module).values() if isinstance(value, type))]
+        for owner in owners:
+            for value in vars(owner).values():
+                if hasattr(value, "cache_clear"):
+                    found[f"{value.__module__}.{value.__qualname__}"] = value
+    return found
+
+
+def clear_caches() -> None:
+    """Empty every cache of the package; run_suite does so before each pass."""
+    for cache in package_caches().values():
+        cache.cache_clear()
 
 
 def coset_identity_grid():
@@ -400,18 +419,14 @@ def criterion6() -> CriterionResult:
     for p, m, alpha in random_model_grid():
         block_ok = True
         for seed in range(_RANDOM_SEED_COUNT):
-            G, sets, *stats = random_model_cell(p, m, alpha, seed)
+            G, sets, census = random_model_cell(p, m, alpha, seed)
             if len(G) == 0:
                 continue
-            for (set_id, E), sizes, energies in zip(sets, *stats):
-                for N in _RATIO_NS:
-                    mask = sizes <= N
-                    lhs = int(mask.sum()) * E.size * E.size
-                    rhs = int(energies[mask].sum()) * N
-                    ok = lhs <= rhs
-                    block_ok = block_ok and ok
-                    if not ok:
-                        rows.append(("argument", p, 3, m, set_id, lhs, rhs, ok))
+            for (set_id, _), cells in zip(sets, census):
+                for cell in cells:
+                    if not cell.pairs_bound_ok:
+                        rows.append(("argument", p, 3, m, set_id, cell.pairs_lhs, cell.pairs_rhs, False))
+                        block_ok = False
         passed = passed and block_ok
         rows.append(("argument", p, 3, m, f"alpha={alpha}", "", "", block_ok))
     return CriterionResult(
@@ -454,19 +469,22 @@ def criterion7() -> CriterionResult:
     t_values = (Fraction(1, 2), Fraction(3, 4), Fraction(1))
     for p in (11, 13):
         ambient = AmbientSpace(p, 2)
-        for set_id, E in _criterion7_battery(ambient):
+        sets = _criterion7_battery(ambient)
+        # image sizes of every set over all of G(2, 1), one kernel call
+        sizes, _ = battery_stats(sets, grassmannian(ambient, 1))
+        for (set_id, E), row in zip(sets, sizes):
             if E.size <= p:
                 for t in t_values:
                     q, r = t.denominator, t.numerator
                     if p**r > E.size**q:
                         continue  # t above log_p |E|: outside the claim
-                    res = exceptional_bound_check(E, 1, t=t)
+                    res = explicit_bound_from_sizes(E, 1, row, t=t)
                     passed = passed and res.passed
                     rows.append(
                         (p, set_id, E.size, res.branch, t, res.count, res.bound_float, res.passed)
                     )
             else:
-                res = exceptional_bound_check(E, 1)
+                res = explicit_bound_from_sizes(E, 1, row)
                 passed = passed and res.passed
                 rows.append(
                     (p, set_id, E.size, res.branch, "", res.count, res.bound_float, res.passed)
@@ -486,15 +504,14 @@ def criterion8() -> CriterionResult:
     rows = []
     spread_rows = []
     passed = True
-    C_ratio = Fraction(16)
     for p, m, alpha in random_model_grid():
         for seed in range(_RANDOM_SEED_COUNT):
-            G, sets, *stats = random_model_cell(p, m, alpha, seed)
+            G, sets, census = random_model_cell(p, m, alpha, seed)
             family_id = f"random:{alpha}:{seed}"
             if len(G) == 0:
                 spread_rows.append((p, 3, m, family_id, 0, "empty", 0, True))
                 continue
-            batch, ok = ratio_rows("random-model", G, family_id, sets, stats, C_ratio, seed)
+            batch, ok = ratio_rows("random-model", G, family_id, sets, census, seed)
             rows.extend(batch)
             passed = passed and ok
             # spreadness with C = 8: count <= 8 |G| p^-beta, cross-multiplied
@@ -562,7 +579,7 @@ def criterion10() -> CriterionResult:
             ("summary", p, 3, 2, "circle", len(G), "", f"|S1|={S.size}", S.size, "", oracle, "", "", "", ok)
         )
         sets = standard_sets(S.ambient, base_seed=p)
-        batch, ratios_ok = ratio_rows("circle", G, "circle", sets, battery_stats(sets, G), Fraction(16), "")
+        batch, ratios_ok = ratio_rows("circle", G, "circle", sets, battery_census(sets, G), "")
         rows.extend(batch)
         passed = passed and ratios_ok
     return CriterionResult(
@@ -590,7 +607,7 @@ def criterion11() -> CriterionResult:
                 ("summary", p, n, n - 1, "moment", len(G), "", f"hyperplane_max={hyper}", S.size, "", hyper, "", "", "", ok)
             )
             sets = standard_sets(S.ambient, base_seed=p + n)
-            batch, ratios_ok = ratio_rows("moment", G, "moment", sets, battery_stats(sets, G), Fraction(16), "")
+            batch, ratios_ok = ratio_rows("moment", G, "moment", sets, battery_census(sets, G), "")
             rows.extend(batch)
             passed = passed and ratios_ok
     return CriterionResult(
@@ -631,9 +648,8 @@ def run_suite() -> SuiteResult:
     """Run criteria 1..11 twice; criterion 12 is byte-equality of the artifacts."""
     passes = []
     for _ in range(2):
-        clear_random_model_cells()  # each pass builds its own cells
+        clear_caches()  # each pass computes everything afresh
         passes.append([fn() for fn in CRITERIA])
-    clear_random_model_cells()
     first, second = passes
     mismatches = [a.artifact_name() for a, b in zip(first, second) if a.csv != b.csv]
     rows = tuple(

@@ -39,7 +39,7 @@ from .pointsets import (
     moment_curve_set,
     random_point_set,
 )
-from .projection import exceptional_report_from_stats, family_projection_stats, project
+from .projection import battery_projection_stats, census_cells, project
 from .subspaces import first_subspace, grassmannian, parse_subspace, serialize_subspace
 
 SWEEP_HEADER = (
@@ -216,14 +216,13 @@ def cmd_examples(args) -> int:
         print(f"hyperplane_max {hyperplane_intersection_max(S, budget=args.subspace_budget)}")
     failed = False
     sets = acceptance.standard_sets(S.ambient, base_seed=args.p, budget=args.point_budget)
-    for (set_id, E), sizes, energies in zip(sets, *acceptance.battery_stats(sets, G)):
-        for N in (1, 2, 4, 8):
-            report = exceptional_report_from_stats(E, G.m, sizes, energies, N)
-            ok = report.ratio <= 16
+    for (set_id, _), cells in zip(sets, acceptance.battery_census(sets, G, 16)):
+        for cell in cells:
+            ok = cell.within
             failed = failed or not ok
             print(
-                f"ratio {set_id} N={N} count={report.count} "
-                f"ratio={float(report.ratio):.12g} {'ok' if ok else 'FAIL'}"
+                f"ratio {set_id} N={cell.threshold} count={cell.count} "
+                f"ratio={cell.ratio:.12g} {'ok' if ok else 'FAIL'}"
             )
     return 1 if failed else 0
 
@@ -278,25 +277,9 @@ def _threshold_to_N(ambient, m, kind, value):
     return floor_mul_pow(frac, ambient.p, m), f"{frac.numerator}/{frac.denominator}"
 
 
-def _sweep_cell(ambient, m, family_info, set_info, stats, kind, value, C):
-    family_id, _, seed_field, sc, sp = family_info
-    set_id, E = set_info
-    N, shown = _threshold_to_N(ambient, m, kind, value)
-    sizes, energies = stats
-    report = exceptional_report_from_stats(E, m, sizes, energies, N)
-    ok = report.ratio <= C
-    return (
-        f"{ambient.p},{ambient.n},{m},{family_id},{len(sizes)},{set_id},{E.size},"
-        f"{kind},{shown},{report.count},{report.bound.numerator},{report.bound.denominator},"
-        f"{float(report.ratio):.12g},{sc},{sp},{seed_field},{1 if ok else 0}"
-    ), ok
-
-
 def cmd_sweep(args) -> int:
     ambient, m, family_specs, set_specs, kind, values, C, cfg_out = _load_sweep_config(args.config)
     out_path = args.out or cfg_out
-    any_failed = False
-    any_skipped = False
 
     families = []
     for spec in family_specs:
@@ -312,35 +295,38 @@ def cmd_sweep(args) -> int:
     for _, E in sets:
         if E.size == 0:
             raise ValueError("sweep sets must be nonempty (the bound uses 1/|E|)")
-
-    results = []
-    for family_info in families:
-        spec, G, seed_field = family_info[:3]
-        for set_info in sets:
-            set_id, E = set_info
-            if G is None:
-                results.extend(
-                    (
-                        f"{ambient.p},{ambient.n},{m},{spec},,{set_id},{E.size},{kind},"
-                        f"{value},,,,,,,{seed_field},skipped",
-                        None,
-                    )
-                    for value in values
-                )
-                continue
-            stats = family_projection_stats(E, G)
-            results.extend(
-                _sweep_cell(ambient, m, family_info, set_info, stats, kind, value, C)
-                for value in values
-            )
+    points = [E for _, E in sets]
 
     lines = [SWEEP_HEADER]
-    for line, ok in results:
-        lines.append(line)
-        if ok is None:
-            any_skipped = True
-        elif not ok:
-            any_failed = True
+    cutoffs = None  # (N, shown) per threshold, reduced once a cell needs them
+    any_failed = any_skipped = False
+    for family_id, G, seed_field, sc, sp in families:
+        if G is None:
+            for set_id, E in sets:
+                for value in values:
+                    lines.append(
+                        f"{ambient.p},{ambient.n},{m},{family_id},,{set_id},{E.size},{kind},"
+                        f"{value},,,,,,,{seed_field},skipped"
+                    )
+                    any_skipped = True
+            continue
+        if not sets:
+            continue  # a battery needs at least one set
+        if cutoffs is None:
+            cutoffs = [_threshold_to_N(ambient, m, kind, value) for value in values]
+        stats = battery_projection_stats(points, G)
+        census = census_cells(points, m, *stats, [N for N, _ in cutoffs], C)
+        for (set_id, E), cells in zip(sets, census):
+            for (_, shown), cell in zip(cutoffs, cells):
+                ok = cell.within
+                any_failed = any_failed or not ok
+                bound = Fraction(cell.bound_num, cell.bound_den)
+                lines.append(
+                    f"{ambient.p},{ambient.n},{m},{family_id},{len(G)},{set_id},{E.size},"
+                    f"{kind},{shown},{cell.count},{bound.numerator},{bound.denominator},"
+                    f"{cell.ratio:.12g},{sc},{sp},{seed_field},{1 if ok else 0}"
+                )
+
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -208,6 +208,11 @@ def spread_profile(G: Family, variant: str) -> np.ndarray:
 def _spread_max(G: Family, variant: str) -> SpreadResult:
     if len(G) == 0:
         return SpreadResult(0, None)
+    n, k = G.ambient.n, G.ambient.n - G.m
+    if len(G) == gaussian_binomial(n, k, G.ambient.p):
+        # G holds distinct members, so it is all of G(n, k): every nonzero
+        # frequency has the same count, and the smallest one has code 1
+        return SpreadResult(theoretical_spread_count(G.ambient, k, variant), decode(G.ambient, 1))
     counts = spread_profile(G, variant)
     counts[0] = -1  # exclude xi = 0
     code = int(np.argmax(counts))  # argmax takes the smallest maximizing code

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .budgets import DEFAULT_SUBSPACE_BUDGET
-from .exact import le_pow
+from .exact import floor_pow, le_pow
 from .pointsets import PointSet
 from .subspaces import (
     CosetLabel,
@@ -206,24 +206,104 @@ class ExceptionalReport:
     pairs_bound_ok: bool
 
 
+def exceptional_census(sizes, energies, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and theta-energies of the members with image size <= N.
+
+    sizes and energies are the (S, K) stats of S sets against a family
+    of K members, thresholds are T nonnegative integers in any order.
+    Returns two (S, T) int64 arrays: how many members W have
+    |pi_W(E_s)| <= N, and the energy of E_s summed over those members.
+    Each set's sizes are sorted once: searchsorted gives every count,
+    and a prefix sum of the energies in the same order every energy.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    energies = np.asarray(energies, dtype=np.int64)
+    if sizes.ndim != 2 or sizes.shape != energies.shape:
+        raise ValueError(f"stats of shapes {sizes.shape} and {energies.shape}; need one (S, K)")
+    thresholds = [int(N) for N in thresholds]
+    if any(N < 0 for N in thresholds):
+        raise ValueError("threshold N must be nonnegative")
+    S, K = sizes.shape
+    if K and int(energies.max()) > (2**63 - 1) // K:
+        raise ValueError("summed energies exceed the exact int64 range")
+    # a cutoff at or above every size counts every member
+    top = int(sizes.max()) if sizes.size else 0
+    cutoffs = np.array([min(N, top) for N in thresholds], dtype=np.int64)
+    order = np.argsort(sizes, axis=1)
+    prefix = np.zeros((S, K + 1), dtype=np.int64)
+    np.cumsum(np.take_along_axis(energies, order, axis=1), axis=1, out=prefix[:, 1:])
+    counts = np.array(
+        [np.searchsorted(row, cutoffs, side="right") for row in np.take_along_axis(sizes, order, axis=1)],
+        dtype=np.int64,
+    ).reshape(S, len(cutoffs))
+    return counts, np.take_along_axis(prefix, counts, axis=1)
+
+
+class CensusCell(NamedTuple):
+    """One (set, N) cell of a census; its bound is bound_num / bound_den.
+
+    ratio is count/bound as a float, within whether ratio <= C (None
+    when no C was given), and pairs_lhs <= pairs_rhs is the pair-counting
+    inequality count |E|^2 <= theta N, which pairs_bound_ok records
+    (True for N = 0).
+    """
+
+    threshold: int
+    count: int
+    bound_num: int
+    bound_den: int
+    ratio: float
+    within: bool | None
+    pairs_lhs: int
+    pairs_rhs: int
+    pairs_bound_ok: bool
+
+
+def census_cells(sets, m: int, sizes, energies, thresholds, C=None) -> list[list[CensusCell]]:
+    """Per nonempty set, its census cells against one family, in threshold order.
+
+    sizes and energies are the sets' (S, K) battery stats.  The bound
+    |G| N (1/|E| + p^-m) of a cell is kept as the integers
+    |G| N (p^m + |E|) and |E| p^m; ratio <= C is decided by
+    cross-multiplying, and the float ratio is the correctly rounded
+    quotient of two integers, which equals float(Fraction(count) / bound).
+    A zero bound (N = 0, or no member) has ratio 0.  All products are
+    Python integers.
+    """
+    if any(E.size == 0 for E in sets):
+        raise ValueError("exceptional counts need a nonempty set (bound uses 1/|E|)")
+    thresholds = [int(N) for N in thresholds]
+    counts, theta = exceptional_census(sizes, energies, thresholds)
+    K = np.shape(sizes)[1]
+    C = None if C is None else Fraction(C)
+    out = []
+    for E, count_row, theta_row in zip(sets, counts.tolist(), theta.tolist()):
+        e, q = E.size, E.ambient.p**m
+        den = e * q
+        row = []
+        for N, count, th in zip(thresholds, count_row, theta_row):
+            num = K * N * (q + e)
+            if C is None:
+                within = None
+            elif num:
+                within = count * den * C.denominator <= C.numerator * num
+            else:
+                within = 0 <= C
+            lhs, rhs = count * e * e, th * N
+            ratio = count * den / num if num else 0.0
+            row.append(CensusCell(N, count, num, den, ratio, within, lhs, rhs, lhs <= rhs or N == 0))
+        out.append(row)
+    return out
+
+
 def exceptional_report_from_stats(
     E: PointSet, m: int, sizes: np.ndarray, energies: np.ndarray, N: int
 ) -> ExceptionalReport:
-    if E.size == 0:
-        raise ValueError("exceptional counts need a nonempty set (bound uses 1/|E|)")
-    if N < 0:
-        raise ValueError("threshold N must be nonnegative")
-    p = E.ambient.p
-    exceptional = sizes <= N
-    count = int(exceptional.sum())
-    bound = Fraction(len(sizes) * N * (p**m + E.size), E.size * p**m)
-    ratio = Fraction(count) / bound if bound else Fraction(0)
-    if N >= 1:
-        theta_energy = int(energies[exceptional].sum())
-        pairs_ok = count * E.size * E.size <= theta_energy * N
-    else:
-        pairs_ok = True
-    return ExceptionalReport(len(sizes), N, count, bound, ratio, pairs_ok)
+    """One cell of the census, with its bound and ratio as Fractions."""
+    ((cell,),) = census_cells((E,), m, np.asarray(sizes)[None], np.asarray(energies)[None], (N,))
+    num, den = cell.bound_num, cell.bound_den
+    ratio = Fraction(cell.count * den, num) if num else Fraction(0)
+    return ExceptionalReport(len(sizes), N, cell.count, Fraction(num, den), ratio, cell.pairs_bound_ok)
 
 
 def exceptional_count(E: PointSet, G, N: int) -> ExceptionalReport:
@@ -263,20 +343,31 @@ class ExplicitBoundCheck:
 def exceptional_bound_check(
     E: PointSet, m: int, t: Fraction | None = None, budget=DEFAULT_SUBSPACE_BUDGET
 ) -> ExplicitBoundCheck:
-    """Exact census of small projections over all of G(n, n-m).
-
-    Thresholds and bounds with fractional exponents are compared by
-    integer cross-multiplication: image <= p^(r/q)/10 iff
-    (10*image)^q <= p^r, and count <= (1/2) p^(e/q) iff
-    (2*count)^q <= p^e.
-    """
+    """Exact census of small projections over all of G(n, n-m)."""
     if E.size == 0:
         raise ValueError("the census needs a nonempty set")
-    ambient = E.ambient
-    p, n = ambient.p, ambient.n
+    n = E.ambient.n
     if not 1 <= m <= n - 1:
         raise ValueError(f"m = {m} out of range [1, {n - 1}]")
-    sizes = family_projection_stats(E, grassmannian(ambient, n - m, budget=budget))[0].tolist()
+    G = grassmannian(E.ambient, n - m, budget=budget)
+    return explicit_bound_from_sizes(E, m, family_projection_stats(E, G)[0], t)
+
+
+def explicit_bound_from_sizes(
+    E: PointSet, m: int, sizes: np.ndarray, t: Fraction | None = None
+) -> ExplicitBoundCheck:
+    """exceptional_bound_check from E's image sizes over all of G(n, n-m).
+
+    E is nonempty and 1 <= m <= n - 1.  Image sizes are integers, so
+    the thresholds reduce to exact integer cutoffs: (10 * size)^q <= p^r
+    iff size <= floor(p^(r/q)) // 10, and 10 * size <= p^m iff
+    size <= p^m // 10.  The bound with a fractional exponent is compared
+    by integer cross-multiplication: count <= (1/2) p^(e/q) iff
+    (2*count)^q <= p^e.
+    """
+    ambient = E.ambient
+    p, n = ambient.p, ambient.n
+    sizes = np.asarray(sizes)
 
     if E.size <= p**m:
         if t is None:
@@ -288,13 +379,13 @@ def exceptional_bound_check(
         vacuous = E.size == 1
         if not vacuous and p**r > E.size**q:
             raise ValueError(f"t = {t} exceeds log_p|E|; the census is undefined there")
-        count = sum(1 for s in sizes if (10 * s) ** q <= p**r)
+        # sizes never exceed |E|, so the cutoff is clipped there
+        count = int(np.count_nonzero(sizes <= min(floor_pow(p, t) // 10, E.size)))
         expo = Fraction(m * (n - m) - m) + t
         passed = True if vacuous else le_pow(2 * count, 1, p, expo)
         bound_float = 0.5 * float(p) ** float(expo)
         return ExplicitBoundCheck("small", count, None, bound_float, passed, vacuous)
 
-    threshold_num, threshold_den = p**m, 10
-    count = sum(1 for s in sizes if s * threshold_den <= threshold_num)
+    count = int(np.count_nonzero(sizes <= p**m // 10))
     bound = Fraction(p ** (m * (n - m) + m), 2 * E.size)
     return ExplicitBoundCheck("large", count, bound, float(bound), count <= bound)

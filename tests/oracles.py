@@ -7,6 +7,7 @@ checked against a second route.
 
 import cmath
 import itertools
+from fractions import Fraction
 
 
 def all_vectors(p, n):
@@ -129,3 +130,25 @@ def enumerate_rref_bases(p, n, k):
                 rows[i][j] = v
             bases.append(tuple(tuple(r) for r in rows))
     return sorted(bases)
+
+
+def exceptional_report_from_stats(set_size, p, m, sizes, energies, N):
+    """One (set, N) census row, computed the way the library did per row.
+
+    sizes and energies are one set's per-member image sizes and
+    energies.  Returns (count, theta, bound, ratio, pairs_ok): how many
+    members have image size <= N, their summed energies, the bound
+    |G| N (1/|E| + p^-m) and count/bound as Fractions, and whether
+    count |E|^2 <= theta N (True for N = 0).
+    """
+    if set_size == 0:
+        raise ValueError("exceptional counts need a nonempty set (bound uses 1/|E|)")
+    if N < 0:
+        raise ValueError("threshold N must be nonnegative")
+    exceptional = [s <= N for s in sizes]
+    count = sum(exceptional)
+    theta = sum(e for e, hit in zip(energies, exceptional) if hit)
+    bound = Fraction(len(sizes) * N * (p**m + set_size), set_size * p**m)
+    ratio = Fraction(count) / bound if bound else Fraction(0)
+    pairs_ok = count * set_size * set_size <= theta * N if N >= 1 else True
+    return count, theta, bound, ratio, pairs_ok

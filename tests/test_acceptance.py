@@ -3,7 +3,8 @@
 The whole suite is computed once per test session (criteria 1..11 run
 twice so the determinism criterion can compare artifact bytes); each
 test prints its criterion's pass/fail line and asserts it.  That run
-also logs, per pass, which random-model cells were sampled.
+also logs, per pass, which random-model cells were sampled and how
+full every cache of the package was when the pass began.
 """
 
 import hashlib
@@ -22,13 +23,20 @@ REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "refe
 
 @pytest.fixture(scope="module")
 def logged_suite():
-    """run_suite() with each acceptance.sample_random_family call counted per pass."""
+    """run_suite() with each acceptance.sample_random_family call counted per pass.
+
+    Also returns, per pass, the size of every package cache when the
+    pass began.
+    """
     passes = []
+    cache_sizes = []
     first, *rest = acceptance.CRITERIA
     sample = acceptance.sample_random_family
+    caches = acceptance.package_caches()
 
     def start_pass():
         passes.append(Counter())
+        cache_sizes.append({name: cache.cache_info().currsize for name, cache in caches.items()})
         return first()
 
     def counted_sample(cfg, *args, **kwargs):
@@ -39,7 +47,7 @@ def logged_suite():
         mp.setattr(acceptance, "CRITERIA", (start_pass, *rest))
         mp.setattr(acceptance, "sample_random_family", counted_sample)
         suite = acceptance.run_suite()
-    return suite, passes
+    return suite, passes, cache_sizes
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +147,7 @@ def test_artifacts_match_benchmark_reference(suite):
 
 
 def test_each_random_model_cell_sampled_once_per_pass(logged_suite):
-    _, passes = logged_suite
+    _, passes, _ = logged_suite
     cells = {
         (p, m, alpha, seed)
         for p, m, alpha in acceptance.random_model_grid()
@@ -153,12 +161,23 @@ def test_each_random_model_cell_sampled_once_per_pass(logged_suite):
     assert sum(sum(sampled.values()) for sampled in passes) == 320
 
 
+def test_every_cache_is_empty_when_a_pass_starts(logged_suite):
+    # criterion 12 compares two independent computations: no pass may
+    # read a value cached by the one before it
+    _, _, cache_sizes = logged_suite
+    names = set(acceptance.package_caches())
+    assert len(names) >= 7 and "fpproj.acceptance.random_model_cell" in names
+    assert len(cache_sizes) == 2
+    for sizes in cache_sizes:
+        assert sizes == dict.fromkeys(names, 0)
+
+
 @pytest.mark.parametrize("criterion", [acceptance.criterion6, acceptance.criterion8])
 def test_random_model_criterion_alone_matches_suite(suite, criterion):
-    acceptance.clear_random_model_cells()
+    acceptance.clear_caches()
     result = criterion()
     assert result.csv == suite.results[result.index - 1].csv
-    acceptance.clear_random_model_cells()
+    acceptance.clear_caches()
 
 
 # -- CSV cell rendering ----------------------------------------------------------------

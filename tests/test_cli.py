@@ -1,15 +1,28 @@
+import hashlib
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 
+from fpproj import cli
 from fpproj.cli import main
-from fpproj.families import load_family, sample_random_family, RandomFamilyConfig
+from fpproj.families import (
+    load_family,
+    sample_random_family,
+    spread_containing,
+    spread_perp,
+    RandomFamilyConfig,
+)
 from fpproj.field import AmbientSpace
 from fpproj.fourier import coset_energy_spectral, dft, plancherel_defect
 from fpproj.pointsets import random_point_set, save_point_set
-from fpproj.projection import fiber_counts
+from fpproj.projection import family_projection_stats, fiber_counts
 from fpproj.subspaces import enumerate_subspaces, serialize_subspace
 from fractions import Fraction
+import oracles
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(*argv):
@@ -258,6 +271,70 @@ def test_sweep_budget_cell_skipped(tmp_path):
                "--subspace-budget", "10") == 3
     for line in out.read_text().splitlines()[1:]:
         assert line.endswith(",skipped")
+
+
+def per_set_sweep(config):
+    """The sweep CSV built one family, one set and one Fraction row at a time."""
+    cfg = json.loads(config.read_text())
+    ambient, m, C = AmbientSpace(cfg["p"], cfg["n"]), cfg["m"], Fraction(cfg["C"])
+    kind, values = cfg["thresholds"]["kind"], cfg["thresholds"]["values"]
+    lines = [EXPECTED_HEADER]
+    for family_id in cfg["families"]:
+        G, seed_field = cli.parse_family_spec(ambient, m, family_id)
+        sc, sp = spread_containing(G).max_count, spread_perp(G).max_count
+        for set_id in cfg["sets"]:
+            E = cli.parse_set_spec(ambient, set_id)
+            sizes, energies = family_projection_stats(E, G)
+            for value in values:
+                N, shown = cli._threshold_to_N(ambient, m, kind, value)
+                count, _, bound, ratio, _ = oracles.exceptional_report_from_stats(
+                    E.size, ambient.p, m, sizes.tolist(), energies.tolist(), N
+                )
+                lines.append(
+                    f"{ambient.p},{ambient.n},{m},{family_id},{len(G)},{set_id},{E.size},"
+                    f"{kind},{shown},{count},{bound.numerator},{bound.denominator},"
+                    f"{float(ratio):.12g},{sc},{sp},{seed_field},{1 if ratio <= C else 0}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def test_sweep_battery_rows_equal_per_set_rows(tmp_path):
+    # one battery call per family gives the rows of one call per (family, set);
+    # t = 25 makes N = floor(7^25), past the int64 range
+    sets = ["random:20:7", "flat:1:0,0,1", "moment", "random:1:3", "random:150:9"]
+    cases = [
+        dict(families=["random:1.5:42", "full", "random:2:5"], sets=sets,
+             thresholds={"kind": "N", "values": [4, 0, 2, 2, 9, 400]}),
+        dict(families=["full", "random:1.5:42"], sets=sets,
+             thresholds={"kind": "t", "values": ["1/2", "3/2", "1", "25"]}, C="1/3"),
+        dict(families=["random:2:11"], sets=sets[:2],
+             thresholds={"kind": "eps", "values": ["1/7", "0", "2"]}),
+        # random:13/12:1 has no member over F_3; both kinds pass int64 here
+        dict(p=3, families=["random:13/12:1", "full"], sets=["random:5:7", "flat:1:0,0,1", "moment"],
+             thresholds={"kind": "N", "values": [10**20, 2**63, 1, 0]}),
+        dict(p=3, families=["random:13/12:1"], sets=["random:5:7"],
+             thresholds={"kind": "t", "values": ["41", "1/2"]}),
+    ]  # fmt: skip
+    for case in cases:
+        cfg = write_config(tmp_path, **case)
+        out = tmp_path / "report.csv"
+        code = run("sweep", "--config", str(cfg), "--out", str(out))
+        expected = per_set_sweep(cfg)
+        assert out.read_text() == expected
+        assert code == (1 if ",0\n" in expected else 0)
+
+
+def test_sweep_sparse_matches_benchmark_reference(tmp_path):
+    # the benchmark's sweep-sparse operation at seed 0 (perfbench is read, not changed)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["sweep-sparse"]
+    config = workload.prepare(str(tmp_path), 0)
+    assert run(*workload.argv(config, str(tmp_path))) == 0
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    assert digest == reference["sweep-sparse"]
 
 
 def test_sweep_parse_error_reports_line(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpproj import families
 from fpproj.families import (
     Family,
     RandomFamilyConfig,
@@ -24,7 +25,7 @@ from fpproj.families import (
     spread_profile,
     theoretical_spread_count,
 )
-from fpproj.field import AmbientSpace, FpVector
+from fpproj.field import AmbientSpace, FpVector, decode
 from fpproj.pointsets import (
     PointSet,
     circle_set,
@@ -205,6 +206,35 @@ def test_spread_full_grassmannian_exact():
                     profile = spread_profile(G, variant)
                     assert profile[0] == len(G)
                     assert np.all(profile[1:] == expected)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_spread_shortcut_matches_profile_on_full_grassmannians(p, monkeypatch):
+    # a family of |G(n, n-m)| distinct members is the whole Grassmannian:
+    # its spread is read off theoretical_spread_count, not counted
+    for n in (2, 3, 4):
+        a = amb(p, n)
+        for m in range(1, n):
+            G = full_family(a, m)
+            expected = {}
+            for variant in ("contains", "perp"):
+                counts = spread_profile(G, variant)
+                counts[0] = -1
+                code = int(np.argmax(counts))
+                expected[variant] = (int(counts[code]), decode(a, code))
+            with monkeypatch.context() as mp:
+                mp.setattr(families, "spread_profile", None)  # the shortcut never counts
+                assert tuple(spread_containing(G)) == expected["contains"]
+                assert tuple(spread_perp(G)) == expected["perp"]
+            # one member fewer is no longer the Grassmannian, and is counted
+            mask = np.ones(len(G), dtype=bool)
+            mask[len(G) // 2] = False
+            H = Family(a, m, G.stack.take(mask))
+            for variant, spread in (("contains", spread_containing), ("perp", spread_perp)):
+                counts = spread_profile(H, variant)
+                counts[0] = -1
+                code = int(np.argmax(counts))
+                assert tuple(spread(H)) == (int(counts[code]), decode(a, code))
 
 
 def test_spread_worked_examples():
