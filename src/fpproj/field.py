@@ -204,19 +204,27 @@ def rref(M: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
 
 def nullspace(M: FpMatrix) -> FpMatrix:
     """RREF-canonical basis of {x : M x^T = 0}; has n - rank(M) rows."""
-    p, n = M.ambient.p, M.ambient.n
-    R, rank, pivots = rref(M)
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for f in free:
+    R, _, pivots = rref(M)
+    return rref_nullspace(M.ambient, R.rows, pivots)
+
+
+def rref_nullspace(ambient: AmbientSpace, rows, pivots: tuple[int, ...]) -> FpMatrix:
+    """nullspace of rows already in RREF, with these pivot columns.
+
+    For each free column f the vector 1 at f and -rows[i][f] at pivot
+    column i lies in the nullspace; one rref makes these canonical.
+    """
+    p, n = ambient.p, ambient.n
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
         v = [0] * n
         v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-R.rows[i][f]) % p
-        rows.append(tuple(v))
-    basis, nrank, _ = rref(FpMatrix(M.ambient, tuple(rows)))
-    assert nrank == len(free)
-    return basis
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] % p
+        basis.append(tuple(v))
+    out, rank, _ = rref(FpMatrix(ambient, tuple(basis)))
+    assert rank == len(basis)
+    return out
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

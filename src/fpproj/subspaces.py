@@ -27,9 +27,9 @@ from .field import (
     digit_table,
     encode_array,
     gaussian_binomial,
-    nullspace,
     power_vector,
     rref,
+    rref_nullspace,
 )
 
 
@@ -177,11 +177,14 @@ def perp(W: Subspace) -> Subspace:
     """The annihilator Per(W) = {x : x.w = 0 for all w in W}.
 
     dim W + dim Per(W) = n, but unlike a Euclidean orthogonal
-    complement, W and Per(W) may intersect nontrivially.
+    complement, W and Per(W) may intersect nontrivially.  W.basis is
+    already in RREF, its pivots the first nonzero entry of each row, so
+    one rref of the closed-form rows suffices.
     """
     if W.dim == 0:
         return Subspace.full(W.ambient)
-    return Subspace._canonical(W.ambient, nullspace(FpMatrix(W.ambient, W.basis)).rows)
+    pivots = tuple(next(j for j, c in enumerate(row) if c) for row in W.basis)
+    return Subspace._canonical(W.ambient, rref_nullspace(W.ambient, W.basis, pivots).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +229,14 @@ def span_codes(W: Subspace) -> np.ndarray:
 CHUNK_ELEMENTS = 2**16
 
 
-def member_chunks(count: int, per_member: int):
-    """Slices of range(count) holding at most CHUNK_ELEMENTS // per_member members.
+def member_chunks(count: int, per_member: int, cap: int | None = None):
+    """Slices of range(count) holding at most cap // per_member members.
 
-    Every slice holds at least one member, so a member wider than the
-    cap still gets a step of its own.
+    cap defaults to CHUNK_ELEMENTS.  Every slice holds at least one
+    member, so a member wider than the cap still gets a step of its own.
     """
-    step = max(1, CHUNK_ELEMENTS // max(1, per_member))
-    return [slice(start, start + step) for start in range(0, count, step)]
+    step = max(1, (CHUNK_ELEMENTS if cap is None else cap) // max(1, per_member))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True, eq=False)

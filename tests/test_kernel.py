@@ -8,6 +8,7 @@ recomputes the same quantity one set and one member at a time
 where it is cheap enough, from first principles (tests/oracles.py).
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpproj.projection
 import fpproj.subspaces
 from fpproj.families import (
     Family,
@@ -24,7 +26,7 @@ from fpproj.families import (
     sample_random_family,
     spread_profile,
 )
-from fpproj.field import AmbientSpace, decode
+from fpproj.field import AmbientSpace, FpVector, decode
 from fpproj.fourier import coset_energy_spectral, dft, verify_coset_identities
 from fpproj.pointsets import PointSet, random_point_set
 from fpproj.projection import (
@@ -47,6 +49,7 @@ from fpproj.subspaces import (
     member_chunks,
     perp,
     span_codes,
+    span_of_point,
     stacked_span_codes,
 )
 from oracles import brute_fiber_counts, span_set
@@ -209,6 +212,7 @@ def test_member_chunks_cover_in_order():
     assert [list(range(10))[s] for s in parts] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
     assert member_chunks(2, 10 * CHUNK_ELEMENTS) == [slice(0, 1), slice(1, 2)]
     assert member_chunks(0, 5) == []
+    assert member_chunks(10, 4, cap=12)[-1] == slice(9, 10)  # the last slice ends at count
 
 
 def test_stats_empty_family_and_checks():
@@ -340,6 +344,145 @@ def test_battery_rejects_inexact_labels():
     W = first_subspace(a, 1)
     with pytest.raises(ValueError, match="int64"):
         battery_projection_stats([OnePoint()] * 7, (W,))
+
+
+# -- row table and fiber routes ----------------------------------------------------
+
+# DENSE_BINS_PER_POINT values that force each way of counting fibers: no
+# label range is at most 0 bins per point, and every one here is below 2^62.
+ROUTES = {"sort": 0, "count": 2**62}
+# One member per group of distinct annihilator rows, or the default groups.
+TABLES = (1, fpproj.projection.TABLE_ELEMENTS)
+
+
+def force(mp, route, table, chunk):
+    mp.setattr(fpproj.projection, "DENSE_BINS_PER_POINT", ROUTES[route])
+    mp.setattr(fpproj.projection, "TABLE_ELEMENTS", table)
+    mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batteries(),
+    st.sampled_from(sorted(ROUTES)),
+    st.sampled_from(TABLES),
+    st.sampled_from(BATTERY_CHUNKS),
+)
+def test_each_route_and_table_group_matches_per_member_path_and_oracle(case, route, table, chunk):
+    ambient, members, sets = case
+    with pytest.MonkeyPatch.context() as mp:
+        force(mp, route, table, chunk)
+        sizes, energies = battery_projection_stats(sets, members)
+    assert sizes.shape == energies.shape == (len(sets), len(members))
+    for E, row_sizes, row_energies in zip(sets, sizes.tolist(), energies.tolist()):
+        assert (row_sizes, row_energies) == per_member_stats(E, members)
+        assert (row_sizes, row_energies) == oracle_stats(E, members)
+
+
+# every m, so m = 1 and m = n - 1 too; G(n, n-m) shares most annihilator rows
+GRASSMANNIANS = [
+    (p, n, m)
+    for p, n in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 3))
+    for m in range(1, n)
+] + [(3, 5, 1), (3, 5, 4)]
+
+
+@pytest.mark.parametrize("p,n,m", GRASSMANNIANS)
+def test_each_route_over_a_full_grassmannian(p, n, m):
+    ambient = AmbientSpace(p, n)
+    G = full_family(ambient, m)
+    E = random_point_set(ambient, min(12, ambient.point_count // 2), seed=10 * p + n)
+    sets = [E, PointSet.empty(ambient), PointSet.from_codes(ambient, [ambient.point_count - 1]), E]
+    expected = [per_member_stats(S, G.members) for S in sets]
+    if ambient.point_count <= 125:
+        assert expected == [oracle_stats(S, G.members) for S in sets]
+    for route in ROUTES:
+        for table in TABLES:
+            for chunk in (1, 17, CHUNK_ELEMENTS):
+                with pytest.MonkeyPatch.context() as mp:
+                    force(mp, route, table, chunk)
+                    sizes, energies = battery_projection_stats(sets, G)
+                assert list(zip(sizes.tolist(), energies.tolist())) == expected
+
+
+class CoordinateSet:
+    """A point set given by its coordinates, for spaces too large for a PointSet mask."""
+
+    def __init__(self, ambient, coords):
+        self.ambient = ambient
+        self.coords = np.array(coords, dtype=np.int64)
+        self.size = len(self.coords)
+
+    def coordinates(self):
+        return self.coords
+
+
+def test_sparse_labels_are_sorted_in_memory_far_below_the_label_range(monkeypatch):
+    p, n, m = 10007, 3, 2  # p^m = 10^8 labels a member: 800 MB of bins
+    ambient = AmbientSpace(p, n)
+    directions = ((1, 2, 3), (0, 1, 5), (4, 0, 1))
+    members = tuple(span_of_point(FpVector(ambient, d)) for d in directions)
+    rng = np.random.default_rng(7)
+    base = rng.integers(0, p, size=(40, n))
+    # ten more points on the cosets of the first 5 points along the first line
+    shifted = (base[:5].repeat(2, axis=0) + np.arange(1, 11)[:, None] * directions[0]) % p
+    E = CoordinateSet(ambient, np.concatenate([base, shifted]))
+
+    def counted(*args, **kwargs):
+        raise AssertionError("a sparse label space took the counting route")
+
+    monkeypatch.setattr(fpproj.projection, "_dense_block_counts", counted)
+    tracemalloc.start()
+    try:
+        sizes, energies = battery_projection_stats([E], members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p**m * 8 // 1000
+    assert (sizes[0].tolist(), energies[0].tolist()) == per_member_stats(E, members)
+    # the oracle spans all p points of a line, so it checks the first member only
+    counts = brute_fiber_counts([tuple(x) for x in E.coords.tolist()], span_set(members[0].basis, p, n), p)
+    assert (sizes[0, 0], energies[0, 0]) == (len(counts), sum(c * c for c in counts))
+    assert (sizes[0, 0], energies[0, 0]) == (40, 35 + 5 * 9)  # 35 lone points, five fibers of three
+
+
+def test_members_wider_than_a_chunk_are_counted_one_per_step(monkeypatch):
+    a = AmbientSpace(5, 3)
+    G = full_family(a, 2)
+    sets = [random_point_set(a, 10, seed=s) for s in range(3)]  # 75 bins against 30 points
+    steps = []
+    original = fpproj.projection._dense_block_counts
+
+    def spy(labels, **kwargs):
+        steps.append(labels.shape)
+        return original(labels, **kwargs)
+
+    monkeypatch.setattr(fpproj.projection, "_dense_block_counts", spy)
+    monkeypatch.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", 64)  # two members' labels, not bins
+    sizes, energies = battery_projection_stats(sets, G)
+    assert steps == [(1, 30)] * len(G)
+    for E, row_sizes, row_energies in zip(sets, sizes.tolist(), energies.tolist()):
+        assert (row_sizes, row_energies) == per_member_stats(E, G.members)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_kernel_memory_does_not_grow_with_the_family(monkeypatch, route):
+    force(monkeypatch, route, 1024, 256)
+    a = AmbientSpace(5, 4)
+    sets = [random_point_set(a, 30, seed=1), random_point_set(a, 20, seed=2)]
+    peaks = []
+    for K in (200, 800):
+        G = Family(a, 2, grassmannian(a, 2).take(np.arange(K)))
+        G.stack.annihilators  # held by the family, not the kernel
+        tracemalloc.start()
+        try:
+            sizes, energies = battery_projection_stats(sets, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - sizes.nbytes - energies.nbytes)
+        assert (sizes[0].tolist(), energies[0].tolist()) == per_member_stats(sets[0], G.members)
+    assert peaks[1] < 2 * peaks[0]
 
 
 # -- hyperplanes -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpproj.budgets import BudgetError
-from fpproj.field import AmbientSpace, FpVector, encode, gaussian_binomial
+from fpproj.field import AmbientSpace, FpMatrix, FpVector, encode, gaussian_binomial, nullspace
 from fpproj.subspaces import (
     Subspace,
     contains,
@@ -132,6 +132,17 @@ def test_perp_involution_and_rank_nullity(p, n):
             V = perp(W)
             assert W.dim + V.dim == n
             assert perp(V) == W
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_perp_equals_the_nullspace_path(p):
+    # perp reads the pivots off the canonical basis and runs one rref;
+    # nullspace reduces the basis again first
+    for n in range(1, 5):
+        a = amb(p, n)
+        for k in range(n + 1):
+            for W in enumerate_subspaces(a, k):
+                assert perp(W).basis == nullspace(FpMatrix(a, W.basis)).rows
 
 
 def test_perp_is_bijection_between_grassmannians():
