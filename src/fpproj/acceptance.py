@@ -37,10 +37,16 @@ from .families import (
 )
 from .exact import floor_pow
 from .field import AmbientSpace, decode, gaussian_binomial
-from .fourier import plancherel_defect, verify_coset_identities
-from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_set
+from .fourier import SpectralTable, plancherel_defect, stacked_dft, verify_coset_identities
+from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_sets
 from .projection import battery_projection_stats, census_cells, explicit_bound_from_sizes
-from .subspaces import enumerate_subspaces, first_subspace, grassmannian, perp, serialize_subspace
+from .subspaces import (
+    enumerate_subspaces,
+    first_subspace,
+    grassmannian,
+    perp_stack,
+    serialize_subspace,
+)
 
 
 @dataclass(frozen=True)
@@ -103,20 +109,16 @@ _LADDER = (2, 5, 12, 30, 70, 150, 300)
 
 def standard_sets(ambient: AmbientSpace, base_seed: int, budget=DEFAULT_POINT_BUDGET):
     """Ten deterministic test sets: seven random sizes, two flats, one union."""
-    out = []
-    for i, raw in enumerate(_LADDER):
-        size = min(raw, ambient.point_count - 1)
-        E = random_point_set(ambient, size, base_seed + i, budget=budget)
-        out.append((f"random:{size}:{base_seed + i}", E))
+    sizes = [min(raw, ambient.point_count - 1) for raw in (*_LADDER, 30)]
+    seeds = [base_seed + i for i in range(len(_LADDER))] + [base_seed + 97]
+    *randoms, extra = random_point_sets(ambient, sizes, seeds, budget=budget)
+    out = [(f"random:{size}:{seed}", E) for size, seed, E in zip(sizes, seeds, randoms)]
     line = first_subspace(ambient, 1)
     plane = first_subspace(ambient, 2) if ambient.n >= 3 else line
     offset = decode(ambient, (base_seed * 7 + 3) % ambient.point_count)
     out.append(("flat:1", affine_flat_set(line, offset)))
     out.append(("flat:2", affine_flat_set(plane, offset)))
-    union = affine_flat_set(line, offset).union(
-        random_point_set(ambient, min(30, ambient.point_count - 1), base_seed + 97, budget=budget)
-    )
-    out.append(("union:flat+random", union))
+    out.append(("union:flat+random", affine_flat_set(line, offset).union(extra)))
     return out
 
 
@@ -255,11 +257,9 @@ def coset_identity_grid():
 
 def coset_identity_sets(ambient: AmbientSpace, m: int):
     """The 20 deterministic sets used by criteria 5 and 6."""
-    out = []
-    for i in range(20):
-        size = 1 + (i * 13 + ambient.p + m) % ambient.point_count
-        out.append((f"random:{size}:{i}", random_point_set(ambient, size, seed=i)))
-    return out
+    sizes = [1 + (i * 13 + ambient.p + m) % ambient.point_count for i in range(20)]
+    sets = random_point_sets(ambient, sizes, range(20))
+    return [(f"random:{size}:{i}", E) for i, (size, E) in enumerate(zip(sizes, sets))]
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +328,10 @@ def criterion3() -> CriterionResult:
             checked = 0
             ok = True
             for k in range(n + 1):
-                for W in enumerate_subspaces(ambient, k):
-                    V = perp(W)
-                    ok = ok and (W.dim + V.dim == n) and perp(V) == W
-                    checked += 1
+                G = grassmannian(ambient, k)
+                V = perp_stack(G)
+                ok = ok and G.dim + V.dim == n and np.array_equal(perp_stack(V).bases, G.bases)
+                checked += len(G)
             passed = passed and ok
             rows.append((p, n, checked, ok))
     return CriterionResult(
@@ -350,14 +350,16 @@ def criterion4() -> CriterionResult:
     passed = True
     for p, n in ((3, 3), (5, 3), (7, 2), (3, 4)):
         ambient = AmbientSpace(p, n)
-        for i in range(100):
-            size = 1 + (i * 37) % ambient.point_count
-            E = random_point_set(ambient, size, seed=i)
-            defect = plancherel_defect(E)
-            rel = defect / (ambient.point_count * E.size)
-            ok = rel < 1e-6
-            passed = passed and ok
-            rows.append((p, n, i, size, defect, rel, ok))
+        sizes = [1 + (i * 37) % ambient.point_count for i in range(100)]
+        sets = random_point_sets(ambient, sizes, range(100))
+        for part, values in stacked_dft(sets):
+            for i, row in enumerate(values, part.start):
+                E = sets[i]
+                defect = plancherel_defect(E, SpectralTable(ambient, row))
+                rel = defect / (ambient.point_count * E.size)
+                ok = rel < 1e-6
+                passed = passed and ok
+                rows.append((p, n, i, sizes[i], defect, rel, ok))
     return CriterionResult(
         4,
         "plancherel",
@@ -444,11 +446,9 @@ def _criterion7_battery(ambient: AmbientSpace):
     p = ambient.p
     lo = floor_pow(p, Fraction(1, 2)) + 1  # ceil(sqrt(p)), p is never a square
     hi = floor_pow(p, Fraction(3, 2))
-    sets = []
-    for i in range(38):
-        size = lo + round(i * (hi - lo) / 37)
-        size = min(size, ambient.point_count)
-        sets.append((f"random:{size}:{i}", random_point_set(ambient, size, seed=i)))
+    sizes = [min(lo + round(i * (hi - lo) / 37), ambient.point_count) for i in range(38)]
+    randoms = random_point_sets(ambient, sizes + [p] * 6, [*range(38), *range(1000, 1006)])
+    sets = [(f"random:{size}:{i}", E) for i, (size, E) in enumerate(zip(sizes, randoms))]
     lines = enumerate_subspaces(ambient, 1)
     for j in range(6):
         line = lines[j % len(lines)]
@@ -457,8 +457,7 @@ def _criterion7_battery(ambient: AmbientSpace):
     for j in range(6):
         line = lines[(2 * j + 1) % len(lines)]
         base = affine_flat_set(line, decode(ambient, j))
-        union = base.union(random_point_set(ambient, p, seed=1000 + j))
-        sets.append((f"union:{j}", union))
+        sets.append((f"union:{j}", base.union(randoms[38 + j])))
     return sets
 
 

@@ -22,7 +22,7 @@ from .exact import floor_mul_pow, le_affine_pow, le_pow
 from .field import AmbientSpace, FpVector, decode, gaussian_binomial
 from .pointsets import PointSet, circle_set, moment_curve_set
 from .projection import family_coset_energy
-from .rng import TWO64, select_by_threshold
+from .rng import TWO64, select_by_threshold, threshold_rows
 from .subspaces import (
     Subspace,
     SubspaceStack,
@@ -164,12 +164,10 @@ def size_concentration_report(cfg: RandomFamilyConfig, seeds) -> ConcentrationRe
     q, r = cfg.alpha.denominator, cfg.alpha.numerator
     p = cfg.ambient.p
     sizes = []
+    for _, masks in threshold_rows(seeds, cfg.grassmannian_size, cfg.threshold64):
+        sizes.extend(np.count_nonzero(masks, axis=1).tolist())
     deviating = 0
-    for seed in seeds:
-        size = int(
-            select_by_threshold(seed, cfg.grassmannian_size, cfg.threshold64).sum()
-        )
-        sizes.append(size)
+    for size in sizes:
         low = (2 * size) ** q < p**r
         high = (2 * size) ** q > 3**q * p**r
         if low or high:
@@ -283,7 +281,8 @@ def hyperplane_intersection_max(S: PointSet, budget=DEFAULT_SUBSPACE_BUDGET) -> 
     best = 0
     for part in member_chunks(len(normals), S.size):
         residues = pts @ normals[part].T
-        hits = np.count_nonzero(np.remainder(residues, p, out=residues) == 0, axis=0)
+        residues -= residues // p * p  # mod p, as in the projection kernel
+        hits = np.count_nonzero(residues == 0, axis=0)
         best = max(best, int(hits.max()))
     return best
 

@@ -203,26 +203,22 @@ def rref(M: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
 
 
 def nullspace(M: FpMatrix) -> FpMatrix:
-    """RREF-canonical basis of {x : M x^T = 0}; has n - rank(M) rows."""
-    R, _, pivots = rref(M)
-    return rref_nullspace(M.ambient, R.rows, pivots)
+    """RREF-canonical basis of {x : M x^T = 0}; has n - rank(M) rows.
 
-
-def rref_nullspace(ambient: AmbientSpace, rows, pivots: tuple[int, ...]) -> FpMatrix:
-    """nullspace of rows already in RREF, with these pivot columns.
-
-    For each free column f the vector 1 at f and -rows[i][f] at pivot
-    column i lies in the nullspace; one rref makes these canonical.
+    For each free column f of the RREF R of M, the vector 1 at f and
+    -R[i][f] at pivot column i lies in the nullspace; one rref makes
+    these canonical.
     """
-    p, n = ambient.p, ambient.n
+    p, n = M.ambient.p, M.ambient.n
+    R, _, pivots = rref(M)
     basis = []
     for f in (c for c in range(n) if c not in pivots):
         v = [0] * n
         v[f] = 1
-        for row, c in zip(rows, pivots):
+        for row, c in zip(R.rows, pivots):
             v[c] = -row[f] % p
         basis.append(tuple(v))
-    out, rank, _ = rref(FpMatrix(ambient, tuple(basis)))
+    out, rank, _ = rref(FpMatrix(M.ambient, tuple(basis)))
     assert rank == len(basis)
     return out
 

@@ -24,6 +24,7 @@ from .projection import battery_projection_stats
 from .subspaces import (
     Subspace,
     _require_proper,
+    member_chunks,
     member_stack,
     perp,
     span_codes,
@@ -44,34 +45,58 @@ class SpectralTable:
         self.values.setflags(write=False)
 
 
+def stacked_dft(sets, budget=DEFAULT_POINT_BUDGET):
+    """(part, values) per chunk of a battery: values[i] transforms sets[part][i].
+
+    The sets share one ambient space, and p^n is checked against budget
+    before anything is allocated.  Each chunk is one fftn over the
+    trailing n axes of an (s, p, ..., p) stack of indicators, holding at
+    most CHUNK_ELEMENTS values (one set at least), so memory does not
+    grow with the battery.  pocketfft runs the same 1-D transforms along
+    each axis of each set as for that set alone, so every row equals
+    the set's own transform bit for bit.
+    """
+    sets = tuple(sets)
+    if not sets:
+        return iter(())
+    ambient = sets[0].ambient
+    for E in sets:
+        if E.ambient != ambient:
+            raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
+    check_budget(ambient.point_count, budget, "p^n for the transform")
+    return _dft_chunks(sets, ambient)
+
+
+def _dft_chunks(sets, ambient: AmbientSpace):
+    p, n = ambient.p, ambient.n
+    for part in member_chunks(len(sets), ambient.point_count):
+        # code c = sum_i x_i p^i puts coordinate n-1 on the first cube axis
+        # of a C-order reshape; fftn treats axes independently, so
+        # frequency codes come back in the same little-endian order.
+        cube = np.array([E.mask for E in sets[part]], dtype=np.complex128)
+        cube = cube.reshape((len(cube),) + (p,) * n)
+        yield part, np.fft.fftn(cube, axes=tuple(range(1, n + 1))).reshape(len(cube), -1)
+
+
 def dft(E: PointSet, method: str = "auto", budget=DEFAULT_POINT_BUDGET) -> SpectralTable:
     """Transform of the indicator of E.
 
     method 'factored' (the default under 'auto') evaluates one axis at
-    a time in O(n p^(n+1)) via the FFT; 'direct' sums characters per
-    frequency in O(p^n |E|) and exists as the independent cross-check.
+    a time in O(n p^(n+1)) via the FFT, as the one-set case of
+    stacked_dft; 'direct' sums characters per frequency in O(p^n |E|)
+    and exists as the independent cross-check.
     """
     ambient = E.ambient
     check_budget(ambient.point_count, budget, "p^n for the transform")
     if method == "auto":
         method = "factored"
     if method == "factored":
-        values = _dft_factored(E)
+        values = next(stacked_dft((E,), budget))[1][0]
     elif method == "direct":
         values = _dft_direct(E)
     else:
         raise ValueError(f"unknown method {method!r}")
     return SpectralTable(ambient, values)
-
-
-def _dft_factored(E: PointSet) -> np.ndarray:
-    p, n = E.ambient.p, E.ambient.n
-    indicator = E.mask.astype(np.complex128)
-    # code c = sum_i x_i p^i puts coordinate n-1 on the leading axis of a
-    # C-order reshape; fftn treats axes independently, so frequency codes
-    # come back in the same little-endian order.
-    cube = indicator.reshape((p,) * n)
-    return np.fft.fftn(cube).reshape(-1)
 
 
 def _dft_direct(E: PointSet, chunk: int = 4096) -> np.ndarray:
@@ -136,7 +161,7 @@ class CosetIdentityBattery(NamedTuple):
 
 
 def verify_coset_identities(
-    sets, G, tol: float = 1e-6, tables=None
+    sets, G, tol: float = 1e-6, tables=None, budget=DEFAULT_POINT_BUDGET
 ) -> CosetIdentityBattery:
     """The coset-energy identity for every (set, member) pair at once.
 
@@ -147,34 +172,49 @@ def verify_coset_identities(
     span_codes(perp(W)), so each sum runs in the same order as
     coset_energy_spectral and gives the same float.  A pair passes iff
     |spatial - spectral| <= tol * max(1, spatial).
+
+    Without tables the transforms come from stacked_dft, which checks
+    p^n against budget before anything is allocated; given tables are
+    used as they are.
     """
     sets = tuple(sets)
     if not sets:
         raise ValueError("a battery needs at least one point set")
-    tables = tuple(dft(E) for E in sets) if tables is None else tuple(tables)
-    if len(tables) != len(sets):
-        raise ValueError(f"{len(tables)} spectral tables for {len(sets)} sets")
+    if tables is None:
+        blocks = stacked_dft(sets, budget)
+    else:
+        tables = tuple(tables)
+        if len(tables) != len(sets):
+            raise ValueError(f"{len(tables)} spectral tables for {len(sets)} sets")
+        blocks = ((slice(s, s + 1), table.values[None]) for s, table in enumerate(tables))
     ambient = sets[0].ambient
     stack = member_stack(ambient, G)
     _, spatial = battery_projection_stats(sets, stack)
     spectral = np.zeros(spatial.shape)
     scale = ambient.p**stack.codim
-    for part, freqs in stacked_span_codes(ambient, stack.annihilators):
-        for s, table in enumerate(tables):
-            spectral[s, part] = np.sum(np.abs(table.values[freqs]) ** 2, axis=1) / scale
+    for sets_part, values in blocks:
+        for part, freqs in stacked_span_codes(ambient, stack.annihilators):
+            for s, row in enumerate(values, sets_part.start):
+                spectral[s, part] = np.sum(np.abs(row[freqs]) ** 2, axis=1) / scale
     passed = np.abs(spatial - spectral) <= tol * np.maximum(1, spatial)
     return CosetIdentityBattery(spatial, spectral, passed)
 
 
 def verify_coset_identity(
-    E: PointSet, W: Subspace, tol: float = 1e-6, table: SpectralTable | None = None
+    E: PointSet,
+    W: Subspace,
+    tol: float = 1e-6,
+    table: SpectralTable | None = None,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> CosetIdentityResult:
     """Exact squared-fiber energy vs its spectral evaluation, for one W.
 
     pass iff |spatial - spectral| <= tol * max(1, spatial); the integer
-    spatial side is the reference.
+    spatial side is the reference.  budget bounds p^n when the transform
+    is computed here.
     """
-    res = verify_coset_identities((E,), (W,), tol, None if table is None else (table,))
+    tables = None if table is None else (table,)
+    res = verify_coset_identities((E,), (W,), tol, tables, budget)
     return CosetIdentityResult(
         int(res.spatial[0, 0]), float(res.spectral[0, 0]), bool(res.passed[0, 0])
     )

@@ -11,14 +11,14 @@ import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET
 from .field import AmbientSpace, FpVector, decode, decode_array, encode, encode_array
-from .rng import choose_without_replacement
+from .rng import choose_rows
 from .subspaces import Subspace, flat_codes
 
 
 class PointSet:
     """An exact subset of F_p^n with cached cardinality."""
 
-    __slots__ = ("ambient", "size", "_mask", "_codes")
+    __slots__ = ("ambient", "size", "_mask", "_codes", "_coordinates")
 
     def __init__(self, ambient: AmbientSpace, mask: np.ndarray):
         mask = np.array(mask, dtype=bool)
@@ -31,6 +31,7 @@ class PointSet:
         self.size = int(np.count_nonzero(mask))
         self._mask = mask
         self._codes = None
+        self._coordinates = None
 
     # -- constructors -------------------------------------------------
 
@@ -84,8 +85,12 @@ class PointSet:
         return [decode(self.ambient, int(c)) for c in self.codes]
 
     def coordinates(self) -> np.ndarray:
-        """(|E|, n) coordinate matrix of the members."""
-        return decode_array(self.ambient, self.codes)
+        """(|E|, n) coordinate matrix of the members (cached, read-only)."""
+        if self._coordinates is None:
+            coordinates = decode_array(self.ambient, self.codes)
+            coordinates.setflags(write=False)
+            self._coordinates = coordinates
+        return self._coordinates
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
@@ -103,21 +108,28 @@ class PointSet:
         return f"PointSet(p={self.ambient.p}, n={self.ambient.n}, size={self.size})"
 
 
-def random_point_set(
-    ambient: AmbientSpace, size: int, seed: int, budget=DEFAULT_POINT_BUDGET
-) -> PointSet:
-    """Uniform random subset of exactly `size` points.
+def random_point_sets(
+    ambient: AmbientSpace, sizes, seeds, budget=DEFAULT_POINT_BUDGET
+) -> list[PointSet]:
+    """One uniform random subset of exactly sizes[i] points per seeds[i].
 
     Sampling is without replacement and fully determined by
     (ambient, size, seed): the members are the `size` codes with the
-    smallest counter-based keys (see rng module).  p^n is checked
-    against budget before the keys and the membership mask are
-    allocated.
+    smallest counter-based keys (see rng module).  The keys of many
+    seeds are drawn as one block per chunk of sets, and p^n is checked
+    against budget once, before any key or membership mask is allocated.
     """
-    if not 0 <= size <= ambient.point_count:
-        raise ValueError(f"size {size} out of range [0, {ambient.point_count}]")
-    codes = choose_without_replacement(seed, ambient.point_count, size, budget=budget)
-    return PointSet.from_codes(ambient, codes)
+    out = []
+    for _, masks in choose_rows(seeds, ambient.point_count, sizes, budget=budget):
+        out.extend(PointSet(ambient, mask) for mask in masks)
+    return out
+
+
+def random_point_set(
+    ambient: AmbientSpace, size: int, seed: int, budget=DEFAULT_POINT_BUDGET
+) -> PointSet:
+    """Uniform random subset of exactly `size` points: the one-set case of random_point_sets."""
+    return random_point_sets(ambient, (size,), (seed,), budget=budget)[0]
 
 
 def affine_flat_set(W: Subspace, offset: FpVector) -> PointSet:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET, check_budget
+from .subspaces import member_chunks
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -36,41 +37,101 @@ def key64(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def key64_rows(seeds, count: int) -> np.ndarray:
+    """(len(seeds), count) uint64 block: row r holds key64(seeds[r], i) for i < count."""
+    with np.errstate(over="ignore"):
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)[:, None] + z
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
+
+
 def key64_array(seed: int, count: int) -> np.ndarray:
     """Keys of items 0..count-1 as a uint64 array (same values as key64)."""
-    with np.errstate(over="ignore"):
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(seed & MASK64) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    return key64_rows((seed,), count)[0]
+
+
+def threshold_rows(seeds, count: int, threshold: int):
+    """(part, mask) per chunk of seeds: mask[r, i] iff key64(seeds[part][r], i) < threshold.
+
+    A chunk holds at most CHUNK_ELEMENTS keys (one seed at least), so
+    memory does not grow with the number of seeds.
+    """
+    seeds = tuple(seeds)
+    for part in member_chunks(len(seeds), count):
+        shape = (part.stop - part.start, count)
+        if threshold >= TWO64:
+            yield part, np.ones(shape, dtype=bool)
+        elif threshold <= 0:
+            yield part, np.zeros(shape, dtype=bool)
+        else:
+            yield part, key64_rows(seeds[part], count) < np.uint64(threshold)
 
 
 def select_by_threshold(seed: int, count: int, threshold: int) -> np.ndarray:
     """Boolean inclusion mask: item i is kept iff key64(seed, i) < threshold."""
-    if threshold >= TWO64:
-        return np.ones(count, dtype=bool)
-    if threshold <= 0:
-        return np.zeros(count, dtype=bool)
-    return key64_array(seed, count) < np.uint64(threshold)
+    return next(threshold_rows((seed,), count, threshold))[1][0]
+
+
+def smallest_key_mask(keys: np.ndarray, sizes) -> np.ndarray:
+    """(S, count) mask of the sizes[r] smallest keys of each row keys[r], ties by index.
+
+    Row r marks the same items as np.argsort(keys[r], kind="stable")[:sizes[r]],
+    without sorting: a partition finds each row's sizes[r]-th smallest
+    value and every key up to it is taken, except that of keys equal to
+    it only the lowest-indexed fill the remaining places.
+    """
+    S, count = keys.shape
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(S)
+    if np.any((sizes < 0) | (sizes > count)):
+        raise ValueError(f"sizes {sizes.tolist()} out of range for {count} keys")
+    if count == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    # one partition per row: np.partition at many ranks along an axis is far slower
+    ranks = np.maximum(sizes - 1, 0).tolist()
+    kth = np.array([np.partition(row, r)[r] for row, r in zip(keys, ranks)], dtype=np.uint64)
+    mask = keys <= kth[:, None]
+    over = np.flatnonzero(np.count_nonzero(mask, axis=1) > sizes)
+    if over.size:  # ties at the size-th key (or size 0): keep the lowest-indexed
+        tied = keys[over] == kth[over, None]
+        need = sizes[over] - np.count_nonzero(keys[over] < kth[over, None], axis=1)
+        mask[over] &= ~tied | (np.cumsum(tied, axis=1) <= need[:, None])
+    return mask
 
 
 def smallest_keys(keys: np.ndarray, size: int) -> np.ndarray:
     """Sorted indices of the `size` smallest keys, ties broken by index.
 
-    The same indices as np.argsort(keys, kind="stable")[:size], sorted,
-    without sorting all of keys: a partition finds the size-th smallest
-    value, every key below it is taken, and of the keys equal to it the
-    lowest-indexed fill the remaining places.
+    The same indices as np.argsort(keys, kind="stable")[:size], sorted:
+    the one-row case of smallest_key_mask.
     """
-    if not 0 <= size <= keys.size:
-        raise ValueError(f"size {size} out of range for {keys.size} keys")
-    if size == 0:
-        return np.empty(0, dtype=np.int64)
-    kth = np.partition(keys, size - 1)[size - 1]
-    below = np.flatnonzero(keys < kth)
-    ties = np.flatnonzero(keys == kth)[: size - below.size]
-    return np.sort(np.concatenate((below, ties)))
+    return np.flatnonzero(smallest_key_mask(keys[None, :], (size,))[0])
+
+
+def choose_rows(seeds, population: int, sizes, budget=DEFAULT_POINT_BUDGET):
+    """(part, mask) per chunk of seeds: mask[r] marks the sample of seeds[part][r].
+
+    Sample r is the sizes[r] items of range(population) with the
+    smallest keys under seeds[r], as in choose_without_replacement.
+    Sizes and population are checked against budget before any key or
+    mask is allocated; a chunk holds at most CHUNK_ELEMENTS keys (one
+    seed at least), so memory does not grow with the number of seeds.
+    """
+    seeds, sizes = tuple(seeds), tuple(sizes)
+    if len(seeds) != len(sizes):
+        raise ValueError(f"{len(sizes)} sizes for {len(seeds)} seeds")
+    for size in sizes:
+        if not 0 <= size <= population:
+            raise ValueError(f"size {size} out of range [0, {population}]")
+    check_budget(population, budget, "population to sample from")
+    return (
+        (part, smallest_key_mask(key64_rows(seeds[part], population), sizes[part]))
+        for part in member_chunks(len(seeds), population)
+    )
 
 
 def choose_without_replacement(
@@ -81,11 +142,8 @@ def choose_without_replacement(
     Distinct uniform keys make every size-subset equally likely; ties
     (probability ~2^-64) are broken by index, keeping the result
     deterministic regardless.  population is checked against budget
-    before any array of that length is allocated.
+    before any array of that length is allocated.  The one-seed case of
+    choose_rows.
     """
-    if not 0 <= size <= population:
-        raise ValueError(f"size {size} out of range for population {population}")
-    check_budget(population, budget, "population to sample from")
-    if size == population:
-        return np.arange(population, dtype=np.int64)
-    return smallest_keys(key64_array(seed, population), size)
+    _, mask = next(choose_rows((seed,), population, (size,), budget))
+    return np.flatnonzero(mask[0])

@@ -29,7 +29,6 @@ from .field import (
     gaussian_binomial,
     power_vector,
     rref,
-    rref_nullspace,
 )
 
 
@@ -171,20 +170,15 @@ def span_of_point(x: FpVector) -> Subspace:
     return Subspace.from_rows(x.ambient, [x.coords])
 
 
-# One acceptance pass takes Per of about 1,500 distinct subspaces.
 @lru_cache(maxsize=2048)
 def perp(W: Subspace) -> Subspace:
     """The annihilator Per(W) = {x : x.w = 0 for all w in W}.
 
     dim W + dim Per(W) = n, but unlike a Euclidean orthogonal
-    complement, W and Per(W) may intersect nontrivially.  W.basis is
-    already in RREF, its pivots the first nonzero entry of each row, so
-    one rref of the closed-form rows suffices.
+    complement, W and Per(W) may intersect nontrivially.  The
+    one-member case of perp_stack.
     """
-    if W.dim == 0:
-        return Subspace.full(W.ambient)
-    pivots = tuple(next(j for j, c in enumerate(row) if c) for row in W.basis)
-    return Subspace._canonical(W.ambient, rref_nullspace(W.ambient, W.basis, pivots).rows)
+    return perp_stack(SubspaceStack.of(W.ambient, W.dim, (W,))).members[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +337,61 @@ def _annihilator_rows(p: int, bases: np.ndarray) -> np.ndarray:
     return out
 
 
+def perp_stack(stack: SubspaceStack) -> SubspaceStack:
+    """Per(W) of every member, canonical, as one stack of dimension n - k.
+
+    The closed-form annihilator rows of all members are brought to
+    reduced row echelon form by one elimination over the whole stack.
+    The rows are independent and the form is unique, so member i is
+    perp(stack.members[i]).
+    """
+    return SubspaceStack(stack.ambient, _rref_stack(stack.ambient.p, stack.annihilators))
+
+
+def _rref_stack(p: int, rows: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form of each member of a (K, r, n) stack of independent rows.
+
+    Column by column, every member that still has a row with a nonzero
+    entry there at or below its rank swaps the first such row up,
+    scales it to a leading 1 and clears the column in its other rows,
+    as rref does for one matrix.  Products of residues stay below p^2,
+    within the stack's n(p-1)^2 < 2^63.
+    """
+    K, r, n = rows.shape
+    out = rows % p
+    rank = np.zeros(K, dtype=np.intp)
+    for col in range(n):
+        candidates = (out[:, :, col] != 0) & (np.arange(r) >= rank[:, None])
+        has = candidates.any(axis=1)
+        if not has.any():
+            continue
+        who, src, dst = np.flatnonzero(has), candidates[has].argmax(axis=1), rank[has]
+        pivot = out[who, src]
+        out[who, src] = out[who, dst]
+        pivot = pivot * _inverse_mod(pivot[:, col], p)[:, None] % p
+        out[who, dst] = pivot
+        factors = out[who, :, col]
+        factors[np.arange(len(who)), dst] = 0
+        out[who] = (out[who] - factors[:, :, None] * pivot[:, None, :]) % p
+        rank[has] += 1
+    if not np.all(rank == r):
+        raise ValueError("rows of a stack member are linearly dependent")
+    return out
+
+
+def _inverse_mod(values: np.ndarray, p: int) -> np.ndarray:
+    """values^(p-2) mod p elementwise: the inverses of nonzero residues."""
+    out = np.ones_like(values)
+    base = values.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
 def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray):
     """(part, codes) per chunk of a (K, r, n) stack of independent rows.
 
@@ -358,7 +407,8 @@ def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray):
     weights = power_vector(p, ambient.n)
     for part in member_chunks(len(rows), len(coeffs) * ambient.n):
         points = coeffs @ rows[part]
-        yield part, np.remainder(points, p, out=points) @ weights
+        points -= points // p * p  # mod p; numpy divides by a scalar ~4x faster than np.remainder
+        yield part, points @ weights
 
 
 def member_stack(ambient: AmbientSpace, G) -> SubspaceStack:

@@ -152,3 +152,51 @@ def exceptional_report_from_stats(set_size, p, m, sizes, energies, N):
     ratio = Fraction(count) / bound if bound else Fraction(0)
     pairs_ok = count * set_size * set_size <= theta * N if N >= 1 else True
     return count, theta, bound, ratio, pairs_ok
+
+
+# ---------------------------------------------------------------------------
+# per-item references for the stacked sampler, transform and annihilators
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix_key(seed, index):
+    """The counter-based key of item index under seed, written out once more."""
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def choose_without_replacement(seed, population, size):
+    """One seed's sample: the size items with the smallest keys, ties by index, sorted."""
+    keys = [splitmix_key(seed, i) for i in range(population)]
+    return sorted(sorted(range(population), key=lambda i: (keys[i], i))[:size])
+
+
+def dft_factored(mask, p, n):
+    """The transform of one indicator mask by one fftn over its (p,)*n cube."""
+    import numpy as np
+
+    cube = np.asarray(mask).astype(np.complex128).reshape((p,) * n)
+    return np.fft.fftn(cube).reshape(-1)
+
+
+def perp_basis(p, n, basis):
+    """Canonical basis of Per(W) for one RREF basis, the closed-form rows reduced by rref."""
+    from fpproj.field import AmbientSpace, FpMatrix, rref
+
+    if not basis:
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    pivots = [next(j for j, c in enumerate(row) if c) for row in basis]
+    rows = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for row, c in zip(basis, pivots):
+            v[c] = -row[f] % p
+        rows.append(tuple(v))
+    R, rank, _ = rref(FpMatrix(AmbientSpace(p, n), tuple(rows)))
+    assert rank == len(rows)
+    return R.rows
