@@ -73,10 +73,6 @@ class CriterionResult:
         return "\n".join(lines) + "\n"
 
 
-def render_csv(result: CriterionResult) -> str:
-    return result.csv
-
-
 _CELL_BY_TYPE = {
     bool: lambda v: "1" if v else "0",
     int: str,
@@ -88,16 +84,9 @@ _CELL_BY_TYPE = {
 
 def _cell(value) -> str:
     render = _CELL_BY_TYPE.get(type(value))
-    if render is not None:
-        return render(value)
-    # subclasses and other types (numpy scalars, ...)
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    if render is None:  # subclasses and other types (numpy scalars, ...)
+        render = next((_CELL_BY_TYPE[t] for t in type(value).__mro__ if t in _CELL_BY_TYPE), str)
+    return render(value)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from .exact import floor_mul_pow, le_affine_pow, le_pow
 from .field import AmbientSpace, FpVector, decode, gaussian_binomial
 from .pointsets import PointSet, circle_set, moment_curve_set
 from .projection import family_coset_energy
-from .rng import TWO64, select_by_threshold, threshold_rows
+from .rng import TWO64, threshold_rows
 from .subspaces import (
     Subspace,
     SubspaceStack,
+    _rref_stack,
     grassmannian,
     member_chunks,
-    span_of_point,
     stacked_span_codes,
 )
 
@@ -133,7 +133,7 @@ class RandomFamilyConfig:
 
 def inclusion_mask(cfg: RandomFamilyConfig) -> np.ndarray:
     """Inclusion decisions by enumeration index; pure in (seed, index)."""
-    return select_by_threshold(cfg.seed, cfg.grassmannian_size, cfg.threshold64)
+    return next(threshold_rows((cfg.seed,), cfg.grassmannian_size, cfg.threshold64))[1][0]
 
 
 def sample_random_family(cfg: RandomFamilyConfig, budget=DEFAULT_SUBSPACE_BUDGET) -> Family:
@@ -251,8 +251,9 @@ def family_from_directions(D: PointSet) -> Family:
     """The lines {k*x : x in D}, deduplicated; codimension n-1."""
     if D.contains_code(0):
         raise ValueError("direction sets must not contain the zero vector")
-    lines = {span_of_point(x) for x in D.points()}
-    return Family(D.ambient, D.ambient.n - 1, tuple(lines))
+    # one elimination scales each direction to its line's canonical basis
+    lines = _rref_stack(D.ambient.p, D.coordinates()[:, None, :])
+    return Family(D.ambient, D.ambient.n - 1, SubspaceStack(D.ambient, lines))
 
 
 def circle_family(p: int) -> Family:

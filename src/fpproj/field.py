@@ -152,22 +152,6 @@ class FpMatrix:
             norm.append(tuple(int(c) % p for c in row))
         object.__setattr__(self, "rows", tuple(norm))
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "FpMatrix":
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("need at least one vector to infer the ambient space")
-        for v in vectors[1:]:
-            _same_ambient(vectors[0], v)
-        return cls(vectors[0].ambient, tuple(v.coords for v in vectors))
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
-
-    def vectors(self) -> list[FpVector]:
-        return [FpVector(self.ambient, r) for r in self.rows]
-
 
 def rref(M: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
     """Unique reduced row echelon form over F_p.

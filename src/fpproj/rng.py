@@ -4,7 +4,7 @@ Random structures in this package (random point sets, random subspace
 families) must be replayable from a 64-bit seed and independent of
 iteration order.  The primitive is a pure function of (seed, index):
 
-    key64(seed, i) = splitmix64(seed + (i + 1) * 0x9E3779B97F4A7C15)
+    key(seed, i) = splitmix64(seed + (i + 1) * 0x9E3779B97F4A7C15)
 
 interpreted as a uniform draw from [0, 2^64).  An item is "included
 with probability delta" iff its key is below floor(delta * 2^64), and a
@@ -29,16 +29,8 @@ _MIX2 = 0x94D049BB133111EB
 TWO64 = 1 << 64
 
 
-def key64(seed: int, index: int) -> int:
-    """The 64-bit key of item `index` under `seed` (pure, stateless)."""
-    z = (seed + (index + 1) * _GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
-
-
 def key64_rows(seeds, count: int) -> np.ndarray:
-    """(len(seeds), count) uint64 block: row r holds key64(seeds[r], i) for i < count."""
+    """(len(seeds), count) uint64 block: row r holds key(seeds[r], i) for i < count."""
     with np.errstate(over="ignore"):
         z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         z = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)[:, None] + z
@@ -50,13 +42,8 @@ def key64_rows(seeds, count: int) -> np.ndarray:
         return z
 
 
-def key64_array(seed: int, count: int) -> np.ndarray:
-    """Keys of items 0..count-1 as a uint64 array (same values as key64)."""
-    return key64_rows((seed,), count)[0]
-
-
 def threshold_rows(seeds, count: int, threshold: int):
-    """(part, mask) per chunk of seeds: mask[r, i] iff key64(seeds[part][r], i) < threshold.
+    """(part, mask) per chunk of seeds: mask[r, i] iff key(seeds[part][r], i) < threshold.
 
     A chunk holds at most CHUNK_ELEMENTS keys (one seed at least), so
     memory does not grow with the number of seeds.
@@ -70,11 +57,6 @@ def threshold_rows(seeds, count: int, threshold: int):
             yield part, np.zeros(shape, dtype=bool)
         else:
             yield part, key64_rows(seeds[part], count) < np.uint64(threshold)
-
-
-def select_by_threshold(seed: int, count: int, threshold: int) -> np.ndarray:
-    """Boolean inclusion mask: item i is kept iff key64(seed, i) < threshold."""
-    return next(threshold_rows((seed,), count, threshold))[1][0]
 
 
 def smallest_key_mask(keys: np.ndarray, sizes) -> np.ndarray:
@@ -103,20 +85,13 @@ def smallest_key_mask(keys: np.ndarray, sizes) -> np.ndarray:
     return mask
 
 
-def smallest_keys(keys: np.ndarray, size: int) -> np.ndarray:
-    """Sorted indices of the `size` smallest keys, ties broken by index.
-
-    The same indices as np.argsort(keys, kind="stable")[:size], sorted:
-    the one-row case of smallest_key_mask.
-    """
-    return np.flatnonzero(smallest_key_mask(keys[None, :], (size,))[0])
-
-
 def choose_rows(seeds, population: int, sizes, budget=DEFAULT_POINT_BUDGET):
     """(part, mask) per chunk of seeds: mask[r] marks the sample of seeds[part][r].
 
     Sample r is the sizes[r] items of range(population) with the
-    smallest keys under seeds[r], as in choose_without_replacement.
+    smallest keys under seeds[r], ties broken by index.  Distinct
+    uniform keys make every size-subset equally likely; ties
+    (probability ~2^-64) keep the result deterministic regardless.
     Sizes and population are checked against budget before any key or
     mask is allocated; a chunk holds at most CHUNK_ELEMENTS keys (one
     seed at least), so memory does not grow with the number of seeds.
@@ -132,18 +107,3 @@ def choose_rows(seeds, population: int, sizes, budget=DEFAULT_POINT_BUDGET):
         (part, smallest_key_mask(key64_rows(seeds[part], population), sizes[part]))
         for part in member_chunks(len(seeds), population)
     )
-
-
-def choose_without_replacement(
-    seed: int, population: int, size: int, budget=DEFAULT_POINT_BUDGET
-) -> np.ndarray:
-    """The `size` items of range(population) with the smallest keys, sorted.
-
-    Distinct uniform keys make every size-subset equally likely; ties
-    (probability ~2^-64) are broken by index, keeping the result
-    deterministic regardless.  population is checked against budget
-    before any array of that length is allocated.  The one-seed case of
-    choose_rows.
-    """
-    _, mask = next(choose_rows((seed,), population, (size,), budget))
-    return np.flatnonzero(mask[0])

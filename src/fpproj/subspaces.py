@@ -57,7 +57,7 @@ class Subspace:
     def from_rows(cls, ambient: AmbientSpace, rows) -> "Subspace":
         """Canonicalize arbitrary spanning rows into a Subspace."""
         R, _, _ = rref(FpMatrix(ambient, tuple(tuple(r) for r in rows)))
-        return cls(ambient, R.rows)
+        return cls._canonical(ambient, R.rows)
 
     @classmethod
     def zero(cls, ambient: AmbientSpace) -> "Subspace":
@@ -80,9 +80,6 @@ class Subspace:
 
     def is_proper_nontrivial(self) -> bool:
         return 0 < self.dim < self.ambient.n
-
-    def basis_vectors(self) -> list[FpVector]:
-        return [FpVector(self.ambient, row) for row in self.basis]
 
     def __repr__(self):
         return f"Subspace({self.ambient.p}^{self.ambient.n}, [{serialize_subspace(self)}])"

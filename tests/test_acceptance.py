@@ -11,6 +11,7 @@ import hashlib
 import json
 import pathlib
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_artifacts_round_trip(tmp_path, suite):
     assert len(paths) == 12
     for result, path in zip(suite.results, paths):
         with open(path, "r", encoding="utf-8") as fh:
-            assert fh.read() == acceptance.render_csv(result)
+            assert fh.read() == result.csv
 
 
 def test_artifacts_match_benchmark_reference(suite):
@@ -194,6 +195,18 @@ def _isinstance_cell(value):
     return str(value)
 
 
+class _Level(IntEnum):
+    HIGH = 2
+
+
+class _Tag(str):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -202,9 +215,11 @@ def _isinstance_cell(value):
         Fraction(3, 4), Fraction(-5), Fraction(0),
         "", "random:30:7", "alpha=5/4",
         np.int64(7), np.float64(0.25), np.bool_(True), None,
+        _Level.HIGH, _Tag("flat:1"), _Ratio(7, 3), np.float32(0.1),
     ],
     ids=repr,
 )
 def test_cell_matches_isinstance_rendering(value):
-    # True must render "1", not str(True); numpy scalars take the fallback
+    # True must render "1", not str(True); subclasses render as their nearest
+    # base in the table, other numpy scalars take str
     assert acceptance._cell(value) == _isinstance_cell(value)

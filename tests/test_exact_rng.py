@@ -13,8 +13,10 @@ from fpproj.exact import (
     le_pow,
     parse_fraction,
 )
-from fpproj.budgets import BudgetError
-from fpproj.rng import TWO64, choose_without_replacement, key64, key64_array, smallest_keys
+from fpproj.budgets import DEFAULT_POINT_BUDGET, BudgetError
+from fpproj.rng import TWO64, choose_rows, key64_rows, smallest_key_mask
+from oracles import choose_without_replacement as reference_choice
+from oracles import splitmix_key
 
 
 # -- integer roots ---------------------------------------------------------
@@ -116,29 +118,40 @@ def test_parse_fraction_forms():
 # -- counter-based keys ----------------------------------------------------------
 
 
+def _choose(seed, population, size, budget=DEFAULT_POINT_BUDGET):
+    # one seed's sample, as sorted indices: one row of choose_rows
+    return np.flatnonzero(next(choose_rows((seed,), population, (size,), budget))[1][0])
+
+
+def _smallest(keys, size):
+    # indices of the size smallest keys, ties by index: row 0 of smallest_key_mask
+    return np.flatnonzero(smallest_key_mask(keys[None], (size,))[0])
+
+
 def test_key64_scalar_matches_array():
-    keys = key64_array(987654321, 50)
+    keys = key64_rows((987654321,), 50)[0]
     for i in range(50):
-        assert int(keys[i]) == key64(987654321, i)
+        assert int(keys[i]) == splitmix_key(987654321, i)
 
 
 def test_key64_range_and_determinism():
-    ks = [key64(5, i) for i in range(100)]
+    ks = key64_rows((5,), 100)[0].tolist()
     assert all(0 <= k < TWO64 for k in ks)
-    assert ks == [key64(5, i) for i in range(100)]
+    assert ks == key64_rows((5,), 100)[0].tolist()
     assert len(set(ks)) == 100  # no collisions at this scale
-    assert ks != [key64(6, i) for i in range(100)]
+    assert ks != key64_rows((6,), 100)[0].tolist()
 
 
 def test_choose_without_replacement_contract():
-    out = choose_without_replacement(7, 100, 30)
+    out = _choose(7, 100, 30)
     assert out.shape == (30,)
     assert len(np.unique(out)) == 30
     assert np.all(out[:-1] < out[1:])
     assert out.min() >= 0 and out.max() < 100
-    assert np.array_equal(out, choose_without_replacement(7, 100, 30))
+    assert np.array_equal(out, _choose(7, 100, 30))
+    assert out.tolist() == reference_choice(7, 100, 30)
     with pytest.raises(ValueError):
-        choose_without_replacement(7, 10, 11)
+        _choose(7, 10, 11)
 
 
 def _stable_smallest(keys, size):
@@ -153,28 +166,28 @@ def test_smallest_keys_matches_stable_argsort_with_ties(values, data):
     # keys drawn from {0..5} are heavily tied, so the tie break by index decides
     keys = np.array(values, dtype=np.uint64)
     size = data.draw(st.integers(0, keys.size))
-    assert np.array_equal(smallest_keys(keys, size), _stable_smallest(keys, size))
+    assert np.array_equal(_smallest(keys, size), _stable_smallest(keys, size))
 
 
 @pytest.mark.parametrize("population", [1, 2, 7, 300])
 def test_smallest_keys_boundary_sizes(population):
-    keys = key64_array(11, population)
+    keys = key64_rows((11,), population)[0]
     tied = np.full(population, 2**63, dtype=np.uint64)
     tied[::3] = 5
     for k in (keys, tied):
         for size in (0, 1, population):
-            out = smallest_keys(k, size)
-            assert out.dtype == np.int64
-            assert np.array_equal(out, _stable_smallest(k, size))
+            assert np.array_equal(_smallest(k, size), _stable_smallest(k, size))
     with pytest.raises(ValueError):
-        smallest_keys(keys, population + 1)
+        _smallest(keys, population + 1)
 
 
 def test_choose_without_replacement_matches_full_sort():
     for seed in range(20):
         for population, size in ((1, 1), (50, 0), (50, 1), (50, 17), (343, 300)):
-            expected = _stable_smallest(key64_array(seed, population), size)
-            assert np.array_equal(choose_without_replacement(seed, population, size), expected)
+            expected = _stable_smallest(key64_rows((seed,), population)[0], size)
+            assert np.array_equal(_choose(seed, population, size), expected)
+            if population <= 50:
+                assert expected.tolist() == reference_choice(seed, population, size)
 
 
 def test_choose_without_replacement_checks_budget_first(monkeypatch):
@@ -183,17 +196,17 @@ def test_choose_without_replacement_checks_budget_first(monkeypatch):
     def no_keys(*args):
         raise AssertionError("keys allocated before the budget check")
 
-    monkeypatch.setattr(fpproj.rng, "key64_array", no_keys)
+    monkeypatch.setattr(fpproj.rng, "key64_rows", no_keys)
     with pytest.raises(BudgetError):
-        choose_without_replacement(0, 2**40, 3)
+        _choose(0, 2**40, 3)
     with pytest.raises(BudgetError):
-        choose_without_replacement(0, 11, 3, budget=10)
+        _choose(0, 11, 3, budget=10)
 
 
 def test_choose_without_replacement_is_roughly_uniform():
     hits = np.zeros(20, dtype=int)
     for seed in range(500):
-        hits[choose_without_replacement(seed, 20, 5)] += 1
+        hits[_choose(seed, 20, 5)] += 1
     # each index expected 125 times; allow wide but meaningful band
     assert hits.min() > 80 and hits.max() < 170
 

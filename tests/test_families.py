@@ -161,10 +161,10 @@ def test_saturated_threshold_keeps_everything():
     # delta = 1 is unreachable through a legal config (alpha <= m(n-m)
     # forces p^alpha < |G|), but the clamped sampler path must include
     # every index when the threshold saturates
-    from fpproj.rng import TWO64, select_by_threshold
+    from fpproj.rng import TWO64, threshold_rows
 
-    assert select_by_threshold(123, 57, TWO64).all()
-    assert not select_by_threshold(123, 57, 0).any()
+    assert next(threshold_rows((123,), 57, TWO64))[1][0].all()
+    assert not next(threshold_rows((123,), 57, 0))[1][0].any()
 
 
 def test_size_concentration_report():
@@ -267,6 +267,20 @@ def test_family_from_directions_dedups_scalars():
     x = FpVector(a, (1, 2, 3))
     D = PointSet.from_vectors(a, [x, x.scale(2)])
     assert len(family_from_directions(D)) == 1
+
+
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(2, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_family_from_directions_matches_per_point_lines(p, n, data):
+    a = amb(p, n)
+    codes = data.draw(st.lists(st.integers(1, p**n - 1), max_size=12))
+    scales = data.draw(st.lists(st.integers(1, p - 1), min_size=len(codes), max_size=len(codes)))
+    # scalar multiples and repeated codes land on lines already drawn
+    vectors = [decode(a, c) for c in codes]
+    vectors += [x.scale(k) for x, k in zip(vectors, scales)] + vectors[:3]
+    D = PointSet.from_vectors(a, vectors)
+    expected = Family(a, n - 1, {span_of_point(x) for x in D.points()})
+    assert family_from_directions(D) == expected
 
 
 def test_family_from_directions_rejects_zero():

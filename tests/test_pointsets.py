@@ -70,7 +70,7 @@ def test_random_set_budget_is_checked_before_allocating(monkeypatch):
     def no_keys(*args):
         raise AssertionError("keys allocated before the budget check")
 
-    monkeypatch.setattr(fpproj.rng, "key64_array", no_keys)
+    monkeypatch.setattr(fpproj.rng, "key64_rows", no_keys)
     with pytest.raises(BudgetError):
         random_point_set(AmbientSpace(2, 40), 3, 0)  # 2^40 keys would be 8 TiB
     with pytest.raises(BudgetError):
