@@ -150,7 +150,7 @@ def ratio_rows(tag: str, G: Family, family_id: str, sets, census, seed_field):
                     E.size,
                     cell.threshold,
                     cell.count,
-                    Fraction(cell.bound_num, cell.bound_den),
+                    f"{cell.bound_num}/{cell.bound_den}",
                     cell.ratio,
                     cell.pairs_bound_ok,
                     ok,

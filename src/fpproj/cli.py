@@ -232,6 +232,13 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _config_int(path, key, value) -> int:
+    """int(value) of a JSON integer or integer string; int() would truncate a bool or a float."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{path}: {key} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _load_sweep_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -240,8 +247,8 @@ def _load_sweep_config(path):
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
     try:
-        ambient = AmbientSpace(int(raw["p"]), int(raw["n"]))
-        m = int(raw["m"])
+        p, n, m = (_config_int(path, key, raw[key]) for key in ("p", "n", "m"))
+        ambient = AmbientSpace(p, n)
         families = list(raw["families"])
         sets = list(raw["sets"])
         thresholds = raw["thresholds"]
@@ -251,6 +258,8 @@ def _load_sweep_config(path):
         raise ValueError(f"{path}: missing or malformed key: {exc}") from None
     if kind not in ("N", "t", "eps"):
         raise ValueError(f"{path}: thresholds.kind must be one of N, t, eps")
+    if kind == "N":
+        values = [_config_int(path, "thresholds.values", value) for value in values]
     C = parse_fraction(raw.get("C", 16))
     output = raw.get("output")
     return ambient, m, families, sets, kind, values, C, output
@@ -320,10 +329,9 @@ def cmd_sweep(args) -> int:
             for (_, shown), cell in zip(cutoffs, cells):
                 ok = cell.within
                 any_failed = any_failed or not ok
-                bound = Fraction(cell.bound_num, cell.bound_den)
                 lines.append(
                     f"{ambient.p},{ambient.n},{m},{family_id},{len(G)},{set_id},{E.size},"
-                    f"{kind},{shown},{cell.count},{bound.numerator},{bound.denominator},"
+                    f"{kind},{shown},{cell.count},{cell.bound_num},{cell.bound_den},"
                     f"{cell.ratio:.12g},{sc},{sp},{seed_field},{1 if ok else 0}"
                 )
 

@@ -10,7 +10,6 @@ energy bounds.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -31,8 +30,6 @@ from .subspaces import (
     member_chunks,
     stacked_span_codes,
 )
-
-_log = logging.getLogger(__name__)
 
 
 class Family:
@@ -116,15 +113,8 @@ class RandomFamilyConfig:
 
     @property
     def threshold64(self) -> int:
-        """floor(delta * 2^64), clamped to 2^64 (i.e. delta clamped to 1)."""
-        raw = floor_mul_pow(Fraction(TWO64, self.grassmannian_size), self.ambient.p, self.alpha)
-        if raw > TWO64:
-            _log.warning(
-                "delta = p^%s / %d exceeds 1; clamping to include everything",
-                self.alpha,
-                self.grassmannian_size,
-            )
-        return min(raw, TWO64)
+        """floor(delta * 2^64), below 2^64: alpha <= m(n-m) keeps p^alpha < |G|."""
+        return floor_mul_pow(Fraction(TWO64, self.grassmannian_size), self.ambient.p, self.alpha)
 
     @property
     def delta(self) -> Fraction:

@@ -259,5 +259,5 @@ def encode_array(ambient: AmbientSpace, points: np.ndarray) -> np.ndarray:
 
 
 def decode_array(ambient: AmbientSpace, codes: np.ndarray) -> np.ndarray:
-    """(m, n) coordinate matrix of an array of codes."""
-    return digit_table(ambient.p, ambient.n)[codes]
+    """(m, n) coordinates of codes in O(m n) memory; unravel_index gives the top digit first."""
+    return np.array(np.unravel_index(codes, (ambient.p,) * ambient.n)[::-1], dtype=np.int64).T

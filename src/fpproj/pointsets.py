@@ -1,8 +1,9 @@
 """Point sets E of F_p^n: random sets, flats, the two curve examples, files.
 
-A set is a dense boolean membership array indexed by point code, which
-makes the projection inner loops O(1) per membership test at desk
-scale.  Sets are immutable once built.
+A set is stored as the sorted, distinct int64 codes of its members: it
+costs O(|E|) memory however large p^n is.  The projection kernels read
+its coordinates; the p^n membership mask is built only when asked for
+(by the transform, after its budget check).  Sets are immutable.
 """
 
 from __future__ import annotations
@@ -16,42 +17,42 @@ from .subspaces import Subspace, flat_codes
 
 
 class PointSet:
-    """An exact subset of F_p^n with cached cardinality."""
+    """An exact subset of F_p^n: its codes, strictly increasing, and their count."""
 
-    __slots__ = ("ambient", "size", "_mask", "_codes", "_coordinates")
+    __slots__ = ("ambient", "codes", "size", "_coordinates")
 
-    def __init__(self, ambient: AmbientSpace, mask: np.ndarray):
-        mask = np.array(mask, dtype=bool)
-        if mask.shape != (ambient.point_count,):
-            raise ValueError(
-                f"mask length {mask.shape} != point count {ambient.point_count}"
-            )
-        mask.setflags(write=False)
+    def __init__(self, ambient: AmbientSpace, codes: np.ndarray):
+        codes = np.asarray(codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise ValueError(f"point codes must be a 1-d integer array, not {codes.dtype} {codes.shape}")
+        if codes.size and not (codes[1:] > codes[:-1]).all():
+            raise ValueError("point codes must be strictly increasing")
+        if codes.size and (codes[0] < 0 or codes[-1] >= ambient.point_count):
+            raise ValueError("point code out of range")
+        codes = codes.astype(np.int64)
+        codes.setflags(write=False)
         self.ambient = ambient
-        self.size = int(np.count_nonzero(mask))
-        self._mask = mask
-        self._codes = None
+        self.codes = codes
+        self.size = codes.size
         self._coordinates = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def empty(cls, ambient: AmbientSpace) -> "PointSet":
-        return cls(ambient, np.zeros(ambient.point_count, dtype=bool))
+        return cls(ambient, np.empty(0, dtype=np.int64))
 
     @classmethod
     def full(cls, ambient: AmbientSpace) -> "PointSet":
-        return cls(ambient, np.ones(ambient.point_count, dtype=bool))
+        return cls(ambient, np.arange(ambient.point_count, dtype=np.int64))
 
     @classmethod
     def from_codes(cls, ambient: AmbientSpace, codes) -> "PointSet":
-        mask = np.zeros(ambient.point_count, dtype=bool)
-        codes = np.asarray(list(codes) if not isinstance(codes, np.ndarray) else codes)
-        if codes.size:
-            if codes.min() < 0 or codes.max() >= ambient.point_count:
-                raise ValueError("point code out of range")
-            mask[codes] = True
-        return cls(ambient, mask)
+        """Codes in any order, with repeats: one sort (np.unique would add a hash pass)."""
+        codes = np.sort(codes if isinstance(codes, np.ndarray) else list(codes))
+        if not codes.size:
+            return cls.empty(ambient)
+        return cls(ambient, codes[np.concatenate(([True], codes[1:] != codes[:-1]))])
 
     @classmethod
     def from_vectors(cls, ambient: AmbientSpace, vectors) -> "PointSet":
@@ -61,25 +62,21 @@ class PointSet:
 
     @property
     def mask(self) -> np.ndarray:
-        return self._mask
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Sorted codes of the members (cached)."""
-        if self._codes is None:
-            codes = np.flatnonzero(self._mask).astype(np.int64)
-            codes.setflags(write=False)
-            self._codes = codes
-        return self._codes
+        """A new read-only p^n membership array, indexed by point code."""
+        mask = np.zeros(self.ambient.point_count, dtype=bool)
+        mask[self.codes] = True
+        mask.setflags(write=False)
+        return mask
 
     def __len__(self) -> int:
         return self.size
 
     def __contains__(self, v: FpVector) -> bool:
-        return bool(self._mask[encode(v)])
+        return self.contains_code(encode(v))
 
     def contains_code(self, code: int) -> bool:
-        return bool(self._mask[code])
+        i = self.codes.searchsorted(code)
+        return bool(i < self.size and self.codes[i] == code)
 
     def points(self) -> list[FpVector]:
         return [decode(self.ambient, int(c)) for c in self.codes]
@@ -95,14 +92,14 @@ class PointSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self.ambient == other.ambient and np.array_equal(self._mask, other._mask)
+        return self.ambient == other.ambient and np.array_equal(self.codes, other.codes)
 
     __hash__ = None
 
     def union(self, other: "PointSet") -> "PointSet":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return PointSet(self.ambient, self._mask | other._mask)
+        return PointSet.from_codes(self.ambient, np.concatenate((self.codes, other.codes)))
 
     def __repr__(self):
         return f"PointSet(p={self.ambient.p}, n={self.ambient.n}, size={self.size})"
@@ -117,11 +114,11 @@ def random_point_sets(
     (ambient, size, seed): the members are the `size` codes with the
     smallest counter-based keys (see rng module).  The keys of many
     seeds are drawn as one block per chunk of sets, and p^n is checked
-    against budget once, before any key or membership mask is allocated.
+    against budget once, before any key is allocated.
     """
     out = []
     for _, masks in choose_rows(seeds, ambient.point_count, sizes, budget=budget):
-        out.extend(PointSet(ambient, mask) for mask in masks)
+        out.extend(PointSet(ambient, np.flatnonzero(mask)) for mask in masks)
     return out
 
 
@@ -136,7 +133,7 @@ def affine_flat_set(W: Subspace, offset: FpVector) -> PointSet:
     """The plane offset+W as a point set; cardinality p^dim(W)."""
     if W.ambient != offset.ambient:
         raise ValueError("ambient mismatch")
-    return PointSet.from_codes(W.ambient, flat_codes(W, offset.coords))
+    return PointSet(W.ambient, np.sort(flat_codes(W, offset.coords)))  # p^dim distinct codes
 
 
 def circle_set(p: int) -> PointSet:
@@ -218,4 +215,4 @@ def load_point_set(path, ambient: AmbientSpace | None = None) -> PointSet:
         if code in seen:
             raise ValueError(f"line {lineno}: duplicate point {coords}")
         seen.add(code)
-    return PointSet.from_codes(file_ambient, sorted(seen))
+    return PointSet(file_ambient, np.array(sorted(seen), dtype=np.int64))

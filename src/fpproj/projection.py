@@ -12,6 +12,7 @@ powers, never by floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -298,7 +299,7 @@ def exceptional_census(sizes, energies, thresholds) -> tuple[np.ndarray, np.ndar
 
 
 class CensusCell(NamedTuple):
-    """One (set, N) cell of a census; its bound is bound_num / bound_den.
+    """One (set, N) cell of a census; its bound is bound_num / bound_den in lowest terms.
 
     ratio is count/bound as a float, within whether ratio <= C (None
     when no C was given), and pairs_lhs <= pairs_rhs is the pair-counting
@@ -322,8 +323,8 @@ def census_cells(sets, m: int, sizes, energies, thresholds, C=None) -> list[list
 
     sizes and energies are the sets' (S, K) battery stats.  The bound
     |G| N (1/|E| + p^-m) of a cell is kept as the integers
-    |G| N (p^m + |E|) and |E| p^m; ratio <= C is decided by
-    cross-multiplying, and the float ratio is the correctly rounded
+    |G| N (p^m + |E|) and |E| p^m in lowest terms; ratio <= C is decided
+    by cross-multiplying, and the float ratio is the correctly rounded
     quotient of two integers, which equals float(Fraction(count) / bound).
     A zero bound (N = 0, or no member) has ratio 0.  All products are
     Python integers.
@@ -337,10 +338,11 @@ def census_cells(sets, m: int, sizes, energies, thresholds, C=None) -> list[list
     out = []
     for E, count_row, theta_row in zip(sets, counts.tolist(), theta.tolist()):
         e, q = E.size, E.ambient.p**m
-        den = e * q
         row = []
         for N, count, th in zip(thresholds, count_row, theta_row):
-            num = K * N * (q + e)
+            num, den = K * N * (q + e), e * q
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
             if C is None:
                 within = None
             elif num:

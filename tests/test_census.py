@@ -7,6 +7,7 @@ tests/oracles.py's exceptional_report_from_stats, which is how the
 library built every census row (with Fractions) before.
 """
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -91,6 +92,7 @@ def assert_census_matches_reference(p, m, sets, sizes, energies, thresholds):
                 assert theta[s, t] == theta_ref
                 assert cell.threshold == thresholds[t]
                 assert Fraction(cell.bound_num, cell.bound_den) == bound
+                assert math.gcd(cell.bound_num, cell.bound_den) == 1
                 assert type(cell.ratio) is float and cell.ratio == float(ratio)
                 assert cell.within is (None if C is None else ratio <= C)
                 assert cell.pairs_lhs == count * sets[s].size ** 2
@@ -198,7 +200,11 @@ def test_exceptional_count_is_a_census_cell():
 
 
 def reference_ratio_rows(tag, G, family_id, sets, C, seed_field):
-    """ratio_rows as it was built before: one Fraction report per (set, N)."""
+    """ratio_rows as it was built before: one Fraction report per (set, N).
+
+    The bound is rendered as its lowest-terms num/den string, the text
+    the CSV cell of the old Fraction was.
+    """
     sizes, energies = acceptance.battery_stats(sets, G)
     rows, all_ok = [], True
     for (set_id, E), row_sizes, row_energies in zip(sets, sizes.tolist(), energies.tolist()):
@@ -210,7 +216,7 @@ def reference_ratio_rows(tag, G, family_id, sets, C, seed_field):
             all_ok = all_ok and ok and pairs_ok
             rows.append(
                 (tag, G.ambient.p, G.ambient.n, G.m, family_id, len(G), seed_field, set_id,
-                 E.size, N, count, bound, float(ratio), pairs_ok, ok)
+                 E.size, N, count, f"{bound.numerator}/{bound.denominator}", float(ratio), pairs_ok, ok)
             )  # fmt: skip
     return rows, all_ok
 

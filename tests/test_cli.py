@@ -345,6 +345,39 @@ def test_sweep_parse_error_reports_line(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_sweep_rejects_bools_and_floats_where_integers_belong(tmp_path, capsys):
+    # int() would read 5.9 as 5 and true as 1; the config is refused instead
+    out = tmp_path / "report.csv"
+    cases = [
+        ("p", dict(p=5.9)),
+        ("p", dict(p=True)),
+        ("n", dict(n=3.0)),
+        ("m", dict(m=1.5)),
+        ("m", dict(m=False)),
+        ("thresholds.values", dict(thresholds={"kind": "N", "values": [2.7, 1]})),
+        ("thresholds.values", dict(thresholds={"kind": "N", "values": [2, True]})),
+        # skipped families would print the values as given: they are checked first
+        ("thresholds.values", dict(families=["full"], thresholds={"kind": "N", "values": [2.0]})),
+    ]
+    for key, overrides in cases:
+        cfg = write_config(tmp_path, **overrides)
+        assert run("sweep", "--config", str(cfg), "--out", str(out), "--subspace-budget", "10") == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sweep_accepts_integer_strings_and_fractional_exponents(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("sweep", "--config", str(write_config(tmp_path)), "--out", str(a)) == 0
+    cfg = write_config(tmp_path, p="7", n="3", m="1", thresholds={"kind": "N", "values": ["1", 2, "4"]})
+    assert run("sweep", "--config", str(cfg), "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # t and eps values are exact rationals, so a float there is still read exactly
+    cfg = write_config(tmp_path, thresholds={"kind": "t", "values": [1.5, 0.5]})
+    assert run("sweep", "--config", str(cfg), "--out", str(a)) == 0
+    assert ",t,3/2," in a.read_text().splitlines()[1]
+
+
 def test_sweep_file_set_round_trip(tmp_path):
     ambient = AmbientSpace(7, 3)
     E = random_point_set(ambient, 15, seed=9)

@@ -159,12 +159,27 @@ def test_mean_size_tracks_target():
 
 def test_saturated_threshold_keeps_everything():
     # delta = 1 is unreachable through a legal config (alpha <= m(n-m)
-    # forces p^alpha < |G|), but the clamped sampler path must include
+    # forces p^alpha < |G|), but threshold_rows must still include
     # every index when the threshold saturates
     from fpproj.rng import TWO64, threshold_rows
 
     assert next(threshold_rows((123,), 57, TWO64))[1][0].all()
     assert not next(threshold_rows((123,), 57, 0))[1][0].any()
+
+
+def test_threshold_stays_below_two64_at_the_top_of_the_alpha_range():
+    from fpproj.rng import TWO64
+
+    configs = [
+        RandomFamilyConfig(amb(p, n), m, Fraction(m * (n - m)), seed=0)
+        for p in (2, 3, 5, 7, 11, 13)
+        for n in range(3, 7)
+        for m in range(1, n)
+    ]
+    assert len(configs) == 84
+    for c in configs:
+        assert 0 < c.threshold64 < TWO64
+        assert c.delta < 1
 
 
 def test_size_concentration_report():

@@ -26,7 +26,7 @@ from fpproj.families import (
     sample_random_family,
     spread_profile,
 )
-from fpproj.field import AmbientSpace, FpVector, decode
+from fpproj.field import AmbientSpace, FpVector, decode, encode_array
 from fpproj.fourier import coset_energy_spectral, dft, verify_coset_identities
 from fpproj.pointsets import PointSet, random_point_set
 from fpproj.projection import (
@@ -405,18 +405,6 @@ def test_each_route_over_a_full_grassmannian(p, n, m):
                 assert list(zip(sizes.tolist(), energies.tolist())) == expected
 
 
-class CoordinateSet:
-    """A point set given by its coordinates, for spaces too large for a PointSet mask."""
-
-    def __init__(self, ambient, coords):
-        self.ambient = ambient
-        self.coords = np.array(coords, dtype=np.int64)
-        self.size = len(self.coords)
-
-    def coordinates(self):
-        return self.coords
-
-
 def test_sparse_labels_are_sorted_in_memory_far_below_the_label_range(monkeypatch):
     p, n, m = 10007, 3, 2  # p^m = 10^8 labels a member: 800 MB of bins
     ambient = AmbientSpace(p, n)
@@ -426,7 +414,9 @@ def test_sparse_labels_are_sorted_in_memory_far_below_the_label_range(monkeypatc
     base = rng.integers(0, p, size=(40, n))
     # ten more points on the cosets of the first 5 points along the first line
     shifted = (base[:5].repeat(2, axis=0) + np.arange(1, 11)[:, None] * directions[0]) % p
-    E = CoordinateSet(ambient, np.concatenate([base, shifted]))
+    # a PointSet stores its 50 codes only, not a mask of p^n = 10^12 points
+    E = PointSet.from_codes(ambient, encode_array(ambient, np.concatenate([base, shifted])))
+    assert E.size == 50
 
     def counted(*args, **kwargs):
         raise AssertionError("a sparse label space took the counting route")
@@ -441,7 +431,7 @@ def test_sparse_labels_are_sorted_in_memory_far_below_the_label_range(monkeypatc
     assert peak < p**m * 8 // 1000
     assert (sizes[0].tolist(), energies[0].tolist()) == per_member_stats(E, members)
     # the oracle spans all p points of a line, so it checks the first member only
-    counts = brute_fiber_counts([tuple(x) for x in E.coords.tolist()], span_set(members[0].basis, p, n), p)
+    counts = brute_fiber_counts([tuple(x) for x in E.coordinates().tolist()], span_set(members[0].basis, p, n), p)
     assert (sizes[0, 0], energies[0, 0]) == (len(counts), sum(c * c for c in counts))
     assert (sizes[0, 0], energies[0, 0]) == (40, 35 + 5 * 9)  # 35 lone points, five fibers of three
 

@@ -1,5 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpproj.budgets import BudgetError
 from fpproj.field import AmbientSpace, FpVector
@@ -12,7 +17,7 @@ from fpproj.pointsets import (
     random_point_set,
     save_point_set,
 )
-from fpproj.subspaces import enumerate_subspaces, span_of_point
+from fpproj.subspaces import enumerate_subspaces, first_subspace, span_of_point
 
 
 def amb(p, n):
@@ -51,6 +56,111 @@ def test_mask_is_immutable():
     E = PointSet.from_codes(amb(3, 2), [1])
     with pytest.raises(ValueError):
         E.mask[0] = True
+
+
+def mask_of(a, codes):
+    """The membership mask oracle: one bool per point code."""
+    mask = np.zeros(a.point_count, dtype=bool)
+    mask[list(codes)] = True
+    return mask
+
+
+def assert_matches_mask(E, a, mask):
+    expected = np.flatnonzero(mask)
+    assert E.size == len(E) == int(mask.sum())
+    assert E.codes.dtype == np.int64 and np.array_equal(E.codes, expected)
+    assert not E.codes.flags.writeable
+    first, second = E.mask, E.mask
+    assert first is not second and np.array_equal(first, mask) and np.array_equal(second, mask)
+    assert not first.flags.writeable
+    points = list(itertools.product(range(a.p), repeat=a.n))
+    coords = np.array([pt[::-1] for pt in points], dtype=np.int64)[expected]  # code = sum x_i p^i
+    assert np.array_equal(E.coordinates(), coords.reshape(-1, a.n))
+    for code in range(-1, a.point_count + 1):
+        assert E.contains_code(code) is bool(0 <= code < a.point_count and mask[code])
+    for pt in points:
+        v = FpVector(a, pt[::-1])
+        assert (v in E) is bool(mask[sum(x * a.p**i for i, x in enumerate(v.coords))])
+
+
+SPACES = [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (3, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=st.sampled_from(SPACES), data=st.data())
+def test_point_set_matches_a_mask_oracle(space, data):
+    a = AmbientSpace(*space)
+    codes = st.lists(st.integers(0, a.point_count - 1), max_size=2 * a.point_count)
+    xs, ys = data.draw(codes), data.draw(codes)  # unsorted, with repeats
+    E, F = PointSet.from_codes(a, xs), PointSet.from_codes(a, np.array(ys, dtype=np.int64))
+    mx, my = mask_of(a, xs), mask_of(a, ys)
+    assert_matches_mask(E, a, mx)
+    assert_matches_mask(F, a, my)
+    assert_matches_mask(E.union(F), a, mx | my)
+    assert_matches_mask(F.union(E), a, mx | my)
+    assert_matches_mask(PointSet.empty(a), a, mask_of(a, []))
+    assert_matches_mask(PointSet.full(a), a, ~mask_of(a, []))
+    assert (E == F) is bool(np.array_equal(mx, my))
+    assert E == PointSet.from_codes(a, reversed(xs + xs)) == PointSet(a, np.flatnonzero(mx))
+    assert E.union(E) == E and E.union(PointSet.empty(a)) == E
+    assert PointSet.from_codes(AmbientSpace(a.p, a.n + 1), xs) != E  # same codes, other space
+
+
+def test_constructor_rejects_anything_but_increasing_codes_in_range():
+    a = amb(3, 2)
+    bad = [
+        np.zeros(9, dtype=bool),  # a membership mask is not a list of codes
+        np.array([True, False]),
+        np.array([0.0, 1.0]),
+        [0.0, 1.0],
+        np.array([3, 1]),  # unsorted
+        np.array([1, 1]),  # repeated
+        np.array([-1, 0]),
+        np.array([0, 9]),  # 9 = p^n
+        np.array([[0, 1]]),
+    ]
+    for codes in bad:
+        with pytest.raises(ValueError):
+            PointSet(a, codes)
+    for codes in ([1.5], np.array([0.0, 2.0]), np.array([True, False]), [-1], [9]):
+        with pytest.raises(ValueError):
+            PointSet.from_codes(a, codes)
+    assert PointSet(a, np.array([0, 4, 8], dtype=np.uint8)) == PointSet.from_codes(a, [8, 0, 4, 4])
+
+
+def test_sets_of_a_large_space_never_allocate_its_mask(tmp_path):
+    # 3^14 = 4,782,969 points: a mask takes 4.8 MB, a table of coordinates 535 MB
+    a = AmbientSpace(3, 14)
+    rng = np.random.default_rng(5)
+    codes = rng.integers(0, a.point_count, size=1000)
+    path = tmp_path / "pts.txt"  # written by hand: save_point_set would decode the codes untraced
+    rows = [",".join(str(c // 3**i % 3) for i in range(14)) for c in sorted(set(codes[:50].tolist()))]
+    path.write_text("p=3,n=14\n" + "\n".join(rows) + "\n")
+    W = first_subspace(a, 3)
+    offset = FpVector(a, tuple(int(x) for x in rng.integers(0, 3, size=14)))
+    E = PointSet.from_codes(a, codes)
+    F = PointSet.from_codes(a, (codes[500:] + 1) % a.point_count)
+    steps = {
+        "from_codes": lambda: PointSet.from_codes(a, codes),
+        "empty": lambda: PointSet.empty(a),
+        "union": lambda: E.union(F),
+        "affine_flat_set": lambda: affine_flat_set(W, offset),
+        "load_point_set": lambda: load_point_set(path, ambient=a),
+        "coordinates": lambda: PointSet.from_codes(a, codes).coordinates(),
+        "contains_code": lambda: [E.contains_code(int(c)) for c in codes[:20]],
+        "==": lambda: E == F,
+    }
+    for name, step in steps.items():
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, (name, peak)
+    assert affine_flat_set(W, offset).size == 27
+    assert load_point_set(path) == PointSet.from_codes(a, codes[:50])
+    assert np.array_equal(E.coordinates() @ 3 ** np.arange(14), E.codes)
 
 
 # -- random sets ----------------------------------------------------------
