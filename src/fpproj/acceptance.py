@@ -3,12 +3,15 @@
 Each criterion function computes what it needs from fixed parameters
 and seeds and returns a CriterionResult whose rows render to a CSV
 artifact.  Criteria 6 and 8 read the same random-model cells (family,
-standard battery and its exceptional census per (p, m, alpha, seed)),
-so each cell is built once per pass and kept in a bounded cache; a
-criterion called alone builds the cells it misses, so its output does
-not depend on what ran before it.  ``run_suite`` clears every cache of
-the package before each pass, so the two passes that criterion 12
-compares byte for byte are two independent computations.
+standard battery and its exceptional census per (p, m, alpha, seed))
+through random_model_cell.  The 40 cells of each (p, m) are built
+together, once per pass: one stacked draw per alpha, one kernel call
+in which each seed's battery meets the union of that seed's families,
+and one census call.  The four (p, m) groups are kept in a bounded
+cache; a criterion called alone builds the groups it misses, so its
+output does not depend on what ran before it.  ``run_suite`` clears
+every cache of the package before each pass, so the two passes that
+criterion 12 compares byte for byte are two independent computations.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .families import (
     full_family,
     hyperplane_intersection_max,
     moment_family,
-    sample_random_family,
+    sample_random_families,
     size_concentration_report,
     spread_containing,
     spread_perp,
@@ -39,7 +42,13 @@ from .exact import floor_pow
 from .field import AmbientSpace, decode, gaussian_binomial
 from .fourier import SpectralTable, plancherel_defect, stacked_dft, verify_coset_identities
 from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_sets
-from .projection import battery_projection_stats, census_cells, explicit_bound_from_sizes
+from .projection import (
+    battery_projection_stats,
+    census_cells,
+    explicit_bound_from_sizes,
+    stacked_census_cells,
+    stacked_projection_stats,
+)
 from .subspaces import (
     enumerate_subspaces,
     first_subspace,
@@ -191,28 +200,66 @@ def random_model_grid():
 
 
 _RANDOM_SEED_COUNT = 20
-_RANDOM_CELL_COUNT = len(random_model_grid()) * _RANDOM_SEED_COUNT
+_RANDOM_GROUP_COUNT = len({(p, m) for p, m, _ in random_model_grid()})
 
 
-@lru_cache(maxsize=_RANDOM_CELL_COUNT)
-def _random_model_battery(p: int, m: int, seed: int):
-    # the battery seed does not depend on alpha: both alphas share it
-    return tuple(standard_sets(AmbientSpace(p, 3), base_seed=seed * 100 + m))
-
-
-@lru_cache(maxsize=_RANDOM_CELL_COUNT)
 def random_model_cell(p: int, m: int, alpha: Fraction, seed: int):
     """(G, sets, census) of one criterion-6/8 cell, n = 3.
 
     The census is battery_census(sets, G) as nested tuples, since every
     caller gets the same objects.  An empty family has no battery: sets
-    and census are ().
+    and census are ().  The first request for a cell of a (p, m) builds
+    every cell of that grid row at once, and the row stays cached.
     """
-    G = sample_random_family(RandomFamilyConfig(AmbientSpace(p, 3), m, alpha, seed))
-    if len(G) == 0:
-        return G, (), ()
-    sets = _random_model_battery(p, m, seed)
-    return G, sets, tuple(map(tuple, battery_census(sets, G)))
+    cells = _random_model_group(p, m)
+    if (alpha, seed) not in cells:
+        raise ValueError(f"(p={p}, m={m}, alpha={alpha}, seed={seed}) is not a random-model grid cell")
+    return cells[alpha, seed]
+
+
+@lru_cache(maxsize=_RANDOM_GROUP_COUNT)
+def _random_model_group(p: int, m: int) -> dict:
+    """{(alpha, seed): random_model_cell(p, m, alpha, seed)} for every grid cell of this (p, m).
+
+    The families of each alpha come from one stacked draw over the
+    seeds.  Both alphas of a seed share its battery, whose seed
+    seed*100 + m does not depend on alpha, so the union of their
+    families meets that battery once: one kernel call takes every
+    seed's union, seed-major, and a cell's stats are the columns of its
+    own members.  One census call then counts every cell.
+    """
+    ambient = AmbientSpace(p, 3)
+    seeds = range(_RANDOM_SEED_COUNT)
+    alphas = [alpha for row_p, row_m, alpha in random_model_grid() if (row_p, row_m) == (p, m)]
+    draws = [
+        sample_random_families(RandomFamilyConfig(ambient, m, alpha, seed) for seed in seeds)
+        for alpha in alphas
+    ]
+    union = np.logical_or.reduce([masks for masks, _ in draws])  # (seed, member index)
+    seed_of, member = np.nonzero(union)  # the union's members, seed-major
+    column = np.cumsum(union.ravel()) - 1  # each union member's column in the kernel call
+    kept = [seed for seed in seeds if union[seed].any()]
+    batteries = {seed: tuple(standard_sets(ambient, base_seed=seed * 100 + m)) for seed in kept}
+    points = {seed: [E for _, E in sets] for seed, sets in batteries.items()}
+    sizes, energies = stacked_projection_stats(
+        [points[seed] for seed in kept],
+        grassmannian(ambient, 3 - m).take(member),
+        np.searchsorted(kept, seed_of),
+    )
+    cells, stacked = {}, []
+    for alpha, (masks, families) in zip(alphas, draws):
+        for seed, mask, G in zip(seeds, masks, families):
+            cells[alpha, seed] = G, (), ()
+            if len(G):
+                stacked.append((alpha, seed, column[seed * mask.size + np.flatnonzero(mask)]))
+    at = np.concatenate([columns for *_, columns in stacked])
+    edges = np.cumsum([0] + [len(columns) for *_, columns in stacked])
+    censuses = stacked_census_cells(
+        [points[seed] for _, seed, _ in stacked], edges, m, sizes[:, at], energies[:, at], _RATIO_NS, _RATIO_C
+    )
+    for (alpha, seed, _), census in zip(stacked, censuses):
+        cells[alpha, seed] = cells[alpha, seed][0], batteries[seed], tuple(map(tuple, census))
+    return cells
 
 
 def package_caches() -> dict:

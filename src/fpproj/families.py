@@ -121,15 +121,47 @@ class RandomFamilyConfig:
         return Fraction(self.threshold64, TWO64)
 
 
+def inclusion_masks(cfgs) -> np.ndarray:
+    """Inclusion decisions by enumeration index, one row per config; pure in (seed, index).
+
+    The configs share (ambient, m, alpha) and differ in their seeds, so
+    one threshold_rows call draws them all.
+    """
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        raise ValueError("no configs to draw")
+    model = cfgs[0].ambient, cfgs[0].m, cfgs[0].alpha
+    if any((cfg.ambient, cfg.m, cfg.alpha) != model for cfg in cfgs):
+        raise ValueError("stacked configs must share ambient, m and alpha")
+    rows = threshold_rows([cfg.seed for cfg in cfgs], cfgs[0].grassmannian_size, cfgs[0].threshold64)
+    return np.concatenate([masks for _, masks in rows])
+
+
 def inclusion_mask(cfg: RandomFamilyConfig) -> np.ndarray:
-    """Inclusion decisions by enumeration index; pure in (seed, index)."""
-    return next(threshold_rows((cfg.seed,), cfg.grassmannian_size, cfg.threshold64))[1][0]
+    """Inclusion decisions by enumeration index for one config."""
+    return inclusion_masks((cfg,))[0]
+
+
+def sample_random_families(cfgs, budget=DEFAULT_SUBSPACE_BUDGET) -> tuple[np.ndarray, tuple[Family, ...]]:
+    """(inclusion_masks(cfgs), the family of each config), for configs differing in seed only.
+
+    |G(n, n-m)| is checked against budget before any key is drawn.
+    """
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        raise ValueError("no configs to draw")
+    ambient, m = cfgs[0].ambient, cfgs[0].m
+    G = grassmannian(ambient, ambient.n - m, budget=budget)
+    masks = inclusion_masks(cfgs)
+    return masks, tuple(Family(ambient, m, G.take(mask)) for mask in masks)
 
 
 def sample_random_family(cfg: RandomFamilyConfig, budget=DEFAULT_SUBSPACE_BUDGET) -> Family:
-    """Draw the family for this config; same config, same members, always."""
-    G = grassmannian(cfg.ambient, cfg.ambient.n - cfg.m, budget=budget)
-    return Family(cfg.ambient, cfg.m, G.take(inclusion_mask(cfg)))
+    """Draw the family for this config; same config, same members, always.
+
+    The one-config case of sample_random_families.
+    """
+    return sample_random_families((cfg,), budget)[1][0]
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,16 @@ def stacked_dft(sets, budget=DEFAULT_POINT_BUDGET):
 def _dft_chunks(sets, ambient: AmbientSpace):
     p, n = ambient.p, ambient.n
     for part in member_chunks(len(sets), ambient.point_count):
+        # each set's indicator, scattered from its codes into a zeroed row
+        chunk = sets[part]
+        cube = np.zeros((len(chunk), ambient.point_count), dtype=np.complex128)
+        rows = np.repeat(np.arange(len(chunk)), [E.size for E in chunk])
+        cube[rows, np.concatenate([E.codes for E in chunk])] = 1
         # code c = sum_i x_i p^i puts coordinate n-1 on the first cube axis
         # of a C-order reshape; fftn treats axes independently, so
         # frequency codes come back in the same little-endian order.
-        cube = np.array([E.mask for E in sets[part]], dtype=np.complex128)
-        cube = cube.reshape((len(cube),) + (p,) * n)
-        yield part, np.fft.fftn(cube, axes=tuple(range(1, n + 1))).reshape(len(cube), -1)
+        cube = cube.reshape((len(chunk),) + (p,) * n)
+        yield part, np.fft.fftn(cube, axes=tuple(range(1, n + 1))).reshape(len(chunk), -1)
 
 
 def dft(E: PointSet, method: str = "auto", budget=DEFAULT_POINT_BUDGET) -> SpectralTable:

@@ -1,9 +1,9 @@
 """Point sets E of F_p^n: random sets, flats, the two curve examples, files.
 
 A set is stored as the sorted, distinct int64 codes of its members: it
-costs O(|E|) memory however large p^n is.  The projection kernels read
-its coordinates; the p^n membership mask is built only when asked for
-(by the transform, after its budget check).  Sets are immutable.
+costs O(|E|) memory however large p^n is.  The projection kernels
+read its coordinates and the transform its codes; the p^n membership
+mask is built only when asked for.  Sets are immutable.
 """
 
 from __future__ import annotations

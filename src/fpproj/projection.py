@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -129,11 +128,11 @@ def family_projection_stats(E: PointSet, G) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Annihilator rows are tabled for groups of members holding at most this
-# many int64 row residues (m * points * members; 16 chunks), so the table
-# of distinct rows stays bounded whatever the family size.
+# many int64 row residues (m * slots * members; 16 chunks), so the table
+# stays bounded whatever the family size.
 TABLE_ELEMENTS = 2**20
-# Fibers are counted in S * p^m bins per member when that is at most
-# this many times the battery's points; otherwise labels are sorted.
+# Fibers are counted in p^m bins per set block of a member when those
+# are at most this many times the slots; otherwise labels are sorted.
 # Near 8 the two cost about the same (measured for p = 5..13, m = 2..3).
 DENSE_BINS_PER_POINT = 8
 
@@ -143,97 +142,170 @@ def battery_projection_stats(sets, G) -> tuple[np.ndarray, np.ndarray]:
 
     sets is a sequence of S point sets of one ambient space and G a
     Family or a sequence of subspaces of one dimension, as for
-    family_projection_stats; both results have shape (S, |G|).
+    family_projection_stats; both results have shape (S, |G|).  This is
+    the one-battery case of stacked_projection_stats.
+    """
+    sets = tuple(sets)
+    stack = member_stack(sets[0].ambient, G) if sets else ()
+    return stacked_projection_stats((sets,), stack, np.broadcast_to(np.int64(0), (len(stack),)))
+
+
+def stacked_projection_stats(batteries, G, battery_of) -> tuple[np.ndarray, np.ndarray]:
+    """Image sizes and coset energies of each member against its own battery.
+
+    batteries holds B batteries of S point sets each, all of one
+    ambient space; G is a Family or a sequence of subspaces of one
+    dimension, and battery_of gives each member's battery.  Both
+    results have shape (S, |G|): column k is member k against
+    batteries[battery_of[k]].
 
     x and y share a coset of W iff x.a = y.a for every annihilator row a,
     so a point's coset label is (x . A^T mod p) read as a base-p number
     in [0, p^m), plus s * p^m for a point of set s, which keeps the sets
-    apart.  Members share most of their rows, so the kernel works on
-    groups of members holding at most TABLE_ELEMENTS row residues: each
-    row is read as a base-p code, and x . a mod p is computed once per
-    distinct code against every point of the battery.  A member's labels
-    are then a gather of its m rows of that table, combined base p.
+    apart.  A battery's points fill T slots, T the most points of any
+    battery; a shorter battery is padded with slots of set index S.
+    Members share most of their rows, so the kernel works on groups of
+    members holding at most TABLE_ELEMENTS row residues: each row is
+    read as a base-p code, and x . a mod p is computed once per distinct
+    (row, battery) pair of the group against that battery's slots, with
+    one product per battery.  A row read as a member's top digit gets a
+    table row of its own that also holds the set index, so a member's
+    labels are a gather of its m rows, combined base p.  With one
+    battery this is one product per distinct row, against every point.
 
     Fibers are counted one of two ways, chosen from the sizes alone.
-    When the S * p^m labels of a member are at most DENSE_BINS_PER_POINT
-    times the points, member i's labels are offset by i * S * p^m and
-    one bincount per chunk of members counts every fiber: per
-    (member, set) block, the nonzero bins are the image size and the sum
-    of squared bins the energy.  Otherwise each member's labels are
-    sorted, the sets landing in blocks at fixed offsets, and a run of
-    equal labels, which never crosses a block, is a fiber: per block,
-    the run count is the image size and the sum of squared run lengths
-    the energy.
+    When the (S or S + 1 with padding) * p^m labels of a member are at
+    most DENSE_BINS_PER_POINT times the slots, member i's labels are
+    offset by i times that range and one bincount per chunk of members
+    counts every fiber: per (member, set) block, the nonzero bins are
+    the image size and the sum of squared bins the energy, and the pad
+    block is dropped.  Otherwise each member's labels are sorted, the
+    sets landing in blocks at its battery's offsets and the pad last,
+    and a run of equal labels, which never crosses a block, is a fiber:
+    per block, the run count is the image size and the sum of squared
+    run lengths the energy.
 
-    Memory is bounded whatever |G|: the table by TABLE_ELEMENTS, and the
-    labels, bins and runs of a chunk by CHUNK_ELEMENTS, except that a
-    member wider than that gets a chunk of its own.  Every product sums
-    n products of residues, exact since the stack checks
-    n(p-1)^2 < 2^63, and S * p^m < 2^63 is checked before anything is
-    allocated, so every label is an exact int64; nothing is floating
-    point.
+    Memory is bounded whatever |G| or B: the table by TABLE_ELEMENTS,
+    the slots by one battery at a time, and the labels, bins and runs
+    of a chunk by CHUNK_ELEMENTS, except that a member wider than that
+    gets a chunk of its own.  Every product sums n products
+    of residues, exact since the stack checks n(p-1)^2 < 2^63, and
+    (S + 1) * p^m < 2^63 is checked with the ambients and battery_of
+    before anything is allocated, so every label is an exact int64;
+    nothing is floating point.
     """
-    sets = tuple(sets)
-    if not sets:
+    batteries = tuple(map(tuple, batteries))
+    if not batteries or not batteries[0]:
         raise ValueError("a battery needs at least one point set")
-    ambient = sets[0].ambient
-    for E in sets:
-        if E.ambient != ambient:
-            raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
+    B, S = len(batteries), len(batteries[0])
+    if any(len(sets) != S for sets in batteries):
+        raise ValueError(f"batteries of {sorted({len(sets) for sets in batteries})} sets; need one S")
+    ambient = batteries[0][0].ambient
+    for sets in batteries:
+        for E in sets:
+            if E.ambient != ambient:
+                raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
     stack = member_stack(ambient, G)
-    S, K = len(sets), len(stack)
-    sizes = np.zeros((S, K), dtype=np.int64)
-    energies = np.zeros((S, K), dtype=np.int64)
+    K = len(stack)
+    battery_of = np.asarray(battery_of)
+    if battery_of.shape != (K,):
+        raise ValueError(f"battery_of of shape {battery_of.shape} for {K} members")
+    if K and (battery_of.dtype.kind not in "iu" or battery_of.min() < 0 or battery_of.max() >= B):
+        raise ValueError(f"battery_of must index the {B} batteries")
+    battery_of = battery_of.astype(np.int64, copy=False)
     if K and not 0 < stack.dim < ambient.n:
         raise ValueError("cosets are only defined for proper nontrivial subspaces")
     p, n, m = ambient.p, ambient.n, stack.codim
-    bins = S * p**m
-    if K and bins >= 2**63:
-        raise ValueError(f"{S} sets of p^m = {p**m} labels exceed the exact int64 range")
-    counts = np.array([E.size for E in sets], dtype=np.int64)
-    total = int(counts.sum())
-    if K == 0 or total == 0:
+    q = p**m
+    if K and (S + 1) * q >= 2**63:
+        raise ValueError(f"{S} sets of p^m = {q} labels exceed the exact int64 range")
+    sizes = np.zeros((S, K), dtype=np.int64)
+    energies = np.zeros((S, K), dtype=np.int64)
+    counts = np.array([[E.size for E in sets] for sets in batteries], dtype=np.int64)
+    totals = counts.sum(axis=1)
+    T = int(totals.max())
+    if K == 0 or T == 0:
         return sizes, energies
-    points = np.ascontiguousarray(np.concatenate([E.coordinates() for E in sets]).T)
-    set_index = np.repeat(np.arange(S, dtype=np.int64), counts)
-    if bins <= DENSE_BINS_PER_POINT * total:
-        width, block_counts = max(total, bins), partial(_dense_block_counts, S=S, bins=bins)
-    else:
-        block_starts = np.concatenate(([0], np.cumsum(counts)))  # S + 1 column offsets
-        width, block_counts = total, partial(_sorted_block_counts, block_starts=block_starts)
+    block_starts = np.zeros((B, S + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=block_starts[:, 1:])
+    blocks = S + bool(totals.min() < T)  # a pad block only when some battery is short
+    dense = blocks * q <= DENSE_BINS_PER_POINT * T
+    width = max(T, blocks * q) if dense else T
     # row codes are below p^n, which AmbientSpace keeps within int64
     weights = power_vector(p, n)
-    for group in member_chunks(K, m * total, TABLE_ELEMENTS):
+    for group in member_chunks(K, m * T, TABLE_ELEMENTS):
         rows = stack.annihilators[group].reshape(-1, n)
         _, first, row_of = np.unique(rows @ weights, return_index=True, return_inverse=True)
-        table = rows[first] @ points
-        table -= table // p * p  # mod p; numpy divides by a scalar ~4x faster than np.remainder
-        row_of = row_of.reshape(-1, m)
-        for part in member_chunks(len(row_of), width):
-            index = row_of[part]
-            # Horner from the set index down: set * p^m + sum_j residue_j * p^j
-            labels = set_index * p + table[index[:, m - 1]]
+        rows = rows[first]
+        # One table row per distinct (battery, top digit or not, row) of the
+        # group, against the battery's slots; a top-digit row also holds
+        # set * p for each slot's set, so Horner ends at set * p^m.
+        R = len(rows)
+        keys = (battery_of[group, None] * 2 + (np.arange(m) == m - 1)) * R + row_of.reshape(-1, m)
+        pairs, pair_of = np.unique(keys, return_inverse=True)
+        runs, starts = np.unique(pairs // R, return_index=True)
+        table = np.empty((len(pairs), T), dtype=np.int64)
+        battery = None
+        for run, lo, hi in zip(runs.tolist(), starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
+            b, top = divmod(run, 2)
+            if b != battery:
+                battery, (points, set_index) = b, _battery_slots(batteries[b], T)
+            out = table[lo:hi]
+            np.matmul(rows[pairs[lo:hi] % R], points, out=out)
+            out -= out // p * p  # mod p; numpy divides by a scalar ~4x faster than np.remainder
+            if top:
+                out += set_index
+        pair_of = pair_of.reshape(-1, m)
+        for part in member_chunks(len(pair_of), width):
+            index = pair_of[part]
+            at = slice(group.start + part.start, group.start + part.stop)
+            # Horner from the top digit down: set * p^m + sum_j residue_j * p^j
+            labels = table[index[:, m - 1]]
             for j in range(m - 2, -1, -1):
                 labels *= p
                 labels += table[index[:, j]]
-            at = slice(group.start + part.start, group.start + part.stop)
-            sizes[:, at], energies[:, at] = block_counts(labels)
+            if dense:
+                sizes[:, at], energies[:, at] = _dense_block_counts(labels, S=S, q=q, blocks=blocks)
+            else:
+                sizes[:, at], energies[:, at] = _sorted_block_counts(labels, block_starts[battery_of[at]])
     return sizes, energies
 
 
-def _dense_block_counts(labels, S, bins):
+def _battery_slots(sets, T: int):
+    """(n, T) coordinates and (T,) set index times p of a battery's slots.
+
+    The points of each set fill the slots in battery order; the slots
+    after them are pads, point 0 of set index S.
+    """
+    ambient, S = sets[0].ambient, len(sets)
+    coordinates = np.concatenate([E.coordinates() for E in sets])
+    points = np.zeros((ambient.n, T), dtype=np.int64)
+    points[:, : len(coordinates)] = coordinates.T
+    set_index = np.full(T, S * ambient.p, dtype=np.int64)
+    steps = np.arange(0, S * ambient.p, ambient.p, dtype=np.int64)
+    set_index[: len(coordinates)] = np.repeat(steps, [E.size for E in sets])
+    return points, set_index
+
+
+def _dense_block_counts(labels, S, q, blocks):
     """(S, chunk) image sizes and energies by counting every label into its bin."""
     chunk = len(labels)
+    bins = blocks * q
     labels += np.arange(0, chunk * bins, bins, dtype=np.int64)[:, None]
-    fibers = np.bincount(labels.ravel(), minlength=chunk * bins).reshape(chunk * S, -1)
+    fibers = np.bincount(labels.ravel(), minlength=chunk * bins).reshape(chunk, blocks, q)
+    fibers = fibers[:, :S].reshape(chunk * S, q)  # drops the pad block, if any
     sizes = np.count_nonzero(fibers, axis=1)
     energies = np.einsum("ij,ij->i", fibers, fibers)
     return sizes.reshape(chunk, S).T, energies.reshape(chunk, S).T
 
 
 def _sorted_block_counts(labels, block_starts):
-    """(S, chunk) image sizes and energies from the runs of each sorted row."""
-    (chunk, total), S = labels.shape, len(block_starts) - 1
+    """(S, chunk) image sizes and energies from the runs of each sorted row.
+
+    block_starts is (chunk, S + 1): where each set's block of a row
+    starts, and where the last one ends; the pad after it is not read.
+    """
+    chunk, T = labels.shape
     labels.sort(axis=1)
     new_run = np.ones(labels.shape, dtype=bool)
     np.not_equal(labels[:, 1:], labels[:, :-1], out=new_run[:, 1:])
@@ -241,10 +313,10 @@ def _sorted_block_counts(labels, block_starts):
     runs = np.diff(run_starts, append=new_run.size)
     squares = np.zeros(runs.size + 1, dtype=np.int64)
     np.cumsum(runs * runs, out=squares[1:])
-    # (member, set) blocks in flat order; every block start is a run start
-    edges = np.arange(chunk, dtype=np.int64)[:, None] * total + block_starts[:-1]
-    bounds = np.searchsorted(run_starts, np.append(edges.ravel(), new_run.size))
-    return np.diff(bounds).reshape(chunk, S).T, np.diff(squares[bounds]).reshape(chunk, S).T
+    # every block start and block end is a run start (or the end of the array)
+    edges = np.arange(0, chunk * T, T, dtype=np.int64)[:, None] + block_starts
+    bounds = np.searchsorted(run_starts, edges)
+    return np.diff(bounds, axis=1).T, np.diff(squares[bounds], axis=1).T
 
 
 @dataclass(frozen=True)
@@ -265,15 +337,18 @@ class ExceptionalReport:
     pairs_bound_ok: bool
 
 
-def exceptional_census(sizes, energies, thresholds) -> tuple[np.ndarray, np.ndarray]:
+def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndarray, np.ndarray]:
     """Counts and theta-energies of the members with image size <= N.
 
-    sizes and energies are the (S, K) stats of S sets against a family
-    of K members, thresholds are T nonnegative integers in any order.
-    Returns two (S, T) int64 arrays: how many members W have
-    |pi_W(E_s)| <= N, and the energy of E_s summed over those members.
-    Each set's sizes are sorted once: searchsorted gives every count,
-    and a prefix sum of the energies in the same order every energy.
+    sizes and energies are the (S, K) stats of S sets against K members,
+    thresholds are T nonnegative integers in any order.  edges, C + 1
+    nondecreasing offsets from 0 to K, split the members into C cells
+    along K, each counted on its own; None is the one cell (0, K).
+    Returns two (S, C * T) int64 arrays, column c * T + t for cell c at
+    thresholds[t]: how many members W of the cell have |pi_W(E_s)| <= N,
+    and the energy of E_s summed over those members.  Each row is sorted
+    once by (cell, size): searchsorted gives every count, and a prefix
+    sum of the energies in the same order every energy.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     energies = np.asarray(energies, dtype=np.int64)
@@ -283,19 +358,31 @@ def exceptional_census(sizes, energies, thresholds) -> tuple[np.ndarray, np.ndar
     if any(N < 0 for N in thresholds):
         raise ValueError("threshold N must be nonnegative")
     S, K = sizes.shape
+    edges = np.array((0, K) if edges is None else edges, dtype=np.int64)
+    widths = np.diff(edges)
+    if edges.ndim != 1 or edges.size < 2 or edges[0] != 0 or edges[-1] != K or np.any(widths < 0):
+        raise ValueError(f"cell edges must rise from 0 to {K}")
+    if sizes.size and int(sizes.min()) < 0:
+        raise ValueError("image sizes are nonnegative")
     if K and int(energies.max()) > (2**63 - 1) // K:
         raise ValueError("summed energies exceed the exact int64 range")
     # a cutoff at or above every size counts every member
     top = int(sizes.max()) if sizes.size else 0
-    cutoffs = np.array([min(N, top) for N in thresholds], dtype=np.int64)
-    order = np.argsort(sizes, axis=1)
+    cells = widths.size
+    if cells * (top + 1) > 2**63:
+        raise ValueError("cell-offset sizes exceed the exact int64 range")
+    offsets = np.arange(cells, dtype=np.int64) * (top + 1)
+    targets = (offsets[:, None] + np.array([min(N, top) for N in thresholds], dtype=np.int64)).ravel()
+    keys = sizes + np.repeat(offsets, widths)
+    order = np.argsort(keys, axis=1)
     prefix = np.zeros((S, K + 1), dtype=np.int64)
     np.cumsum(np.take_along_axis(energies, order, axis=1), axis=1, out=prefix[:, 1:])
-    counts = np.array(
-        [np.searchsorted(row, cutoffs, side="right") for row in np.take_along_axis(sizes, order, axis=1)],
+    ends = np.array(
+        [np.searchsorted(row, targets, side="right") for row in np.take_along_axis(keys, order, axis=1)],
         dtype=np.int64,
-    ).reshape(S, len(cutoffs))
-    return counts, np.take_along_axis(prefix, counts, axis=1)
+    ).reshape(S, targets.size)
+    starts = np.repeat(edges[:-1], len(thresholds))
+    return ends - starts, np.take_along_axis(prefix, ends, axis=1) - prefix[:, starts]
 
 
 class CensusCell(NamedTuple):
@@ -321,38 +408,59 @@ class CensusCell(NamedTuple):
 def census_cells(sets, m: int, sizes, energies, thresholds, C=None) -> list[list[CensusCell]]:
     """Per nonempty set, its census cells against one family, in threshold order.
 
-    sizes and energies are the sets' (S, K) battery stats.  The bound
-    |G| N (1/|E| + p^-m) of a cell is kept as the integers
-    |G| N (p^m + |E|) and |E| p^m in lowest terms; ratio <= C is decided
-    by cross-multiplying, and the float ratio is the correctly rounded
+    sizes and energies are the sets' (S, K) battery stats.  This is the
+    one-cell case of stacked_census_cells.
+    """
+    return stacked_census_cells((sets,), None, m, sizes, energies, thresholds, C)[0]
+
+
+def stacked_census_cells(batteries, edges, m: int, sizes, energies, thresholds, C=None):
+    """census_cells of every cell of a stack, from one exceptional_census call.
+
+    Cell c is the family of columns edges[c]:edges[c + 1] of the (S, K)
+    stats (None: all K columns are one cell) against batteries[c], its S
+    nonempty sets; the result holds, per cell, per set, its census cells
+    in threshold order.  The bound |G| N (1/|E| + p^-m) of a cell is kept
+    as the integers |G| N (p^m + |E|) and |E| p^m in lowest terms, with
+    |G| the cell's column count; ratio <= C is decided by
+    cross-multiplying, and the float ratio is the correctly rounded
     quotient of two integers, which equals float(Fraction(count) / bound).
     A zero bound (N = 0, or no member) has ratio 0.  All products are
     Python integers.
     """
-    if any(E.size == 0 for E in sets):
+    batteries = tuple(batteries)
+    if any(E.size == 0 for sets in batteries for E in sets):
         raise ValueError("exceptional counts need a nonempty set (bound uses 1/|E|)")
+    widths = [np.shape(sizes)[1]] if edges is None else np.diff(edges).tolist()
+    if len(widths) != len(batteries):
+        raise ValueError(f"{len(batteries)} batteries for {len(widths)} cells")
     thresholds = [int(N) for N in thresholds]
-    counts, theta = exceptional_census(sizes, energies, thresholds)
-    K = np.shape(sizes)[1]
+    counts, theta = exceptional_census(sizes, energies, thresholds, edges)
     C = None if C is None else Fraction(C)
+    counts, theta = counts.tolist(), theta.tolist()
+    T = len(thresholds)
     out = []
-    for E, count_row, theta_row in zip(sets, counts.tolist(), theta.tolist()):
-        e, q = E.size, E.ambient.p**m
-        row = []
-        for N, count, th in zip(thresholds, count_row, theta_row):
-            num, den = K * N * (q + e), e * q
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-            if C is None:
-                within = None
-            elif num:
-                within = count * den * C.denominator <= C.numerator * num
-            else:
-                within = 0 <= C
-            lhs, rhs = count * e * e, th * N
-            ratio = count * den / num if num else 0.0
-            row.append(CensusCell(N, count, num, den, ratio, within, lhs, rhs, lhs <= rhs or N == 0))
-        out.append(row)
+    for c, (sets, K) in enumerate(zip(batteries, widths)):
+        at = slice(c * T, (c + 1) * T)
+        cell_rows = []
+        for E, count_row, theta_row in zip(sets, counts, theta):
+            e, q = E.size, E.ambient.p**m
+            row = []
+            for N, count, th in zip(thresholds, count_row[at], theta_row[at]):
+                num, den = K * N * (q + e), e * q
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                if C is None:
+                    within = None
+                elif num:
+                    within = count * den * C.denominator <= C.numerator * num
+                else:
+                    within = 0 <= C
+                lhs, rhs = count * e * e, th * N
+                ratio = count * den / num if num else 0.0
+                row.append(CensusCell(N, count, num, den, ratio, within, lhs, rhs, lhs <= rhs or N == 0))
+            cell_rows.append(row)
+        out.append(cell_rows)
     return out
 
 

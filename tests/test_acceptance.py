@@ -18,35 +18,48 @@ import numpy as np
 import pytest
 
 from fpproj import acceptance
+from fpproj.families import RandomFamilyConfig, sample_random_family
+from fpproj.field import AmbientSpace
+from fpproj.projection import battery_projection_stats, census_cells
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
 def logged_suite():
-    """run_suite() with each acceptance.sample_random_family call counted per pass.
+    """run_suite() with the random-model grid's stacked draws and kernel calls logged per pass.
 
-    Also returns, per pass, the size of every package cache when the
-    pass began.
+    Per pass, draws counts each acceptance.sample_random_families call
+    by (p, m, alpha, seeds), and kernel lists the (p, m, member count)
+    of each acceptance.stacked_projection_stats call.  Also returns, per
+    pass, the size of every package cache when the pass began.
     """
     passes = []
     cache_sizes = []
     first, *rest = acceptance.CRITERIA
-    sample = acceptance.sample_random_family
+    draw = acceptance.sample_random_families
+    kernel = acceptance.stacked_projection_stats
     caches = acceptance.package_caches()
 
     def start_pass():
-        passes.append(Counter())
+        passes.append({"draws": Counter(), "kernel": []})
         cache_sizes.append({name: cache.cache_info().currsize for name, cache in caches.items()})
         return first()
 
-    def counted_sample(cfg, *args, **kwargs):
-        passes[-1][(cfg.ambient.p, cfg.m, cfg.alpha, cfg.seed)] += 1
-        return sample(cfg, *args, **kwargs)
+    def counted_draw(cfgs, *args, **kwargs):
+        cfgs = tuple(cfgs)
+        key = (cfgs[0].ambient.p, cfgs[0].m, cfgs[0].alpha, tuple(cfg.seed for cfg in cfgs))
+        passes[-1]["draws"][key] += 1
+        return draw(cfgs, *args, **kwargs)
+
+    def counted_kernel(batteries, G, battery_of):
+        passes[-1]["kernel"].append((G.ambient.p, G.codim, len(G)))
+        return kernel(batteries, G, battery_of)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptance, "CRITERIA", (start_pass, *rest))
-        mp.setattr(acceptance, "sample_random_family", counted_sample)
+        mp.setattr(acceptance, "sample_random_families", counted_draw)
+        mp.setattr(acceptance, "stacked_projection_stats", counted_kernel)
         suite = acceptance.run_suite()
     return suite, passes, cache_sizes
 
@@ -147,19 +160,63 @@ def test_artifacts_match_benchmark_reference(suite):
 # -- random-model cells shared by criteria 6 and 8 ------------------------------
 
 
-def test_each_random_model_cell_sampled_once_per_pass(logged_suite):
+def test_each_random_model_group_built_once_per_pass(logged_suite):
+    # every (p, m, alpha) is drawn once per pass over all 20 seeds, so each
+    # of the 160 cells is sampled once; each (p, m) gets one kernel call
     _, passes, _ = logged_suite
-    cells = {
-        (p, m, alpha, seed)
-        for p, m, alpha in acceptance.random_model_grid()
-        for seed in range(20)
-    }
-    assert len(cells) == 160
+    grid = acceptance.random_model_grid()
+    draws = Counter((p, m, alpha, tuple(range(20))) for p, m, alpha in grid)
+    groups = {(p, m) for p, m, _ in grid}
+    assert len(draws) == 8 and len(groups) == 4
     assert len(passes) == 2
-    for sampled in passes:
-        assert set(sampled) == cells
-        assert set(sampled.values()) == {1}
-    assert sum(sum(sampled.values()) for sampled in passes) == 320
+    for logged in passes:
+        assert logged["draws"] == draws
+        assert sorted((p, m) for p, m, _ in logged["kernel"]) == sorted(groups)
+    assert sum(len(logged["kernel"]) for logged in passes) == 8
+    # one member-battery pair per member of a seed's union of families,
+    # against one per member of each cell
+    unions = cells = 0
+    for p, m in groups:
+        for seed in range(20):
+            families = [
+                sample_random_family(RandomFamilyConfig(AmbientSpace(p, 3), m, alpha, seed))
+                for row_p, row_m, alpha in grid
+                if (row_p, row_m) == (p, m)
+            ]
+            unions += len(set().union(*(G.members for G in families)))
+            cells += sum(len(G) for G in families)
+    for logged in passes:
+        assert sum(K for *_, K in logged["kernel"]) == unions == 2150
+    assert cells == 3378
+
+
+def per_cell_route(p, m, alpha, seed):
+    """A random-model cell built on its own: one draw, battery, kernel call and census."""
+    ambient = AmbientSpace(p, 3)
+    G = sample_random_family(RandomFamilyConfig(ambient, m, alpha, seed))
+    if len(G) == 0:
+        return G, (), ()
+    sets = tuple(acceptance.standard_sets(ambient, base_seed=seed * 100 + m))
+    points = [E for _, E in sets]
+    census = census_cells(points, m, *battery_projection_stats(points, G), (1, 2, 4, 8), Fraction(16))
+    return G, sets, tuple(map(tuple, census))
+
+
+def test_stacked_grid_equals_per_cell_route():
+    acceptance.clear_caches()
+    empty = 0
+    for p, m, alpha in acceptance.random_model_grid():
+        for seed in range(20):
+            G, sets, census = acceptance.random_model_cell(p, m, alpha, seed)
+            ref_G, ref_sets, ref_census = per_cell_route(p, m, alpha, seed)
+            assert G == ref_G and G.members == ref_G.members
+            assert sets == ref_sets
+            assert census == ref_census
+            empty += len(G) == 0
+    assert empty < 160
+    with pytest.raises(ValueError, match="grid cell"):
+        acceptance.random_model_cell(7, 1, Fraction(5, 4), 20)
+    acceptance.clear_caches()
 
 
 def test_every_cache_is_empty_when_a_pass_starts(logged_suite):
@@ -167,7 +224,14 @@ def test_every_cache_is_empty_when_a_pass_starts(logged_suite):
     # read a value cached by the one before it
     _, _, cache_sizes = logged_suite
     names = set(acceptance.package_caches())
-    assert len(names) >= 7 and "fpproj.acceptance.random_model_cell" in names
+    assert names >= {
+        "fpproj.acceptance._random_model_group",
+        "fpproj.field.digit_table",
+        "fpproj.field.power_vector",
+        "fpproj.subspaces._grassmannian",
+        "fpproj.subspaces.perp",
+        "fpproj.subspaces.span_codes",
+    }
     assert len(cache_sizes) == 2
     for sizes in cache_sizes:
         assert sizes == dict.fromkeys(names, 0)

@@ -197,6 +197,26 @@ def test_stacked_transform_equals_per_set_transform(case, chunk):
         assert np.array_equal(single, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(transform_batteries(), st.sampled_from(CHUNKS))
+def test_transform_cube_from_codes_is_byte_equal_to_a_mask_cube(case, chunk):
+    # each chunk's cube is scattered from the sets' codes; a cube stacked
+    # from their p^n masks, transformed the same way, gives the same bytes
+    ambient, sets = case
+    p, n = ambient.p, ambient.n
+    mp = _chunks(chunk)
+    try:
+        blocks = list(stacked_dft(sets))
+    finally:
+        mp.undo()
+    for part, values in blocks:
+        cube = np.array([E.mask for E in sets[part]], dtype=np.complex128)
+        cube = cube.reshape((len(cube),) + (p,) * n)
+        expected = np.fft.fftn(cube, axes=tuple(range(1, n + 1))).reshape(len(cube), -1)
+        assert values.dtype == expected.dtype and values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
+
+
 def test_stacked_transform_arguments_are_checked():
     assert list(stacked_dft(())) == []
     with pytest.raises(ValueError):

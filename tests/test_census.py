@@ -28,6 +28,7 @@ from fpproj.projection import (
     exceptional_report_from_stats,
     explicit_bound_from_sizes,
     family_projection_stats,
+    stacked_census_cells,
 )
 from fpproj.subspaces import first_subspace, grassmannian
 import oracles
@@ -121,6 +122,55 @@ def test_one_cell_report_matches_reference(case):
             assert (report.family_size, report.threshold) == (len(row_sizes), N)
             assert (report.count, report.bound, report.ratio) == (count, bound, ratio)
             assert report.pairs_bound_ok is pairs_ok
+
+
+@st.composite
+def stacked_censuses(draw):
+    """(m, batteries, sizes, energies, thresholds): 1-5 cells of S sets, some with no member."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    m = draw(st.integers(1, 3))
+    S = draw(st.integers(1, 4))
+    thresholds = draw(st.lists(st.integers(0, 9), max_size=6))
+    batteries, sizes, energies = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        K = draw(st.integers(0, 6))
+        batteries.append(point_sets(p, draw(st.lists(st.integers(1, 40), min_size=S, max_size=S))))
+        sizes.append(draw(st.lists(st.lists(st.integers(0, 6), min_size=K, max_size=K), min_size=S, max_size=S)))
+        energies.append(
+            draw(st.lists(st.lists(st.integers(0, 300), min_size=K, max_size=K), min_size=S, max_size=S))
+        )
+    return m, batteries, sizes, energies, thresholds
+
+
+@settings(max_examples=120, deadline=None)
+@given(stacked_censuses())
+def test_stacked_census_equals_one_census_per_cell(case):
+    m, batteries, sizes, energies, thresholds = case
+    S = len(batteries[0])
+    blocks = [(np.array(s, dtype=np.int64).reshape(S, -1), np.array(e, dtype=np.int64).reshape(S, -1)) for s, e in zip(sizes, energies)]
+    edges = np.cumsum([0] + [s.shape[1] for s, _ in blocks])
+    all_sizes = np.hstack([s for s, _ in blocks])
+    all_energies = np.hstack([e for _, e in blocks])
+    counts, theta = exceptional_census(all_sizes, all_energies, thresholds, edges)
+    per_cell = [exceptional_census(s, e, thresholds) for s, e in blocks]
+    assert counts.shape == theta.shape == (S, len(blocks) * len(thresholds))
+    assert np.array_equal(counts, np.hstack([c for c, _ in per_cell]).reshape(counts.shape))
+    assert np.array_equal(theta, np.hstack([t for _, t in per_cell]).reshape(theta.shape))
+    for C in (None, *RATIO_CONSTANTS):
+        stacked = stacked_census_cells(batteries, edges, m, all_sizes, all_energies, thresholds, C)
+        assert stacked == [census_cells(sets, m, s, e, thresholds, C) for sets, (s, e) in zip(batteries, blocks)]
+
+
+def test_stacked_census_rejects_bad_cells():
+    sets = point_sets(3, [4, 2])
+    sizes = np.array([[1, 2, 3], [1, 1, 2]])
+    for edges in ([1, 3], [0, 2], [0, 2, 1, 3], [0], [[0, 3]]):
+        with pytest.raises(ValueError, match="edges"):
+            exceptional_census(sizes, sizes, [1], edges)
+    with pytest.raises(ValueError, match="cells"):
+        stacked_census_cells([sets], [0, 1, 3], 1, sizes, sizes, [1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        exceptional_census(-sizes, sizes, [1], [0, 1, 3])
 
 
 def test_census_of_kernel_stats_matches_reference():

@@ -1,6 +1,8 @@
 """The batched family kernel against the per-member path and the oracles.
 
-battery_projection_stats (and its one-set case family_projection_stats),
+stacked_projection_stats (each member against its own battery), its
+one-battery case battery_projection_stats and that one's one-set case
+family_projection_stats,
 the batched coset identity, hyperplane_intersection_max and
 spread_profile work on stacked member arrays in chunks; each test here
 recomputes the same quantity one set and one member at a time
@@ -28,7 +30,7 @@ from fpproj.families import (
 )
 from fpproj.field import AmbientSpace, FpVector, decode, encode_array
 from fpproj.fourier import coset_energy_spectral, dft, verify_coset_identities
-from fpproj.pointsets import PointSet, random_point_set
+from fpproj.pointsets import PointSet, random_point_set, random_point_sets
 from fpproj.projection import (
     battery_projection_stats,
     cauchy_schwarz_gap,
@@ -36,6 +38,7 @@ from fpproj.projection import (
     family_projection_stats,
     fiber_counts,
     incidence_decomposition,
+    stacked_projection_stats,
 )
 from fpproj.subspaces import (
     CHUNK_ELEMENTS,
@@ -473,6 +476,135 @@ def test_kernel_memory_does_not_grow_with_the_family(monkeypatch, route):
         peaks.append(peak - sizes.nbytes - energies.nbytes)
         assert (sizes[0].tolist(), energies[0].tolist()) == per_member_stats(sets[0], G.members)
     assert peaks[1] < 2 * peaks[0]
+
+
+# -- one battery per member ---------------------------------------------------------
+
+
+@st.composite
+def point_sets(draw, ambient):
+    """An empty set, a single point or a random subset of up to 30 points."""
+    kind = draw(st.sampled_from(("empty", "single", "random")))
+    if kind == "empty":
+        codes = []
+    elif kind == "single":
+        codes = [draw(st.integers(0, ambient.point_count - 1))]
+    else:
+        codes = draw(st.lists(st.integers(0, ambient.point_count - 1), max_size=30, unique=True))
+    return PointSet.from_codes(ambient, codes)
+
+
+@st.composite
+def stacked_batteries(draw):
+    """(ambient, members, batteries, battery_of): 1-4 batteries of S sets and each member's battery.
+
+    Set sizes vary, so most batteries are ragged and padded; small sets
+    against p^m up to 343 reach the sorted route without patching.
+    """
+    ambient, _, members, _ = draw(instances())
+    S = draw(st.integers(1, 4))
+    B = draw(st.integers(1, 4))
+    batteries = [[draw(point_sets(ambient)) for _ in range(S)] for _ in range(B)]
+    battery_of = draw(st.lists(st.integers(0, B - 1), min_size=len(members), max_size=len(members)))
+    return ambient, members, batteries, np.array(battery_of, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stacked_batteries(),
+    st.sampled_from((*sorted(ROUTES), "sizes")),
+    st.sampled_from(TABLES),
+    st.sampled_from(BATTERY_CHUNKS),
+)
+def test_stacked_stats_match_per_battery_calls_and_oracle(case, route, table, chunk):
+    ambient, members, batteries, battery_of = case
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "sizes":  # the route the sizes choose
+            mp.setattr(fpproj.projection, "TABLE_ELEMENTS", table)
+            mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
+        else:
+            force(mp, route, table, chunk)
+        sizes, energies = stacked_projection_stats(batteries, members, battery_of)
+        per_battery = [battery_projection_stats(sets, members) for sets in batteries]
+        one = stacked_projection_stats(batteries[:1], members, np.zeros(len(members), dtype=np.int64))
+    S = len(batteries[0])
+    assert sizes.shape == energies.shape == (S, len(members))
+    for k, b in enumerate(battery_of.tolist()):
+        assert sizes[:, k].tolist() == per_battery[b][0][:, k].tolist()
+        assert energies[:, k].tolist() == per_battery[b][1][:, k].tolist()
+    for b, sets in enumerate(batteries):
+        own = np.flatnonzero(battery_of == b)
+        for s, E in enumerate(sets):
+            expected = oracle_stats(E, [members[k] for k in own])
+            assert (sizes[s, own].tolist(), energies[s, own].tolist()) == expected
+    # one battery for every member is the one-battery call
+    assert np.array_equal(one[0], per_battery[0][0]) and np.array_equal(one[1], per_battery[0][1])
+
+
+class StandIn:
+    """A point set with an ambient and a size but no points: reading one fails."""
+
+    def __init__(self, ambient, size):
+        self.ambient, self.size = ambient, size
+
+
+def test_stacked_checks_fire_before_any_allocation():
+    a = AmbientSpace(7, 4)
+    G = full_family(a, 2)  # 2850 members
+    K, S = len(G), 64
+    ok = [StandIn(a, 5)] * S
+    bad_cases = [
+        ([ok, [StandIn(AmbientSpace(7, 3), 5)] * S], np.zeros(K, dtype=np.int64), "ambient"),
+        ([ok, ok], np.full(K, 2), "index"),
+        ([ok, ok], np.full(K, -1), "index"),
+        ([ok, ok], np.zeros(K, dtype=bool), "index"),
+        ([ok, ok], np.zeros(K - 1, dtype=np.int64), "shape"),
+        ([ok, ok], np.zeros((K, 1), dtype=np.int64), "shape"),
+        ([ok, ok[:-1]], np.zeros(K, dtype=np.int64), "sets"),
+        ([], np.zeros(K, dtype=np.int64), "at least one"),
+    ]
+    for batteries, battery_of, message in bad_cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                stacked_projection_stats(batteries, G, battery_of)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < S * K * 8  # not even the (S, K) results were allocated
+    # (S + 1) * p^m >= 2^63 > S * p^m: one more label block than the sets
+    # take, for the pad of a short battery
+    big = AmbientSpace(3, 39)
+    W = first_subspace(big, 1)
+    assert 6 * 3**38 < 2**63 <= 7 * 3**38
+    with pytest.raises(ValueError, match="int64"):
+        stacked_projection_stats([[StandIn(big, 1)] * 6], (W,), [0])
+
+
+def test_stacked_peak_does_not_grow_with_the_batteries(monkeypatch):
+    # 20 batteries against 2, the same members and chunk caps: only
+    # per-slot arrays grow, and they stay small against a chunk's work
+    monkeypatch.setattr(fpproj.projection, "TABLE_ELEMENTS", fpproj.projection.TABLE_ELEMENTS)
+    monkeypatch.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", CHUNK_ELEMENTS)
+    a = AmbientSpace(7, 3)
+    G = full_family(a, 1)
+    G.stack.annihilators  # held by the family, not the kernel
+    sizes = [2, 5, 12, 30, 70, 150, 300, 7, 49, 37]  # a standard battery's sizes
+    batteries = [random_point_sets(a, sizes, range(10 * b, 10 * b + 10)) for b in range(20)]
+    peaks = []
+    for B in (2, 20):
+        battery_of = np.arange(len(G)) % B
+        tracemalloc.start()
+        try:
+            result = stacked_projection_stats(batteries[:B], G, battery_of)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - current)
+        for k in (0, len(G) - 1):
+            expected = family_projection_stats(batteries[battery_of[k]][3], (G.members[k],))
+            assert (result[0][3, k], result[1][3, k]) == (expected[0][0], expected[1][0])
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # -- hyperplanes -------------------------------------------------------------------
