@@ -50,11 +50,11 @@ from .projection import (
     stacked_projection_stats,
 )
 from .subspaces import (
+    csv_subspace_name,
     enumerate_subspaces,
     first_subspace,
     grassmannian,
     perp_stack,
-    serialize_subspace,
 )
 
 
@@ -413,7 +413,7 @@ def criterion5() -> CriterionResult:
     for p, n, m in coset_identity_grid():
         ambient = AmbientSpace(p, n)
         G = full_family(ambient, m)
-        names = [serialize_subspace(W).replace(",", " ").replace(";", "|") for W in G]
+        names = [csv_subspace_name(W) for W in G]
         sets = coset_identity_sets(ambient, m)
         res = verify_coset_identities([E for _, E in sets], G, tol=1e-6)
         passed = passed and bool(res.passed.all())

@@ -40,7 +40,7 @@ from .pointsets import (
     random_point_set,
 )
 from .projection import battery_projection_stats, census_cells, project
-from .subspaces import first_subspace, grassmannian, parse_subspace, serialize_subspace
+from .subspaces import csv_subspace_name, first_subspace, grassmannian, parse_subspace, serialize_subspace
 
 SWEEP_HEADER = (
     "p,n,m,family_id,family_size,set_id,set_size,threshold_kind,threshold,"
@@ -152,7 +152,7 @@ def cmd_identity_check(args) -> int:
     ambient = AmbientSpace(args.p, args.n)
     check_budget(ambient.point_count, args.point_budget, "p^n for the transform")
     stack = grassmannian(ambient, args.n - args.m, budget=args.subspace_budget)
-    names = [serialize_subspace(W).replace(",", " ").replace(";", "|") for W in stack.members]
+    names = [csv_subspace_name(W) for W in stack.members]
     lines = ["p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass"]
     failed = False
     for trial in range(args.trials):
@@ -289,6 +289,8 @@ def _threshold_to_N(ambient, m, kind, value):
 def cmd_sweep(args) -> int:
     ambient, m, family_specs, set_specs, kind, values, C, cfg_out = _load_sweep_config(args.config)
     out_path = args.out or cfg_out
+    # (N, shown) per threshold, reduced first so a bad value fails even if every family is skipped
+    cutoffs = [_threshold_to_N(ambient, m, kind, value) for value in values]
 
     families = []
     for spec in family_specs:
@@ -307,7 +309,6 @@ def cmd_sweep(args) -> int:
     points = [E for _, E in sets]
 
     lines = [SWEEP_HEADER]
-    cutoffs = None  # (N, shown) per threshold, reduced once a cell needs them
     any_failed = any_skipped = False
     for family_id, G, seed_field, sc, sp in families:
         if G is None:
@@ -321,8 +322,6 @@ def cmd_sweep(args) -> int:
             continue
         if not sets:
             continue  # a battery needs at least one set
-        if cutoffs is None:
-            cutoffs = [_threshold_to_N(ambient, m, kind, value) for value in values]
         stats = battery_projection_stats(points, G)
         census = census_cells(points, m, *stats, [N for N, _ in cutoffs], C)
         for (set_id, E), cells in zip(sets, census):

@@ -83,8 +83,11 @@ def parse_fraction(text) -> Fraction:
     """Parse 'a/b', decimal strings, ints or floats to an exact Fraction.
 
     Floats go through their shortest decimal repr, so the JSON literal
-    1.3 becomes 13/10 rather than its binary expansion.
+    1.3 becomes 13/10 rather than its binary expansion.  A bool is an
+    int to Python but no rational to a config, so it is refused.
     """
+    if isinstance(text, bool):
+        raise ValueError(f"expected a rational number, got the bool {text}")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):

@@ -137,11 +137,6 @@ def inclusion_masks(cfgs) -> np.ndarray:
     return np.concatenate([masks for _, masks in rows])
 
 
-def inclusion_mask(cfg: RandomFamilyConfig) -> np.ndarray:
-    """Inclusion decisions by enumeration index for one config."""
-    return inclusion_masks((cfg,))[0]
-
-
 def sample_random_families(cfgs, budget=DEFAULT_SUBSPACE_BUDGET) -> tuple[np.ndarray, tuple[Family, ...]]:
     """(inclusion_masks(cfgs), the family of each config), for configs differing in seed only.
 

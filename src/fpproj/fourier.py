@@ -82,18 +82,16 @@ def _dft_chunks(sets, ambient: AmbientSpace):
         yield part, np.fft.fftn(cube, axes=tuple(range(1, n + 1))).reshape(len(chunk), -1)
 
 
-def dft(E: PointSet, method: str = "auto", budget=DEFAULT_POINT_BUDGET) -> SpectralTable:
+def dft(E: PointSet, method: str = "factored", budget=DEFAULT_POINT_BUDGET) -> SpectralTable:
     """Transform of the indicator of E.
 
-    method 'factored' (the default under 'auto') evaluates one axis at
+    method 'factored' (the default) evaluates one axis at
     a time in O(n p^(n+1)) via the FFT, as the one-set case of
     stacked_dft; 'direct' sums characters per frequency in O(p^n |E|)
     and exists as the independent cross-check.
     """
     ambient = E.ambient
     check_budget(ambient.point_count, budget, "p^n for the transform")
-    if method == "auto":
-        method = "factored"
     if method == "factored":
         values = next(stacked_dft((E,), budget))[1][0]
     elif method == "direct":

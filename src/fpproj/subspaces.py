@@ -3,8 +3,9 @@
 A subspace is identified with its unique reduced-row-echelon basis, so
 equality, hashing and enumeration order are all deterministic.  Cosets
 of a proper nontrivial subspace W are labeled by the smallest point
-code they contain; the labeling is computed by eliminating coordinates
-from the most significant end, which lands exactly on that minimum.
+code they contain, read off the residues of a point against the
+canonical basis of the annihilator Per(W): the one coset labelling,
+also behind membership (a point lies in W iff its label is 0).
 Any collection of subspaces of one dimension, a whole Grassmannian or a
 family, is one SubspaceStack of bases; Subspace objects are built from
 it only when a caller iterates.
@@ -88,6 +89,11 @@ class Subspace:
 def serialize_subspace(W: Subspace) -> str:
     """Rows joined by ';', coordinates by ',': e.g. '1,0,2;0,1,1'."""
     return ";".join(",".join(str(c) for c in row) for row in W.basis)
+
+
+def csv_subspace_name(W: Subspace) -> str:
+    """serialize_subspace with ' ' and '|' as separators, one CSV field: e.g. '1 0 2|0 1 1'."""
+    return serialize_subspace(W).replace(",", " ").replace(";", "|")
 
 
 def parse_subspace(ambient: AmbientSpace, text: str) -> Subspace:
@@ -425,7 +431,7 @@ def member_stack(ambient: AmbientSpace, G) -> SubspaceStack:
 
 @dataclass(frozen=True)
 class CosetLabel:
-    """A coset x+W named by the smallest point code it contains."""
+    """A coset x+W named by its smallest point code, read off x's residues against Per(W)."""
 
     subspace: Subspace
     representative: int
@@ -434,35 +440,32 @@ class CosetLabel:
         return decode(self.subspace.ambient, self.representative)
 
 
-def _coset_reduction(W: Subspace):
-    """Basis of W in RREF over the reversed columns, and its pivot columns.
-
-    Row r is 1 at its trailing (highest-index) column trail[r], and
-    every other row vanishes there.  Subtracting x[trail[r]] * row_r
-    for all r zeroes the trailing columns of x; any other coset element
-    differs first (from the most significant coordinate down) by a
-    nonzero entry at some trail[r], so the reduced point is the coset
-    minimum in point-code order.
-    """
-    n = W.ambient.n
-    R, _, pivots = rref(FpMatrix(W.ambient, tuple(row[::-1] for row in W.basis)))
-    rows = np.array(R.rows, dtype=np.int64).reshape(W.dim, n)[:, ::-1]
-    return rows, tuple(n - 1 - c for c in pivots)
-
-
 def _require_proper(W: Subspace):
     if not W.is_proper_nontrivial():
         raise ValueError("cosets are only defined for proper nontrivial subspaces")
 
 
+def _coset_weights(W: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """The RREF rows b_j of Per(W) as an (m, n) array, and p^(c_j) for each pivot column c_j."""
+    n = W.ambient.n
+    rows = np.array(perp(W).basis, dtype=np.int64).reshape(W.codim, n)
+    return rows, power_vector(W.ambient.p, n)[(rows != 0).argmax(axis=1)]
+
+
 def reduce_points(W: Subspace, points: np.ndarray) -> np.ndarray:
-    """Coset-minimum codes for a (m, n) coordinate matrix (vectorized)."""
-    p = W.ambient.p
-    rows, trail = _coset_reduction(W)
-    x = points
-    for row, c in zip(rows, trail):
-        x = (x - x[:, c : c + 1] * row) % p
-    return encode_array(W.ambient, x)
+    """Coset-minimum codes for a (m, n) coordinate matrix (vectorized).
+
+    x and y share a coset iff b_j.x = b_j.y mod p for every row b_j of
+    Per(W).  The point with residue b_j.x at each pivot column c_j and 0
+    elsewhere lies in x+W, as b_j is 1 at c_j and every other row is 0
+    there.  It is the minimum: any other coset point differs from it by
+    a nonzero w in W whose last nonzero coordinate is no c_j (b_j
+    vanishes before c_j and b_j.w = 0), so it is nonzero where the
+    minimum is 0 and equal to it above.  W = 0 gives the point's code,
+    W = F_p^n gives 0.
+    """
+    rows, weights = _coset_weights(W)
+    return (points @ rows.T % W.ambient.p) @ weights
 
 
 def coset_label(W: Subspace, x: FpVector) -> CosetLabel:
@@ -477,14 +480,10 @@ def coset_label(W: Subspace, x: FpVector) -> CosetLabel:
 def enumerate_cosets(W: Subspace) -> list[CosetLabel]:
     """All p^(n-dim W) coset labels, sorted by representative code."""
     _require_proper(W)
-    ambient = W.ambient
-    _, trail = _coset_reduction(W)
-    free = [c for c in range(ambient.n) if c not in trail]
-    coeffs = digit_table(ambient.p, len(free))
-    pts = np.zeros((len(coeffs), ambient.n), dtype=np.int64)
-    pts[:, free] = coeffs
-    codes = np.sort(encode_array(ambient, pts))
-    return [CosetLabel(W, int(c)) for c in codes]
+    _, weights = _coset_weights(W)
+    # the pivot columns increase, so digit order is already code order
+    codes = digit_table(W.ambient.p, W.codim) @ weights
+    return [CosetLabel(W, c) for c in codes.tolist()]
 
 
 def coset_points(label: CosetLabel) -> np.ndarray:

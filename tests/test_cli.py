@@ -364,6 +364,18 @@ def test_sweep_rejects_bools_and_floats_where_integers_belong(tmp_path, capsys):
         assert run("sweep", "--config", str(cfg), "--out", str(out), "--subspace-budget", "10") == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
         assert not out.exists()
+    # C and the t / eps values are rationals; Fraction(True) would run them as 1
+    for overrides, budget in (
+        (dict(C=True), "100"),
+        (dict(thresholds={"kind": "t", "values": [True]}), "100"),
+        (dict(thresholds={"kind": "eps", "values": [1, False]}), "100"),
+        # every family skipped: the values are still checked
+        (dict(thresholds={"kind": "t", "values": [True]}), "10"),
+    ):
+        cfg = write_config(tmp_path, **overrides)
+        assert run("sweep", "--config", str(cfg), "--out", str(out), "--subspace-budget", budget) == 2
+        assert "expected a rational number, got the bool" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_accepts_integer_strings_and_fractional_exponents(tmp_path):

@@ -113,6 +113,9 @@ def test_parse_fraction_forms():
     assert parse_fraction(1.3) == Fraction(13, 10)
     assert parse_fraction(2) == Fraction(2)
     assert parse_fraction(Fraction(5, 4)) == Fraction(5, 4)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="bool"):
+            parse_fraction(flag)
 
 
 # -- counter-based keys ----------------------------------------------------------

@@ -14,7 +14,7 @@ from fpproj.families import (
     family_from_directions,
     full_family,
     hyperplane_intersection_max,
-    inclusion_mask,
+    inclusion_masks,
     load_family,
     moment_family,
     sample_random_family,
@@ -145,7 +145,7 @@ def test_sampling_is_deterministic_and_order_independent():
     G2 = sample_random_family(c)
     assert G1.members == G2.members
     # inclusion decisions depend only on (seed, index)
-    mask = inclusion_mask(c)
+    mask = inclusion_masks((c,))[0]
     grassmannian = enumerate_subspaces(c.ambient, 2)
     expected = tuple(W for W, keep in zip(grassmannian, mask) if keep)
     assert G1.members == expected

@@ -26,6 +26,9 @@ def test_dft_zero_frequency_is_cardinality():
     E = random_point_set(a, 9, seed=1)
     for method in ("factored", "direct"):
         assert abs(dft(E, method=method).values[0] - 9) < 1e-9
+    assert np.array_equal(dft(E).values, dft(E, method="factored").values)
+    with pytest.raises(ValueError, match="unknown method"):
+        dft(E, method="auto")
 
 
 def test_dft_full_space_is_delta():

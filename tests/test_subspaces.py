@@ -5,16 +5,19 @@ import pytest
 
 from fpproj.budgets import BudgetError
 from fpproj.field import AmbientSpace, FpMatrix, FpVector, encode, gaussian_binomial, nullspace
+from fpproj import subspaces
 from fpproj.subspaces import (
     Subspace,
     contains,
     coset_label,
     coset_points,
+    csv_subspace_name,
     enumerate_cosets,
     enumerate_subspaces,
     grassmannian,
     parse_subspace,
     perp,
+    reduce_points,
     serialize_subspace,
     span_codes,
     span_of_point,
@@ -163,6 +166,20 @@ def test_contains_basics():
         contains(W, FpVector.zero(amb(5, 2)))
 
 
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
+def test_trivial_subspaces_contain_and_reduce(p, n):
+    a = amb(p, n)
+    zero, full = Subspace.zero(a), Subspace.full(a)
+    pts = np.array(list(all_vectors(p, n)), dtype=np.int64)
+    codes = np.array([encode(FpVector(a, v)) for v in all_vectors(p, n)])
+    assert np.array_equal(reduce_points(zero, pts), codes)
+    assert np.array_equal(reduce_points(full, pts), np.zeros(len(pts), dtype=np.int64))
+    for coords in all_vectors(p, n):
+        v = FpVector(a, coords)
+        assert contains(zero, v) == v.is_zero()
+        assert contains(full, v)
+
+
 def test_contains_counts_match_span_size():
     a = amb(5, 3)
     for W in enumerate_subspaces(a, 2)[:8]:
@@ -231,7 +248,7 @@ def test_coset_label_rejects_trivial_and_full():
         coset_label(Subspace.full(a), FpVector.zero(a))
 
 
-@pytest.mark.parametrize("p,n", [(3, 3), (2, 4), (5, 2)])
+@pytest.mark.parametrize("p,n", [(3, 3), (2, 4), (5, 2), (3, 4)])
 def test_coset_label_is_minimum_code_exhaustive(p, n):
     a = amb(p, n)
     for k in range(1, n):
@@ -240,6 +257,34 @@ def test_coset_label_is_minimum_code_exhaustive(p, n):
             for coords in all_vectors(p, n):
                 lbl = coset_label(W, FpVector(a, coords))
                 assert lbl.representative == min_code_in_coset(coords, pts, p)
+
+
+def test_coset_naming_runs_no_scalar_elimination(monkeypatch):
+    # cosets are named through Per(W) (stacked elimination, cached), never by rref
+    a = amb(3, 3)
+    built = [W for k in (1, 2) for W in enumerate_subspaces(a, k)[::3]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rref called while naming cosets")
+
+    monkeypatch.setattr(subspaces, "rref", refuse)
+    pts = np.array(list(all_vectors(3, 3)), dtype=np.int64)
+    for W in built:
+        span = span_set(W.basis, 3, 3)
+        expected = [min_code_in_coset(coords, span, 3) for coords in all_vectors(3, 3)]
+        assert reduce_points(W, pts).tolist() == expected
+        x = (1, 2, 0)
+        assert coset_label(W, FpVector(a, x)).representative == min_code_in_coset(x, span, 3)
+        assert [c.representative for c in enumerate_cosets(W)] == sorted(set(expected))
+        assert contains(W, FpVector(a, W.basis[0]))
+
+
+def test_coset_naming_refuses_the_inexact_int64_range():
+    # codes need p^n < 2^63 and Per(W) needs n(p-1)^2 < 2^63; for n = 2, p > 2^31 + 1 lies between
+    a = amb(2**31 + 11, 2)
+    W = Subspace.from_rows(a, [(1, 5)])
+    with pytest.raises(ValueError, match="exact int64 range"):
+        reduce_points(W, np.array([[3, 4]], dtype=np.int64))
 
 
 def test_coset_label_translation_invariance_exhaustive():
@@ -295,6 +340,7 @@ def test_serialize_round_trip():
 def test_serialize_format():
     W = Subspace(amb(3, 3), ((1, 0, 2), (0, 1, 1)))
     assert serialize_subspace(W) == "1,0,2;0,1,1"
+    assert csv_subspace_name(W) == "1 0 2|0 1 1"
 
 
 def test_parse_rejects_wrong_width():
