@@ -77,9 +77,7 @@ class CriterionResult:
     @cached_property
     def csv(self) -> str:
         """The artifact text, rendered once per result."""
-        lines = [",".join(self.header)]
-        lines.extend(",".join(map(_cell, row)) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return csv_text(self.header, self.rows)
 
 
 _CELL_BY_TYPE = {
@@ -96,6 +94,16 @@ def _cell(value) -> str:
     if render is None:  # subclasses and other types (numpy scalars, ...)
         render = next((_CELL_BY_TYPE[t] for t in type(value).__mro__ if t in _CELL_BY_TYPE), str)
     return render(value)
+
+
+def csv_text(header, rows) -> str:
+    """Header line, then one line per row of values rendered by _cell; no cell is quoted.
+
+    Every CSV the package writes (the artifacts, sweep, identity-check) is made here.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

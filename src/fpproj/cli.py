@@ -45,7 +45,10 @@ from .subspaces import csv_subspace_name, first_subspace, grassmannian, parse_su
 SWEEP_HEADER = (
     "p,n,m,family_id,family_size,set_id,set_size,threshold_kind,threshold,"
     "exceptional_count,bound_num,bound_den,ratio,spread_containing,spread_perp,seed,pass"
-)
+).split(",")
+IDENTITY_HEADER = "p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass".split(",")
+CONFIG_KEYS = ("p", "n", "m", "families", "sets", "thresholds", "C", "output")
+THRESHOLD_KEYS = ("kind", "values")
 
 MAX_EXPONENT_DENOMINATOR = 12
 
@@ -121,6 +124,15 @@ def parse_family_spec(
 # ---------------------------------------------------------------------------
 
 
+def _write(text: str, path) -> None:
+    """Write a report to path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_count(args) -> int:
     formula = gaussian_binomial(args.n, args.k, args.p)
     try:
@@ -150,41 +162,29 @@ def cmd_identity_check(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     ambient = AmbientSpace(args.p, args.n)
-    check_budget(ambient.point_count, args.point_budget, "p^n for the transform")
     stack = grassmannian(ambient, args.n - args.m, budget=args.subspace_budget)
     names = [csv_subspace_name(W) for W in stack.members]
-    lines = ["p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass"]
+    rows = []
     failed = False
     for trial in range(args.trials):
         size = 1 + (args.seed + trial * 13) % ambient.point_count
+        # the sampler checks p^n against the budget before any key is drawn
         E = random_point_set(ambient, size, seed=args.seed + trial, budget=args.point_budget)
+        prefix = (args.p, args.n, args.m, trial, E.size)
         table = dft(E, budget=args.point_budget)
-        mass = spectral_mass(table)
         defect = plancherel_defect(E, table)
-        rel = defect / (ambient.point_count * max(1, E.size))
-        ok = rel <= args.tol
+        ok = defect / (ambient.point_count * max(1, E.size)) <= args.tol
         failed = failed or not ok
-        lines.append(
-            f"{args.p},{args.n},{args.m},{trial},{E.size},plancherel,,"
-            f"{ambient.point_count * E.size},{mass:.12g},"
-            f"{defect:.12g},{1 if ok else 0}"
+        rows.append(
+            (*prefix, "plancherel", "", ambient.point_count * E.size, spectral_mass(table), defect, ok)
         )
         res = verify_coset_identities((E,), stack, tol=args.tol, tables=(table,))
         failed = failed or not res.passed.all()
         for ser, spatial, spectral, passed in zip(
             names, res.spatial[0].tolist(), res.spectral[0].tolist(), res.passed[0].tolist()
         ):
-            lines.append(
-                f"{args.p},{args.n},{args.m},{trial},{E.size},coset,{ser},"
-                f"{spatial},{spectral:.12g},"
-                f"{abs(spatial - spectral):.12g},{1 if passed else 0}"
-            )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            rows.append((*prefix, "coset", ser, spatial, spectral, abs(spatial - spectral), passed))
+    _write(acceptance.csv_text(IDENTITY_HEADER, rows), args.out)
     return 1 if failed else 0
 
 
@@ -211,7 +211,7 @@ def cmd_examples(args) -> int:
         G, S = moment_family(args.p, args.n), moment_curve_set(args.p, args.n)
     print(f"set_size {S.size}")
     print(f"family_size {len(G)}")
-    print(f"spread_perp {spread_perp(G).max_count}")
+    print(f"spread_perp {spread_perp(G, budget=args.point_budget).max_count}")
     if args.which == "moment":
         print(f"hyperplane_max {hyperplane_intersection_max(S, budget=args.subspace_budget)}")
     failed = False
@@ -256,13 +256,16 @@ def _load_sweep_config(path):
         values = list(thresholds["values"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed key: {exc}") from None
+    for where, given, allowed in (("", raw, CONFIG_KEYS), ("thresholds.", thresholds, THRESHOLD_KEYS)):
+        for key in given:
+            if key not in allowed:
+                raise ValueError(f"{path}: unknown key {where}{key}; allowed: {' '.join(allowed)}")
     if kind not in ("N", "t", "eps"):
         raise ValueError(f"{path}: thresholds.kind must be one of N, t, eps")
     if kind == "N":
         values = [_config_int(path, "thresholds.values", value) for value in values]
     C = parse_fraction(raw.get("C", 16))
-    output = raw.get("output")
-    return ambient, m, families, sets, kind, values, C, output
+    return ambient, m, families, sets, kind, values, C, raw.get("output")
 
 
 def _threshold_to_N(ambient, m, kind, value):
@@ -288,7 +291,6 @@ def _threshold_to_N(ambient, m, kind, value):
 
 def cmd_sweep(args) -> int:
     ambient, m, family_specs, set_specs, kind, values, C, cfg_out = _load_sweep_config(args.config)
-    out_path = args.out or cfg_out
     # (N, shown) per threshold, reduced first so a bad value fails even if every family is skipped
     cutoffs = [_threshold_to_N(ambient, m, kind, value) for value in values]
 
@@ -296,8 +298,8 @@ def cmd_sweep(args) -> int:
     for spec in family_specs:
         try:
             G, seed_field = parse_family_spec(ambient, m, spec, budget=args.subspace_budget)
-            sc = spread_containing(G).max_count
-            sp = spread_perp(G).max_count
+            sc = spread_containing(G, budget=args.point_budget).max_count
+            sp = spread_perp(G, budget=args.point_budget).max_count
             families.append((spec, G, seed_field, sc, sp))
         except BudgetError:
             families.append((spec, None, "", "", ""))
@@ -308,16 +310,16 @@ def cmd_sweep(args) -> int:
             raise ValueError("sweep sets must be nonempty (the bound uses 1/|E|)")
     points = [E for _, E in sets]
 
-    lines = [SWEEP_HEADER]
+    rows = []
     any_failed = any_skipped = False
     for family_id, G, seed_field, sc, sp in families:
         if G is None:
             for set_id, E in sets:
-                for value in values:
-                    lines.append(
-                        f"{ambient.p},{ambient.n},{m},{family_id},,{set_id},{E.size},{kind},"
-                        f"{value},,,,,,,{seed_field},skipped"
-                    )
+                for _, shown in cutoffs:
+                    rows.append(
+                        (ambient.p, ambient.n, m, family_id, "", set_id, E.size, kind, shown,
+                         *("",) * 6, seed_field, "skipped")
+                    )  # fmt: skip
                     any_skipped = True
             continue
         if not sets:
@@ -326,25 +328,15 @@ def cmd_sweep(args) -> int:
         census = census_cells(points, m, *stats, [N for N, _ in cutoffs], C)
         for (set_id, E), cells in zip(sets, census):
             for (_, shown), cell in zip(cutoffs, cells):
-                ok = cell.within
-                any_failed = any_failed or not ok
-                lines.append(
-                    f"{ambient.p},{ambient.n},{m},{family_id},{len(G)},{set_id},{E.size},"
-                    f"{kind},{shown},{cell.count},{cell.bound_num},{cell.bound_den},"
-                    f"{cell.ratio:.12g},{sc},{sp},{seed_field},{1 if ok else 0}"
-                )
+                any_failed = any_failed or not cell.within
+                rows.append(
+                    (ambient.p, ambient.n, m, family_id, len(G), set_id, E.size, kind, shown,
+                     cell.count, cell.bound_num, cell.bound_den, cell.ratio, sc, sp, seed_field,
+                     cell.within)
+                )  # fmt: skip
 
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if any_failed:
-        return 1
-    if any_skipped:
-        return 3
-    return 0
+    _write(acceptance.csv_text(SWEEP_HEADER, rows), args.out or cfg_out)
+    return 1 if any_failed else 3 if any_skipped else 0
 
 
 def cmd_accept(args) -> int:
@@ -368,15 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budgets(sp):
-        sp.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET)
-        sp.add_argument("--subspace-budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
+    budgets = {"--point-budget": DEFAULT_POINT_BUDGET, "--subspace-budget": DEFAULT_SUBSPACE_BUDGET}
+
+    def add_budgets(sp, *flags):  # only the budgets the subcommand reads
+        for flag in flags:
+            sp.add_argument(flag, type=int, default=budgets[flag])
 
     sp = sub.add_parser("count", help="Gaussian-binomial formula vs enumeration")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    add_budgets(sp)
+    add_budgets(sp, "--subspace-budget")
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("project", help="project a set along a subspace")
@@ -384,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--subspace", required=True, help="basis rows, e.g. '1,0,2;0,1,1'")
     sp.add_argument("--set", required=True, help="random:SIZE:SEED | flat:K:OFF | circle | moment | file:PATH")
-    add_budgets(sp)
+    add_budgets(sp, "--point-budget")
     sp.set_defaults(func=cmd_project)
 
     sp = sub.add_parser("identity-check", help="Parseval and coset-energy identity")
@@ -395,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--out", default=None)
-    add_budgets(sp)
+    add_budgets(sp, *budgets)
     sp.set_defaults(func=cmd_identity_check)
 
     sp = sub.add_parser("random-family", help="sample the seeded Bernoulli family")
@@ -405,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True, help="rational exponent, e.g. 3/2 or 1.5")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default=None)
-    add_budgets(sp)
+    add_budgets(sp, "--subspace-budget")
     sp.set_defaults(func=cmd_random_family)
 
     sp = sub.add_parser("examples", help="the circle and moment-curve families")
     sp.add_argument("which", choices=("circle", "moment"))
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, default=3)
-    add_budgets(sp)
+    add_budgets(sp, *budgets)
     sp.set_defaults(func=cmd_examples)
 
     sp = sub.add_parser("sweep", help="exceptional-count sweep from a JSON config")
@@ -421,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
     )
-    add_budgets(sp)
+    add_budgets(sp, *budgets)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("accept", help="run the acceptance suite, write artifacts")

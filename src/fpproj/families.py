@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budgets import DEFAULT_SUBSPACE_BUDGET
+from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, le_affine_pow, le_pow
 from .field import AmbientSpace, FpVector, decode, gaussian_binomial
 from .pointsets import PointSet, circle_set, moment_curve_set
@@ -175,8 +175,10 @@ def size_concentration_report(cfg: RandomFamilyConfig, seeds) -> ConcentrationRe
 
     The deviation test ||G| - p^alpha| > p^alpha/2 is evaluated exactly:
     |G| < p^alpha/2 iff (2|G|)^q < p^r, and |G| > (3/2) p^alpha iff
-    (2|G|)^q > 3^q p^r, with alpha = r/q.
+    (2|G|)^q > 3^q p^r, with alpha = r/q.  Each seed draws |G(n, n-m)|
+    keys, checked against the subspace budget before any is drawn.
     """
+    check_budget(cfg.grassmannian_size, DEFAULT_SUBSPACE_BUDGET, "|G(n,n-m)| keys per seed")
     seeds = tuple(int(s) for s in seeds)
     q, r = cfg.alpha.denominator, cfg.alpha.numerator
     p = cfg.ambient.p
@@ -205,14 +207,16 @@ class SpreadResult(NamedTuple):
     witness: FpVector | None
 
 
-def spread_profile(G: Family, variant: str) -> np.ndarray:
+def spread_profile(G: Family, variant: str, budget=DEFAULT_POINT_BUDGET) -> np.ndarray:
     """For every frequency code, how many members contain it.
 
     variant 'contains' counts xi in W; 'perp' counts xi in Per(W).
-    Entry 0 (the zero frequency) is |G| by definition.
+    Entry 0 (the zero frequency) is |G| by definition.  The table has
+    p^n entries, checked against budget before it is allocated.
     """
     if variant not in ("contains", "perp"):
         raise ValueError(f"unknown variant {variant!r}")
+    check_budget(G.ambient.point_count, budget, "p^n for the spread profile")
     rows = G.stack.bases if variant == "contains" else G.stack.annihilators
     counts = np.zeros(G.ambient.point_count, dtype=np.int64)
     for _, codes in stacked_span_codes(G.ambient, rows):
@@ -220,7 +224,7 @@ def spread_profile(G: Family, variant: str) -> np.ndarray:
     return counts
 
 
-def _spread_max(G: Family, variant: str) -> SpreadResult:
+def _spread_max(G: Family, variant: str, budget) -> SpreadResult:
     if len(G) == 0:
         return SpreadResult(0, None)
     n, k = G.ambient.n, G.ambient.n - G.m
@@ -228,20 +232,20 @@ def _spread_max(G: Family, variant: str) -> SpreadResult:
         # G holds distinct members, so it is all of G(n, k): every nonzero
         # frequency has the same count, and the smallest one has code 1
         return SpreadResult(theoretical_spread_count(G.ambient, k, variant), decode(G.ambient, 1))
-    counts = spread_profile(G, variant)
+    counts = spread_profile(G, variant, budget)
     counts[0] = -1  # exclude xi = 0
     code = int(np.argmax(counts))  # argmax takes the smallest maximizing code
     return SpreadResult(int(counts[code]), decode(G.ambient, code))
 
 
-def spread_containing(G: Family) -> SpreadResult:
+def spread_containing(G: Family, budget=DEFAULT_POINT_BUDGET) -> SpreadResult:
     """max over xi != 0 of |{W in G : xi in W}|, with a smallest witness."""
-    return _spread_max(G, "contains")
+    return _spread_max(G, "contains", budget)
 
 
-def spread_perp(G: Family) -> SpreadResult:
+def spread_perp(G: Family, budget=DEFAULT_POINT_BUDGET) -> SpreadResult:
     """max over xi != 0 of |{W in G : xi in Per(W)}|, with a smallest witness."""
-    return _spread_max(G, "perp")
+    return _spread_max(G, "perp", budget)
 
 
 def theoretical_spread_count(ambient: AmbientSpace, k: int, variant: str) -> int:

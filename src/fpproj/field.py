@@ -203,7 +203,8 @@ def nullspace(M: FpMatrix) -> FpMatrix:
             v[c] = -row[f] % p
         basis.append(tuple(v))
     out, rank, _ = rref(FpMatrix(M.ambient, tuple(basis)))
-    assert rank == len(basis)
+    if rank != len(basis):
+        raise ArithmeticError(f"nullspace basis of rank {rank}, expected {len(basis)}")
     return out
 
 
@@ -223,7 +224,8 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         num *= p**n - p**i
         den *= p**k - p**i
     q, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"Gaussian binomial product {num}/{den} is not an integer")
     return q
 
 

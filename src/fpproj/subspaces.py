@@ -28,6 +28,7 @@ from .field import (
     digit_table,
     encode_array,
     gaussian_binomial,
+    nullspace,
     power_vector,
     rref,
 )
@@ -178,10 +179,11 @@ def perp(W: Subspace) -> Subspace:
     """The annihilator Per(W) = {x : x.w = 0 for all w in W}.
 
     dim W + dim Per(W) = n, but unlike a Euclidean orthogonal
-    complement, W and Per(W) may intersect nontrivially.  The
-    one-member case of perp_stack.
+    complement, W and Per(W) may intersect nontrivially.  Computed on
+    Python integers, so it holds for every ambient space; perp_stack
+    gives the same bases for a whole stack at once.
     """
-    return perp_stack(SubspaceStack.of(W.ambient, W.dim, (W,))).members[0]
+    return Subspace._canonical(W.ambient, nullspace(FpMatrix(W.ambient, W.basis)).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +464,8 @@ def reduce_points(W: Subspace, points: np.ndarray) -> np.ndarray:
     a nonzero w in W whose last nonzero coordinate is no c_j (b_j
     vanishes before c_j and b_j.w = 0), so it is nonzero where the
     minimum is 0 and equal to it above.  W = 0 gives the point's code,
-    W = F_p^n gives 0.
+    W = F_p^n gives 0.  As b_j is 1 at c_j, b_j.x <= (p-1) + (n-1)(p-1)^2
+    < p^n < 2^63: exact in int64 for every ambient space.
     """
     rows, weights = _coset_weights(W)
     return (points @ rows.T % W.ambient.p) @ weights

@@ -16,13 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpproj.families
 import fpproj.fourier
 import fpproj.rng
 import fpproj.subspaces
 import oracles
 from fpproj import acceptance
 from fpproj.budgets import BudgetError
-from fpproj.families import RandomFamilyConfig, hyperplane_intersection_max, size_concentration_report
+from fpproj.families import (
+    Family,
+    RandomFamilyConfig,
+    hyperplane_intersection_max,
+    size_concentration_report,
+    spread_containing,
+    spread_perp,
+    spread_profile,
+)
 from fpproj.field import AmbientSpace, decode_array, digit_table, power_vector
 from fpproj.fourier import dft, stacked_dft, verify_coset_identities, verify_coset_identity
 from fpproj.pointsets import PointSet, random_point_set, random_point_sets
@@ -135,6 +144,32 @@ def test_sampler_budget_is_checked_once_before_any_key_or_mask(monkeypatch):
     assert len(checks) == 1
     monkeypatch.undo()
     assert sets == [random_point_set(a, 5, seed) for seed in range(9)]
+
+
+def test_concentration_and_spread_budgets_are_checked_before_any_key_or_table(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("keys or a p^n table allocated before the budget check")
+
+    # |G(18, 1)| over F_2 = 2^18 - 1 keys per seed exceed the subspace budget of 200,000
+    cfg = RandomFamilyConfig(AmbientSpace(2, 18), 17, Fraction(2), 0)
+    # p^n = 2^17 exceeds the point budget of 100,000; G is one line
+    G = Family(AmbientSpace(2, 17), 16, [first_subspace(AmbientSpace(2, 17), 1)])
+    G.stack.annihilators  # built before the check, as every spread reads it
+    monkeypatch.setattr(fpproj.families, "threshold_rows", no_alloc)
+    monkeypatch.setattr(fpproj.families, "stacked_span_codes", no_alloc)
+    monkeypatch.setattr(fpproj.families.np, "zeros", no_alloc)
+    with pytest.raises(BudgetError, match="262143"):
+        size_concentration_report(cfg, range(3))
+    for spread in (spread_containing, spread_perp):
+        with pytest.raises(BudgetError, match="131072"):
+            spread(G)
+        with pytest.raises(BudgetError, match="131072"):
+            spread(G, budget=2**17 - 1)
+    with pytest.raises(BudgetError, match="131072"):
+        spread_profile(G, "perp", budget=10)
+    monkeypatch.undo()
+    assert spread_perp(G, budget=2**17).max_count == 1
+    assert spread_profile(G, "contains", budget=None)[0] == 1
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

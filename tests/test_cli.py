@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from fpproj import cli
 from fpproj.cli import main
@@ -45,6 +46,30 @@ def test_count_budget_exit(capsys):
     assert run("count", "--p", "5", "--n", "4", "--k", "2", "--subspace-budget", "10") == 3
     out = capsys.readouterr().out
     assert "806" in out and "SKIPPED" in out
+
+
+def test_budget_flags_only_where_a_subcommand_reads_them(tmp_path, capsys):
+    # a flag the subcommand would ignore is a usage error, not silently accepted
+    cfg = write_config(tmp_path)
+    refused = [
+        ("count", "--p", "3", "--n", "3", "--k", "2", "--point-budget", "1"),
+        ("random-family", "--p", "7", "--n", "3", "--m", "1", "--alpha", "3/2", "--seed", "1",
+         "--point-budget", "1"),
+        ("project", "--p", "3", "--n", "2", "--subspace", "0,1", "--set", "random:3:1",
+         "--subspace-budget", "1"),
+    ]  # fmt: skip
+    for argv in refused:
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+    budgets = ("--point-budget", "200000", "--subspace-budget", "200000")
+    for argv in (
+        ("identity-check", "--p", "3", "--n", "2", "--m", "1", "--trials", "1"),
+        ("examples", "moment", "--p", "7"),
+        ("sweep", "--config", str(cfg), "--jobs", "1"),
+    ):
+        assert run(*argv, *budgets) == 0
 
 
 # -- project ----------------------------------------------------------------
@@ -128,6 +153,19 @@ def test_identity_check_zero_trials(tmp_path):
     assert run("identity-check", "--p", "3", "--n", "2", "--m", "1",
                "--trials", "0", "--out", str(out)) == 0
     assert out.read_text().count("\n") == 1  # header only
+
+
+def test_identity_check_point_budget_comes_from_the_sampler(tmp_path, capsys):
+    # p^n = 101^3 = 1,030,301 exceeds the default point budget; |G(3,2)| = 10,303 does not
+    out = tmp_path / "id.csv"
+    args = ("identity-check", "--p", "101", "--n", "3", "--m", "1", "--out", str(out))
+    assert run(*args, "--trials", "1") == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "1030301 exceeds budget 100000" in captured.err
+    assert not out.exists()
+    # no trial draws no set, so no budget is reached
+    assert run(*args, "--trials", "0") == 0
+    assert out.read_text() == "p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass\n"
 
 
 def test_identity_check_negative_trials_is_usage_error(tmp_path, capsys):
@@ -335,6 +373,49 @@ def test_sweep_sparse_matches_benchmark_reference(tmp_path):
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
     assert digest == reference["sweep-sparse"]
+
+
+def test_sweep_skipped_rows_show_the_threshold_as_computed_rows_do(tmp_path):
+    # |G(3,1)| = 57 exceeds a subspace budget of 10, so "full" is skipped;
+    # the circle family is built without enumerating any Grassmannian
+    values = [0.1, 1, 123456789012345.0, "3/12"]
+    cfg = write_config(tmp_path, m=2, families=["full", "circle"],
+                       thresholds={"kind": "eps", "values": values})  # fmt: skip
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", str(cfg), "--out", str(out), "--subspace-budget", "10") == 3
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    skipped = [row for row in rows if row[3] == "full"]
+    computed = [row for row in rows if row[3] == "circle"]
+    assert [row[-1] for row in skipped] == ["skipped"] * 4
+    assert all(row[-1] in ("0", "1") for row in computed)
+    shown = ["1/10", "1/1", "123456789012345/1", "1/4"]
+    assert [row[8] for row in skipped] == [row[8] for row in computed] == shown
+
+
+def test_sweep_point_budget_reaches_the_spread_profile(tmp_path, capsys):
+    # 47^3 = 103,823 points exceed the default point budget of 100,000; a larger
+    # --point-budget must reach the spread profile as well as the sets
+    cfg = write_config(tmp_path, p=47, m=2, families=["circle"])
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 3
+    assert "103823 exceeds budget 100000" in capsys.readouterr().err
+    assert run("sweep", "--config", str(cfg), "--out", str(out), "--point-budget", "200000") == 0
+    assert out.read_text().splitlines()[1].startswith("47,3,2,circle,48,random:20:7,20,N,1,")
+
+
+def test_sweep_rejects_unknown_config_keys(tmp_path, capsys):
+    # a misspelt key would otherwise be ignored: here the report would go to stdout
+    for overrides, key in (
+        (dict(ouput="typo.csv"), "ouput"),
+        (dict(thresholds={"kind": "N", "values": [1], "valus": [2]}), "thresholds.valus"),
+    ):
+        cfg = write_config(tmp_path, **overrides)
+        assert run("sweep", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unknown key {key}" in captured.err
+    cfg = write_config(tmp_path, output=str(tmp_path / "named.csv"))
+    assert run("sweep", "--config", str(cfg)) == 0
+    assert (tmp_path / "named.csv").read_text().startswith(EXPECTED_HEADER + "\n")
 
 
 def test_sweep_parse_error_reports_line(tmp_path, capsys):

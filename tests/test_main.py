@@ -1,0 +1,65 @@
+"""``python -m fpproj`` exits with main()'s code across a real process.
+
+Exit codes: 0 success, 1 bound failure, 2 usage or parse error, 3 budget
+exceeded.  Each case runs a fresh interpreter, as a user would run it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fpproj(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "fpproj", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+
+
+def test_count_prints_formula_and_enumeration():
+    done = fpproj("count", "--p", "3", "--n", "3", "--k", "2")
+    assert (done.returncode, done.stdout) == (0, "13 13\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--p", "3", "--n", "3", "--k", "2", "--point-budget", "5"),
+        ("identity-check", "--p", "3", "--n", "2", "--m", "1", "--trials", "-1"),
+    ],
+    ids=("count-point-budget", "identity-check-negative-trials"),
+)
+def test_usage_errors_exit_2(argv):
+    done = fpproj(*argv)
+    assert done.returncode == 2 and done.stdout == ""
+
+
+def test_sweep_config_with_an_unknown_key_exits_2(tmp_path):
+    config = {
+        "p": 7, "n": 3, "m": 1, "families": ["full"], "sets": ["random:20:7"],
+        "thresholds": {"kind": "N", "values": [1]}, "ouput": "typo.csv",
+    }  # fmt: skip
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    done = fpproj("sweep", "--config", str(path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert "unknown key ouput" in done.stderr
+
+
+def test_budget_failure_exits_3():
+    # p^n = 2^17 = 131,072 exceeds the default point budget of 100,000
+    done = fpproj("project", "--p", "2", "--n", "17", "--subspace", ",".join("1" + "0" * 16),
+                  "--set", "random:3:1")  # fmt: skip
+    assert done.returncode == 3 and done.stdout == ""
+    assert "budget exceeded" in done.stderr

@@ -5,7 +5,7 @@ import pytest
 
 from fpproj.budgets import BudgetError
 from fpproj.field import AmbientSpace, FpMatrix, FpVector, encode, gaussian_binomial, nullspace
-from fpproj import subspaces
+from fpproj import field, subspaces
 from fpproj.subspaces import (
     Subspace,
     contains,
@@ -260,14 +260,17 @@ def test_coset_label_is_minimum_code_exhaustive(p, n):
 
 
 def test_coset_naming_runs_no_scalar_elimination(monkeypatch):
-    # cosets are named through Per(W) (stacked elimination, cached), never by rref
+    # once perp(W) is cached, naming cosets runs no elimination per call
     a = amb(3, 3)
     built = [W for k in (1, 2) for W in enumerate_subspaces(a, k)[::3]]
+    for W in built:
+        perp(W)
 
     def refuse(*args, **kwargs):
         raise AssertionError("rref called while naming cosets")
 
     monkeypatch.setattr(subspaces, "rref", refuse)
+    monkeypatch.setattr(field, "rref", refuse)
     pts = np.array(list(all_vectors(3, 3)), dtype=np.int64)
     for W in built:
         span = span_set(W.basis, 3, 3)
@@ -279,12 +282,25 @@ def test_coset_naming_runs_no_scalar_elimination(monkeypatch):
         assert contains(W, FpVector(a, W.basis[0]))
 
 
-def test_coset_naming_refuses_the_inexact_int64_range():
-    # codes need p^n < 2^63 and Per(W) needs n(p-1)^2 < 2^63; for n = 2, p > 2^31 + 1 lies between
-    a = amb(2**31 + 11, 2)
-    W = Subspace.from_rows(a, [(1, 5)])
-    with pytest.raises(ValueError, match="exact int64 range"):
-        reduce_points(W, np.array([[3, 4]], dtype=np.int64))
+def test_coset_naming_is_exact_in_every_accepted_plane():
+    # x + span(1, w) meets the axis x_1 = 0 at (x_0 - x_1 / w, 0), its smallest point
+    cases = [
+        (2**31 + 11, 5, (0, 1), 1717986927),
+        (2**31 + 11, 5, (3, 7), 1288490197),
+        # the largest prime with p^2 < 2^63; Per(span(1, 1)) is span(1, p - 1),
+        # so b.x = p^2 - p - 1 is the largest dot product n = 2 can reach
+        (3_037_000_493, 3_037_000_492, (3_037_000_492, 3_037_000_492), 3_037_000_491),
+        (3_037_000_493, 1, (3_037_000_491, 3_037_000_492), 3_037_000_492),
+    ]
+    for p, w, x, label in cases:
+        a = amb(p, 2)
+        W = Subspace.from_rows(a, [(1, w)])
+        assert label == (x[0] - pow(w, -1, p) * x[1]) % p
+        assert perp(W) == Subspace.from_rows(a, [(-w, 1)])
+        assert coset_label(W, FpVector(a, x)).representative == label
+        assert reduce_points(W, np.array([x, (label, 0)], dtype=np.int64)).tolist() == [label] * 2
+        assert not contains(W, FpVector(a, x))
+        assert contains(W, FpVector(a, ((x[0] - label) % p, x[1])))  # x - (label, 0)
 
 
 def test_coset_label_translation_invariance_exhaustive():
