@@ -2,12 +2,16 @@
 
 Each criterion function computes what it needs from fixed parameters
 and seeds and returns a CriterionResult whose rows render to a CSV
-artifact.  Criteria 6 and 8 read the same random-model cells (family,
-standard battery and its exceptional census per (p, m, alpha, seed))
-through random_model_cell.  The 40 cells of each (p, m) are built
-together, once per pass: one stacked draw per alpha, one kernel call
-in which each seed's battery meets the union of that seed's families,
-and one census call.  The four (p, m) groups are kept in a bounded
+artifact, column by column (csv_text).  Criteria 6 and 8 read the
+same random-model cells (family, standard battery and its exceptional
+census per (p, m, alpha, seed)) through random_model_cell.  The 40
+cells of each (p, m) are built together, once per pass: one stacked
+draw per alpha, one stacked draw of every seed's battery, one kernel
+call in which each seed's battery meets the union of that seed's
+families, and one census call, whose columns criterion 8 zips into
+its ratio rows and criterion 6 masks for violations.  Criterion 8's
+spreadness is one stacked_spread call per (p, m, alpha) row over the
+same union stack.  The four (p, m) groups are kept in a bounded
 cache; a criterion called alone builds the groups it misses, so its
 output does not depend on what ran before it.  ``run_suite`` clears
 every cache of the package before each pass, so the two passes that
@@ -20,6 +24,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +39,9 @@ from .families import (
     moment_family,
     sample_random_families,
     size_concentration_report,
-    spread_containing,
     spread_perp,
     spread_profile,
+    stacked_spread,
     theoretical_spread_count,
 )
 from .exact import floor_pow
@@ -43,13 +49,15 @@ from .field import AmbientSpace, decode, gaussian_binomial
 from .fourier import SpectralTable, plancherel_defect, stacked_dft, verify_coset_identities
 from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_sets
 from .projection import (
+    Census,
     battery_projection_stats,
-    census_cells,
+    census_columns,
     explicit_bound_from_sizes,
-    stacked_census_cells,
+    stacked_census,
     stacked_projection_stats,
 )
 from .subspaces import (
+    SubspaceStack,
     csv_subspace_name,
     enumerate_subspaces,
     first_subspace,
@@ -96,13 +104,41 @@ def _cell(value) -> str:
     return render(value)
 
 
+def _column(values):
+    """The rendered cells of one column, as an iterable of str.
+
+    A column of exact table types renders with one C-level map: strs as
+    they are, floats by their format, and a column of one other type
+    (strs aside) by a lookup of its distinct values, each rendered once,
+    since columns repeat values.  One such type at most, so that True,
+    1 and Fraction(1) never share a key, and never float, whose 0.0 and
+    -0.0 are one key but two cells.  Any other column goes through
+    _cell value by value.
+    """
+    types = frozenset(map(type, values))
+    if types == {str}:
+        return values
+    if types == {float}:
+        return map(_CELL_BY_TYPE[float], values)
+    if types <= _CELL_BY_TYPE.keys() and len(types - {str}) == 1 and float not in types:
+        text = {value: _cell(value) for value in set(values)}
+        return map(text.__getitem__, values)
+    return map(_cell, values)
+
+
 def csv_text(header, rows) -> str:
     """Header line, then one line per row of values rendered by _cell; no cell is quoted.
 
-    Every CSV the package writes (the artifacts, sweep, identity-check) is made here.
+    The rows, all of one width, are rendered by column (_column), and
+    each line is joined from the rendered columns.  Every CSV the
+    package writes (the artifacts, sweep, identity-check) is made here.
     """
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueError(f"rows of {sorted(widths)} cells; a table has one width")
+    columns = [_column(values) for values in zip(*rows)]
+    lines = [",".join(header), *(map(",".join, zip(*columns)) if columns else [""] * len(rows))]
     return "\n".join(lines) + "\n"
 
 
@@ -114,17 +150,33 @@ _LADDER = (2, 5, 12, 30, 70, 150, 300)
 
 
 def standard_sets(ambient: AmbientSpace, base_seed: int, budget=DEFAULT_POINT_BUDGET):
-    """Ten deterministic test sets: seven random sizes, two flats, one union."""
+    """Ten deterministic test sets: seven random sizes, two flats, one union.
+
+    The one-seed case of stacked_standard_sets.
+    """
+    return stacked_standard_sets(ambient, (base_seed,), budget)[0]
+
+
+def stacked_standard_sets(ambient: AmbientSpace, base_seeds, budget=DEFAULT_POINT_BUDGET):
+    """standard_sets of each base seed: one random_point_sets call draws every battery's randoms."""
+    base_seeds = tuple(base_seeds)
     sizes = [min(raw, ambient.point_count - 1) for raw in (*_LADDER, 30)]
-    seeds = [base_seed + i for i in range(len(_LADDER))] + [base_seed + 97]
-    *randoms, extra = random_point_sets(ambient, sizes, seeds, budget=budget)
-    out = [(f"random:{size}:{seed}", E) for size, seed, E in zip(sizes, seeds, randoms)]
+    steps = [*range(len(_LADDER)), 97]  # set i of base seed b has seed b + steps[i]
+    randoms = random_point_sets(
+        ambient, sizes * len(base_seeds), [b + step for b in base_seeds for step in steps], budget=budget
+    )
     line = first_subspace(ambient, 1)
     plane = first_subspace(ambient, 2) if ambient.n >= 3 else line
-    offset = decode(ambient, (base_seed * 7 + 3) % ambient.point_count)
-    out.append(("flat:1", affine_flat_set(line, offset)))
-    out.append(("flat:2", affine_flat_set(plane, offset)))
-    out.append(("union:flat+random", affine_flat_set(line, offset).union(extra)))
+    out = []
+    for start, b in zip(range(0, len(randoms), len(sizes)), base_seeds):
+        *drawn, extra = randoms[start : start + len(sizes)]
+        offset = decode(ambient, (b * 7 + 3) % ambient.point_count)
+        flat = affine_flat_set(line, offset)
+        battery = [(f"random:{size}:{b + step}", E) for size, step, E in zip(sizes, steps, drawn)]
+        battery.append(("flat:1", flat))
+        battery.append(("flat:2", affine_flat_set(plane, offset)))
+        battery.append(("union:flat+random", flat.union(extra)))
+        out.append(battery)
     return out
 
 
@@ -137,43 +189,34 @@ def battery_stats(sets, G: Family):
     return battery_projection_stats([E for _, E in sets], G)
 
 
-def battery_census(sets, G: Family, C: Fraction = _RATIO_C):
-    """Per set of a battery, its census cells at the thresholds N in (1, 2, 4, 8)."""
-    return census_cells([E for _, E in sets], G.m, *battery_stats(sets, G), _RATIO_NS, C)
+def battery_census(sets, G: Family, C: Fraction = _RATIO_C) -> Census:
+    """The (S, 4) census of a battery of (set_id, E) pairs at the thresholds N in (1, 2, 4, 8)."""
+    return census_columns([E for _, E in sets], G.m, *battery_stats(sets, G), _RATIO_NS, C)
 
 
-def ratio_rows(tag: str, G: Family, family_id: str, sets, census, seed_field):
+def ratio_rows(tag: str, G: Family, family_id: str, sets, census: Census, seed_field):
     """Exceptional-ratio rows for one family over one set battery.
 
     `census` is battery_census(sets, G, C).  Returns (rows, all_ok); a
     row fails if ratio > C.  Thresholds are the fixed battery N in (1, 2, 4, 8).
+    The rows are zipped from the census columns, one row per (set, N).
     """
-    rows = []
-    all_ok = True
-    for (set_id, E), cells in zip(sets, census):
-        for cell in cells:
-            ok = cell.within
-            all_ok = all_ok and ok and cell.pairs_bound_ok
-            rows.append(
-                (
-                    tag,
-                    G.ambient.p,
-                    G.ambient.n,
-                    G.m,
-                    family_id,
-                    len(G),
-                    seed_field,
-                    set_id,
-                    E.size,
-                    cell.threshold,
-                    cell.count,
-                    f"{cell.bound_num}/{cell.bound_den}",
-                    cell.ratio,
-                    cell.pairs_bound_ok,
-                    ok,
-                )
-            )
-    return rows, all_ok
+    T = len(census.thresholds)
+    p, n = G.ambient.p, G.ambient.n
+    rows = list(
+        zip(
+            *map(repeat, (tag, p, n, G.m, family_id, len(G), seed_field)),
+            [set_id for set_id, _ in sets for _ in range(T)],
+            [E.size for _, E in sets for _ in range(T)],
+            census.thresholds * len(sets),
+            census.count.ravel().tolist(),
+            map("{}/{}".format, census.bound_num.ravel().tolist(), census.bound_den.ravel().tolist()),
+            census.ratio.ravel().tolist(),
+            census.pairs_bound_ok.ravel().tolist(),
+            census.within.ravel().tolist(),
+        )
+    )
+    return rows, bool(census.within.all() and census.pairs_bound_ok.all())
 
 
 _RATIO_HEADER = (
@@ -214,23 +257,42 @@ _RANDOM_GROUP_COUNT = len({(p, m) for p, m, _ in random_model_grid()})
 def random_model_cell(p: int, m: int, alpha: Fraction, seed: int):
     """(G, sets, census) of one criterion-6/8 cell, n = 3.
 
-    The census is battery_census(sets, G) as nested tuples, since every
-    caller gets the same objects.  An empty family has no battery: sets
-    and census are ().  The first request for a cell of a (p, m) builds
-    every cell of that grid row at once, and the row stays cached.
+    The census is the cell's (10, 4) Census, equal to
+    battery_census(sets, G).  An empty family has no battery: sets are
+    () and the census is None.  The first request for a cell of a (p, m)
+    builds every cell of that grid row at once, and the row stays cached.
     """
-    cells = _random_model_group(p, m)
+    cells = _random_model_group(p, m).cells
     if (alpha, seed) not in cells:
         raise ValueError(f"(p={p}, m={m}, alpha={alpha}, seed={seed}) is not a random-model grid cell")
     return cells[alpha, seed]
 
 
+def random_model_spreads(p: int, m: int, alpha: Fraction, variant: str):
+    """stacked_spread of the 20 families of one grid row, in seed order: (counts, codes).
+
+    The families are index arrays into the (p, m) group's union stack,
+    whose annihilators are built once for every row of the group.
+    """
+    group = _random_model_group(p, m)
+    columns = [group.columns[alpha, seed] for seed in range(_RANDOM_SEED_COUNT)]
+    edges = np.cumsum([0] + [len(c) for c in columns])
+    return stacked_spread(group.union, variant, np.concatenate(columns), edges)
+
+
+class _Group(NamedTuple):
+    cells: dict  # (alpha, seed) -> random_model_cell(p, m, alpha, seed)
+    union: SubspaceStack  # every seed's union of families, seed-major
+    columns: dict  # (alpha, seed) -> the cell's members as indices into union
+
+
 @lru_cache(maxsize=_RANDOM_GROUP_COUNT)
-def _random_model_group(p: int, m: int) -> dict:
-    """{(alpha, seed): random_model_cell(p, m, alpha, seed)} for every grid cell of this (p, m).
+def _random_model_group(p: int, m: int) -> _Group:
+    """Every grid cell of this (p, m), with the union stack their members come from.
 
     The families of each alpha come from one stacked draw over the
-    seeds.  Both alphas of a seed share its battery, whose seed
+    seeds, and every seed's battery from one stacked_standard_sets
+    call.  Both alphas of a seed share its battery, whose seed
     seed*100 + m does not depend on alpha, so the union of their
     families meets that battery once: one kernel call takes every
     seed's union, seed-major, and a cell's stats are the columns of its
@@ -247,27 +309,28 @@ def _random_model_group(p: int, m: int) -> dict:
     seed_of, member = np.nonzero(union)  # the union's members, seed-major
     column = np.cumsum(union.ravel()) - 1  # each union member's column in the kernel call
     kept = [seed for seed in seeds if union[seed].any()]
-    batteries = {seed: tuple(standard_sets(ambient, base_seed=seed * 100 + m)) for seed in kept}
+    built = stacked_standard_sets(ambient, [seed * 100 + m for seed in kept])
+    batteries = {seed: tuple(sets) for seed, sets in zip(kept, built)}
     points = {seed: [E for _, E in sets] for seed, sets in batteries.items()}
+    stack = grassmannian(ambient, 3 - m).take(member)
     sizes, energies = stacked_projection_stats(
-        [points[seed] for seed in kept],
-        grassmannian(ambient, 3 - m).take(member),
-        np.searchsorted(kept, seed_of),
+        [points[seed] for seed in kept], stack, np.searchsorted(kept, seed_of)
     )
-    cells, stacked = {}, []
+    cells, columns, stacked = {}, {}, []
     for alpha, (masks, families) in zip(alphas, draws):
         for seed, mask, G in zip(seeds, masks, families):
-            cells[alpha, seed] = G, (), ()
+            cells[alpha, seed] = G, (), None
+            columns[alpha, seed] = column[seed * mask.size + np.flatnonzero(mask)]
             if len(G):
-                stacked.append((alpha, seed, column[seed * mask.size + np.flatnonzero(mask)]))
-    at = np.concatenate([columns for *_, columns in stacked])
-    edges = np.cumsum([0] + [len(columns) for *_, columns in stacked])
-    censuses = stacked_census_cells(
-        [points[seed] for _, seed, _ in stacked], edges, m, sizes[:, at], energies[:, at], _RATIO_NS, _RATIO_C
+                stacked.append((alpha, seed))
+    at = np.concatenate([columns[key] for key in stacked])
+    edges = np.cumsum([0] + [len(columns[key]) for key in stacked])
+    census = stacked_census(
+        [points[seed] for _, seed in stacked], edges, m, sizes[:, at], energies[:, at], _RATIO_NS, _RATIO_C
     )
-    for (alpha, seed, _), census in zip(stacked, censuses):
-        cells[alpha, seed] = cells[alpha, seed][0], batteries[seed], tuple(map(tuple, census))
-    return cells
+    for c, (alpha, seed) in enumerate(stacked):
+        cells[alpha, seed] = cells[alpha, seed][0], batteries[seed], census[c]
+    return _Group(cells, stack, columns)
 
 
 def package_caches() -> dict:
@@ -468,11 +531,14 @@ def criterion6() -> CriterionResult:
             G, sets, census = random_model_cell(p, m, alpha, seed)
             if len(G) == 0:
                 continue
-            for (set_id, _), cells in zip(sets, census):
-                for cell in cells:
-                    if not cell.pairs_bound_ok:
-                        rows.append(("argument", p, 3, m, set_id, cell.pairs_lhs, cell.pairs_rhs, False))
-                        block_ok = False
+            violated = ~census.pairs_bound_ok
+            for s, lhs, rhs in zip(
+                np.nonzero(violated)[0].tolist(),
+                census.pairs_lhs[violated].tolist(),
+                census.pairs_rhs[violated].tolist(),
+            ):
+                rows.append(("argument", p, 3, m, sets[s][0], lhs, rhs, False))
+                block_ok = False
         passed = passed and block_ok
         rows.append(("argument", p, 3, m, f"alpha={alpha}", "", "", block_ok))
     return CriterionResult(
@@ -548,6 +614,12 @@ def criterion8() -> CriterionResult:
     spread_rows = []
     passed = True
     for p, m, alpha in random_model_grid():
+        # the branches whose spreadness the row audits: beta = m and beta = 3 - m
+        spreads = [
+            (variant, beta, random_model_spreads(p, m, alpha, variant)[0].tolist())
+            for variant, beta in (("contains", m), ("perp", 3 - m))
+            if alpha > beta
+        ]
         for seed in range(_RANDOM_SEED_COUNT):
             G, sets, census = random_model_cell(p, m, alpha, seed)
             family_id = f"random:{alpha}:{seed}"
@@ -558,15 +630,10 @@ def criterion8() -> CriterionResult:
             rows.extend(batch)
             passed = passed and ok
             # spreadness with C = 8: count <= 8 |G| p^-beta, cross-multiplied
-            if alpha > m:
-                count = spread_containing(G).max_count
-                s_ok = count * p**m <= 8 * len(G)
-                spread_rows.append((p, 3, m, family_id, len(G), "contains", count, s_ok))
-                passed = passed and s_ok
-            if alpha > 3 - m:
-                count = spread_perp(G).max_count
-                s_ok = count * p ** (3 - m) <= 8 * len(G)
-                spread_rows.append((p, 3, m, family_id, len(G), "perp", count, s_ok))
+            for variant, beta, counts in spreads:
+                count = counts[seed]
+                s_ok = count * p**beta <= 8 * len(G)
+                spread_rows.append((p, 3, m, family_id, len(G), variant, count, s_ok))
                 passed = passed and s_ok
     spread_result_rows = tuple(
         ("spread", r[0], r[1], r[2], r[3], r[4], "", r[5], "", "", r[6], "", "", "", r[7])

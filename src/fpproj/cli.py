@@ -40,7 +40,14 @@ from .pointsets import (
     random_point_set,
 )
 from .projection import battery_projection_stats, census_cells, project
-from .subspaces import csv_subspace_name, first_subspace, grassmannian, parse_subspace, serialize_subspace
+from .subspaces import (
+    csv_subspace_name,
+    first_subspace,
+    grassmannian,
+    grassmannian_size,
+    parse_subspace,
+    serialize_subspace,
+)
 
 SWEEP_HEADER = (
     "p,n,m,family_id,family_size,set_id,set_size,threshold_kind,threshold,"
@@ -162,14 +169,17 @@ def cmd_identity_check(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     ambient = AmbientSpace(args.p, args.n)
-    stack = grassmannian(ambient, args.n - args.m, budget=args.subspace_budget)
-    names = [csv_subspace_name(W) for W in stack.members]
+    k = args.n - args.m
+    grassmannian_size(ambient, k, budget=args.subspace_budget)
     rows = []
     failed = False
     for trial in range(args.trials):
         size = 1 + (args.seed + trial * 13) % ambient.point_count
         # the sampler checks p^n against the budget before any key is drawn
         E = random_point_set(ambient, size, seed=args.seed + trial, budget=args.point_budget)
+        if trial == 0:  # the Grassmannian is enumerated once p^n has passed its budget
+            stack = grassmannian(ambient, k, budget=args.subspace_budget)
+            names = [csv_subspace_name(W) for W in stack.members]
         prefix = (args.p, args.n, args.m, trial, E.size)
         table = dft(E, budget=args.point_budget)
         defect = plancherel_defect(E, table)
@@ -216,7 +226,7 @@ def cmd_examples(args) -> int:
         print(f"hyperplane_max {hyperplane_intersection_max(S, budget=args.subspace_budget)}")
     failed = False
     sets = acceptance.standard_sets(S.ambient, base_seed=args.p, budget=args.point_budget)
-    for (set_id, _), cells in zip(sets, acceptance.battery_census(sets, G, 16)):
+    for (set_id, _), cells in zip(sets, acceptance.battery_census(sets, G, 16).cells()):
         for cell in cells:
             ok = cell.within
             failed = failed or not ok

@@ -20,7 +20,7 @@ from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, le_affine_pow, le_pow
 from .field import AmbientSpace, FpVector, decode, gaussian_binomial
 from .pointsets import PointSet, circle_set, moment_curve_set
-from .projection import family_coset_energy
+from .projection import TABLE_ELEMENTS, family_coset_energy
 from .rng import TWO64, threshold_rows
 from .subspaces import (
     Subspace,
@@ -207,35 +207,82 @@ class SpreadResult(NamedTuple):
     witness: FpVector | None
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in ("contains", "perp"):
+        raise ValueError(f"unknown variant {variant!r}")
+
+
 def spread_profile(G: Family, variant: str, budget=DEFAULT_POINT_BUDGET) -> np.ndarray:
     """For every frequency code, how many members contain it.
 
     variant 'contains' counts xi in W; 'perp' counts xi in Per(W).
     Entry 0 (the zero frequency) is |G| by definition.  The table has
-    p^n entries, checked against budget before it is allocated.
+    p^n entries, checked against budget before it is allocated.  This
+    is the one-family table of stacked_spread.
     """
-    if variant not in ("contains", "perp"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     check_budget(G.ambient.point_count, budget, "p^n for the spread profile")
-    rows = G.stack.bases if variant == "contains" else G.stack.annihilators
-    counts = np.zeros(G.ambient.point_count, dtype=np.int64)
-    for _, codes in stacked_span_codes(G.ambient, rows):
-        counts += np.bincount(codes.ravel(), minlength=counts.size)
-    return counts
+    return _spread_tables(G.stack, variant, np.arange(len(G)), np.array([0, len(G)]), np.array([0]))[0]
+
+
+def _spread_tables(stack: SubspaceStack, variant: str, members, edges, families) -> np.ndarray:
+    """(len(families), p^n) counts: per listed family, how many of its members' spans hold each code.
+
+    Family c is the stack's members members[edges[c]:edges[c + 1]],
+    spanned by their bases ('contains') or annihilators ('perp').  Each
+    member's span codes are offset by its family's position times p^n,
+    so one bincount per chunk of members fills every family's table.
+    """
+    P = stack.ambient.point_count
+    rows = stack.bases if variant == "contains" else stack.annihilators
+    index = np.concatenate([members[edges[c] : edges[c + 1]] for c in families.tolist()])
+    position = np.repeat(np.arange(len(families)), np.diff(edges)[families])
+    tables = np.zeros(len(families) * P, dtype=np.int64)
+    for part, codes in stacked_span_codes(stack.ambient, rows[index]):
+        codes += position[part, None] * P
+        tables += np.bincount(codes.ravel(), minlength=tables.size)
+    return tables.reshape(len(families), P)
+
+
+def stacked_spread(stack: SubspaceStack, variant: str, members, edges, budget=DEFAULT_POINT_BUDGET):
+    """(counts, codes): per family, spread_containing or spread_perp as a count and a witness code.
+
+    Family c is the stack's members at the indices
+    members[edges[c]:edges[c + 1]], which are distinct.  counts[c] is
+    the most members of family c that contain ('contains') or
+    annihilate ('perp') one nonzero frequency, and codes[c] the
+    smallest such frequency's code; an empty family
+    has count 0 and code 0.  A family of all of G(n, k) has the same
+    count at every nonzero frequency (theoretical_spread_count), so it
+    is not counted: its witness is code 1.  The others are counted with
+    one bincount per chunk of members over per-family offset codes,
+    and argmax of each family's row takes the smallest maximizing code.
+    p^n is checked against budget before any table is allocated, and
+    a table holds at most TABLE_ELEMENTS entries, one family at least.
+    """
+    _check_variant(variant)
+    members, edges = np.asarray(members, dtype=np.int64), np.asarray(edges, dtype=np.int64)
+    widths = np.diff(edges)
+    ambient, k = stack.ambient, stack.dim
+    full = (widths > 0) & (widths == gaussian_binomial(ambient.n, k, ambient.p))
+    counted = np.flatnonzero((widths > 0) & ~full)
+    if counted.size:
+        check_budget(ambient.point_count, budget, "p^n for the spread profile")
+    counts = full * np.int64(theoretical_spread_count(ambient, k, variant) if full.any() else 0)
+    codes = full.astype(np.int64)
+    for part in member_chunks(len(counted), ambient.point_count, TABLE_ELEMENTS):
+        families = counted[part]
+        tables = _spread_tables(stack, variant, members, edges, families)
+        tables[:, 0] = -1  # exclude xi = 0
+        codes[families] = tables.argmax(axis=1)  # argmax takes the smallest maximizing code
+        counts[families] = tables[np.arange(len(families)), codes[families]]
+    return counts, codes
 
 
 def _spread_max(G: Family, variant: str, budget) -> SpreadResult:
-    if len(G) == 0:
-        return SpreadResult(0, None)
-    n, k = G.ambient.n, G.ambient.n - G.m
-    if len(G) == gaussian_binomial(n, k, G.ambient.p):
-        # G holds distinct members, so it is all of G(n, k): every nonzero
-        # frequency has the same count, and the smallest one has code 1
-        return SpreadResult(theoretical_spread_count(G.ambient, k, variant), decode(G.ambient, 1))
-    counts = spread_profile(G, variant, budget)
-    counts[0] = -1  # exclude xi = 0
-    code = int(np.argmax(counts))  # argmax takes the smallest maximizing code
-    return SpreadResult(int(counts[code]), decode(G.ambient, code))
+    """The one-family case of stacked_spread."""
+    (count,), (code,) = stacked_spread(G.stack, variant, np.arange(len(G)), (0, len(G)), budget)
+    return SpreadResult(int(count), decode(G.ambient, int(code)) if len(G) else None)
 
 
 def spread_containing(G: Family, budget=DEFAULT_POINT_BUDGET) -> SpreadResult:

@@ -12,7 +12,7 @@ powers, never by floating point.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -21,7 +21,7 @@ import numpy as np
 
 from .budgets import DEFAULT_SUBSPACE_BUDGET
 from .exact import floor_pow, le_pow
-from .field import power_vector
+from .field import decode_array, power_vector
 from .pointsets import PointSet
 from .subspaces import (
     CosetLabel,
@@ -278,12 +278,12 @@ def _battery_slots(sets, T: int):
     after them are pads, point 0 of set index S.
     """
     ambient, S = sets[0].ambient, len(sets)
-    coordinates = np.concatenate([E.coordinates() for E in sets])
+    codes = np.concatenate([E.codes for E in sets])  # one decode for the whole battery
     points = np.zeros((ambient.n, T), dtype=np.int64)
-    points[:, : len(coordinates)] = coordinates.T
+    points[:, : len(codes)] = decode_array(ambient, codes).T
     set_index = np.full(T, S * ambient.p, dtype=np.int64)
     steps = np.arange(0, S * ambient.p, ambient.p, dtype=np.int64)
-    set_index[: len(coordinates)] = np.repeat(steps, [E.size for E in sets])
+    set_index[: len(codes)] = np.repeat(steps, [E.size for E in sets])
     return points, set_index
 
 
@@ -364,7 +364,7 @@ def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndar
         raise ValueError(f"cell edges must rise from 0 to {K}")
     if sizes.size and int(sizes.min()) < 0:
         raise ValueError("image sizes are nonnegative")
-    if K and int(energies.max()) > (2**63 - 1) // K:
+    if energies.size and int(energies.max()) > (2**63 - 1) // K:
         raise ValueError("summed energies exceed the exact int64 range")
     # a cutoff at or above every size counts every member
     top = int(sizes.max()) if sizes.size else 0
@@ -405,63 +405,111 @@ class CensusCell(NamedTuple):
     pairs_bound_ok: bool
 
 
-def census_cells(sets, m: int, sizes, energies, thresholds, C=None) -> list[list[CensusCell]]:
-    """Per nonempty set, its census cells against one family, in threshold order.
+@dataclass(frozen=True, eq=False)
+class Census:
+    """A census as columns: the CensusCell fields of every (cell, set, N).
+
+    Each array field has shape (C, S, T) for C cells of S sets at the T
+    thresholds, or (S, T) for one cell (census[c]); thresholds holds
+    the T thresholds.  within is None when no C was given.  Integer
+    fields are object arrays of Python integers, exact at any size;
+    ratio is float64 and the flags bool.
+    """
+
+    thresholds: tuple[int, ...]
+    count: np.ndarray
+    bound_num: np.ndarray
+    bound_den: np.ndarray
+    ratio: np.ndarray
+    within: np.ndarray | None
+    pairs_lhs: np.ndarray
+    pairs_rhs: np.ndarray
+    pairs_bound_ok: np.ndarray
+
+    def __getitem__(self, c) -> "Census":
+        """Cell c's (S, T) columns."""
+        return Census(
+            self.thresholds,
+            *(None if column is None else column[c] for column in self.columns()),
+        )
+
+    def columns(self) -> tuple:
+        """The array fields (within may be None), in CensusCell order after threshold."""
+        return (
+            self.count, self.bound_num, self.bound_den, self.ratio, self.within,
+            self.pairs_lhs, self.pairs_rhs, self.pairs_bound_ok,
+        )  # fmt: skip
+
+    def cells(self) -> list[list[CensusCell]]:
+        """Per set of a one-cell census, its CensusCells in threshold order."""
+        S, T = self.count.shape
+        columns = [
+            itertools.repeat(None) if column is None else column.ravel().tolist()
+            for column in self.columns()
+        ]
+        flat = list(map(CensusCell, self.thresholds * S, *columns))
+        return [flat[s * T : (s + 1) * T] for s in range(S)]
+
+
+def census_columns(sets, m: int, sizes, energies, thresholds, C=None) -> Census:
+    """The (S, T) census of S nonempty sets against one family.
 
     sizes and energies are the sets' (S, K) battery stats.  This is the
-    one-cell case of stacked_census_cells.
+    one-cell case of stacked_census.
     """
-    return stacked_census_cells((sets,), None, m, sizes, energies, thresholds, C)[0]
+    return stacked_census((sets,), None, m, sizes, energies, thresholds, C)[0]
 
 
-def stacked_census_cells(batteries, edges, m: int, sizes, energies, thresholds, C=None):
-    """census_cells of every cell of a stack, from one exceptional_census call.
+def census_cells(sets, m: int, sizes, energies, thresholds, C=None) -> list[list[CensusCell]]:
+    """Per nonempty set, its census cells against one family, in threshold order."""
+    return census_columns(sets, m, sizes, energies, thresholds, C).cells()
+
+
+def stacked_census(batteries, edges, m: int, sizes, energies, thresholds, C=None) -> Census:
+    """The (C, S, T) census of every cell of a stack, from one exceptional_census call.
 
     Cell c is the family of columns edges[c]:edges[c + 1] of the (S, K)
     stats (None: all K columns are one cell) against batteries[c], its S
-    nonempty sets; the result holds, per cell, per set, its census cells
-    in threshold order.  The bound |G| N (1/|E| + p^-m) of a cell is kept
+    nonempty sets.  The bound |G| N (1/|E| + p^-m) of a cell is kept
     as the integers |G| N (p^m + |E|) and |E| p^m in lowest terms, with
     |G| the cell's column count; ratio <= C is decided by
     cross-multiplying, and the float ratio is the correctly rounded
     quotient of two integers, which equals float(Fraction(count) / bound).
-    A zero bound (N = 0, or no member) has ratio 0.  All products are
-    Python integers.
+    A zero bound (N = 0, or no member) has ratio 0.  Every column is one
+    array expression over all cells, on object arrays of Python integers.
     """
-    batteries = tuple(batteries)
+    batteries = tuple(map(tuple, batteries))
     if any(E.size == 0 for sets in batteries for E in sets):
         raise ValueError("exceptional counts need a nonempty set (bound uses 1/|E|)")
     widths = [np.shape(sizes)[1]] if edges is None else np.diff(edges).tolist()
     if len(widths) != len(batteries):
         raise ValueError(f"{len(batteries)} batteries for {len(widths)} cells")
-    thresholds = [int(N) for N in thresholds]
+    thresholds = tuple(int(N) for N in thresholds)
     counts, theta = exceptional_census(sizes, energies, thresholds, edges)
+    S, cells, T = len(counts), len(widths), len(thresholds)
+    if any(len(sets) != S for sets in batteries):
+        raise ValueError(f"batteries of {sorted({len(sets) for sets in batteries})} sets for {S} rows")
+    counts = counts.reshape(S, cells, T).transpose(1, 0, 2)
+    theta = theta.reshape(S, cells, T).transpose(1, 0, 2)
+    set_sizes = [[E.size for E in sets] for sets in batteries]
+    q = batteries[0][0].ambient.p ** m if S else 1
     C = None if C is None else Fraction(C)
-    counts, theta = counts.tolist(), theta.tolist()
-    T = len(thresholds)
-    out = []
-    for c, (sets, K) in enumerate(zip(batteries, widths)):
-        at = slice(c * T, (c + 1) * T)
-        cell_rows = []
-        for E, count_row, theta_row in zip(sets, counts, theta):
-            e, q = E.size, E.ambient.p**m
-            row = []
-            for N, count, th in zip(thresholds, count_row[at], theta_row[at]):
-                num, den = K * N * (q + e), e * q
-                g = math.gcd(num, den)
-                num, den = num // g, den // g
-                if C is None:
-                    within = None
-                elif num:
-                    within = count * den * C.denominator <= C.numerator * num
-                else:
-                    within = 0 <= C
-                lhs, rhs = count * e * e, th * N
-                ratio = count * den / num if num else 0.0
-                row.append(CensusCell(N, count, num, den, ratio, within, lhs, rhs, lhs <= rhs or N == 0))
-            cell_rows.append(row)
-        out.append(cell_rows)
-    return out
+    K = np.array(widths, dtype=object).reshape(cells, 1, 1)
+    e = np.array(set_sizes, dtype=object).reshape(cells, S, 1)
+    N = np.array(thresholds, dtype=object)
+    count, theta = counts.astype(object), theta.astype(object)
+    num = K * N * (q + e)
+    den = np.broadcast_to(e * q, num.shape)
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    nonzero = num != 0
+    ratio = (np.where(nonzero, count * den, 0) / np.where(nonzero, num, 1)).astype(np.float64)
+    within = None
+    if C is not None:
+        within = np.where(nonzero, count * den * C.denominator <= C.numerator * num, C >= 0).astype(bool)
+    lhs, rhs = count * e * e, theta * N
+    ok = ((lhs <= rhs) | (N == 0)).astype(bool)
+    return Census(thresholds, count, num, den, ratio, within, lhs, rhs, ok)
 
 
 def exceptional_report_from_stats(

@@ -124,11 +124,17 @@ def grassmannian(ambient: AmbientSpace, k: int, budget=DEFAULT_SUBSPACE_BUDGET) 
     required by the seeded family sampler.  |G(n, k)| is checked against
     budget before anything is allocated.
     """
+    grassmannian_size(ambient, k, budget)
+    return _grassmannian(ambient, k)
+
+
+def grassmannian_size(ambient: AmbientSpace, k: int, budget=DEFAULT_SUBSPACE_BUDGET) -> int:
+    """|G(n, k)|, checked against budget as grassmannian checks it, with nothing enumerated."""
     if not 0 <= k <= ambient.n:
         raise ValueError(f"k = {k} out of range [0, {ambient.n}]")
     total = gaussian_binomial(ambient.n, k, ambient.p)
     check_budget(total, budget, f"|G({ambient.n},{k})| over F_{ambient.p}")
-    return _grassmannian(ambient, k)
+    return total
 
 
 @lru_cache(maxsize=32)

@@ -200,3 +200,83 @@ def perp_basis(p, n, basis):
     R, rank, _ = rref(FpMatrix(AmbientSpace(p, n), tuple(rows)))
     assert rank == len(rows)
     return R.rows
+
+
+# ---------------------------------------------------------------------------
+# per-cell references for the column-wise CSV writer and the columnar census
+# ---------------------------------------------------------------------------
+
+
+def csv_text_by_cell(header, rows):
+    """The CSV text with every cell rendered on its own by acceptance._cell."""
+    from fpproj.acceptance import _cell
+
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def stacked_census_cells(batteries, edges, m, sizes, energies, thresholds, C=None):
+    """Per cell, per set, its CensusCells, built one cell at a time in Python integers.
+
+    The census loop the library ran before its census became columns:
+    counts and theta-energies from one exceptional_census call, then
+    per (cell, set, N) the bound in lowest terms (one math.gcd), the
+    cross-multiplied ratio test, the correctly rounded float ratio and
+    the pair-counting inequality.
+    """
+    import math
+
+    import numpy as np
+    from fpproj.projection import CensusCell, exceptional_census
+
+    widths = [np.shape(sizes)[1]] if edges is None else np.diff(edges).tolist()
+    thresholds = [int(N) for N in thresholds]
+    counts, theta = exceptional_census(sizes, energies, thresholds, edges)
+    C = None if C is None else Fraction(C)
+    counts, theta = counts.tolist(), theta.tolist()
+    T = len(thresholds)
+    out = []
+    for c, (sets, K) in enumerate(zip(batteries, widths)):
+        at = slice(c * T, (c + 1) * T)
+        cell_rows = []
+        for E, count_row, theta_row in zip(sets, counts, theta):
+            e, q = E.size, E.ambient.p**m
+            row = []
+            for N, count, th in zip(thresholds, count_row[at], theta_row[at]):
+                num, den = K * N * (q + e), e * q
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                if C is None:
+                    within = None
+                elif num:
+                    within = count * den * C.denominator <= C.numerator * num
+                else:
+                    within = 0 <= C
+                lhs, rhs = count * e * e, th * N
+                ratio = count * den / num if num else 0.0
+                row.append(CensusCell(N, count, num, den, ratio, within, lhs, rhs, lhs <= rhs or N == 0))
+            cell_rows.append(row)
+        out.append(cell_rows)
+    return out
+
+
+def spread_by_span_points(p, n, member_rows):
+    """(max count, smallest witness code) over nonzero codes of how many members' spans hold each.
+
+    member_rows is a (K, r, n) array of each member's spanning rows; no
+    member gives (0, None).  The spans are listed from every coefficient
+    tuple and counted with a Counter.
+    """
+    from collections import Counter
+
+    import numpy as np
+
+    if len(member_rows) == 0:
+        return 0, None
+    coeffs = np.array(list(itertools.product(range(p), repeat=member_rows.shape[1])), dtype=np.int64)
+    points = np.einsum("cr,krn->kcn", coeffs, member_rows) % p
+    codes = points @ (p ** np.arange(n, dtype=np.int64))
+    counter = Counter(code for member in codes.tolist() for code in set(member) if code)
+    best = max(counter.values())
+    return best, min(code for code, count in counter.items() if count == best)

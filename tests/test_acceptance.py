@@ -16,11 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpproj import acceptance
-from fpproj.families import RandomFamilyConfig, sample_random_family
-from fpproj.field import AmbientSpace
-from fpproj.projection import battery_projection_stats, census_cells
+from fpproj.families import RandomFamilyConfig, sample_random_family, spread_containing, spread_perp
+from fpproj.field import AmbientSpace, decode, encode
+from fpproj.projection import battery_projection_stats, census_columns
+import oracles
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -195,11 +198,11 @@ def per_cell_route(p, m, alpha, seed):
     ambient = AmbientSpace(p, 3)
     G = sample_random_family(RandomFamilyConfig(ambient, m, alpha, seed))
     if len(G) == 0:
-        return G, (), ()
+        return G, (), None
     sets = tuple(acceptance.standard_sets(ambient, base_seed=seed * 100 + m))
     points = [E for _, E in sets]
-    census = census_cells(points, m, *battery_projection_stats(points, G), (1, 2, 4, 8), Fraction(16))
-    return G, sets, tuple(map(tuple, census))
+    census = census_columns(points, m, *battery_projection_stats(points, G), (1, 2, 4, 8), Fraction(16))
+    return G, sets, census
 
 
 def test_stacked_grid_equals_per_cell_route():
@@ -211,12 +214,54 @@ def test_stacked_grid_equals_per_cell_route():
             ref_G, ref_sets, ref_census = per_cell_route(p, m, alpha, seed)
             assert G == ref_G and G.members == ref_G.members
             assert sets == ref_sets
-            assert census == ref_census
-            empty += len(G) == 0
+            if ref_census is None:
+                assert census is None
+                empty += 1
+                continue
+            # every column equal in shape, dtype and value, and so every cell
+            assert census.thresholds == ref_census.thresholds == (1, 2, 4, 8)
+            for column, ref_column in zip(census.columns(), ref_census.columns()):
+                assert column.shape == ref_column.shape == (10, 4)
+                assert column.dtype == ref_column.dtype
+                assert column.tolist() == ref_column.tolist()
+            assert census.cells() == ref_census.cells()
     assert empty < 160
     with pytest.raises(ValueError, match="grid cell"):
         acceptance.random_model_cell(7, 1, Fraction(5, 4), 20)
     acceptance.clear_caches()
+
+
+def test_stacked_spreads_equal_per_family_spreads_on_the_grid():
+    # one stacked_spread per grid row and variant, against each family's
+    # own spread and against a count over its listed span points
+    acceptance.clear_caches()
+    for p, m, alpha in acceptance.random_model_grid():
+        for variant, spread in (("contains", spread_containing), ("perp", spread_perp)):
+            counts, codes = acceptance.random_model_spreads(p, m, alpha, variant)
+            assert counts.shape == codes.shape == (20,)
+            for seed in range(20):
+                G, _, _ = acceptance.random_model_cell(p, m, alpha, seed)
+                count, witness = spread(G)
+                rows = G.stack.bases if variant == "contains" else G.stack.annihilators
+                ref_count, ref_code = oracles.spread_by_span_points(p, 3, rows)
+                assert counts[seed] == count == ref_count
+                assert witness == (None if ref_code is None else decode(G.ambient, ref_code))
+                assert codes[seed] == (0 if witness is None else encode(witness))
+    acceptance.clear_caches()
+
+
+def test_stacked_standard_sets_equal_one_battery_per_seed():
+    for ambient in (AmbientSpace(7, 3), AmbientSpace(3, 2), AmbientSpace(2, 3)):
+        seeds = [0, 5, 101, 2001, 5]
+        stacked = acceptance.stacked_standard_sets(ambient, seeds)
+        assert len(stacked) == len(seeds)
+        for seed, battery in zip(seeds, stacked):
+            assert battery == acceptance.standard_sets(ambient, seed)
+            names = [set_id for set_id, _ in battery]
+            assert names[7:] == ["flat:1", "flat:2", "union:flat+random"]
+            flat = battery[7][1]
+            assert flat.codes.tolist() == sorted(set(battery[9][1].codes.tolist()) & set(flat.codes.tolist()))
+    assert acceptance.stacked_standard_sets(AmbientSpace(7, 3), []) == []
 
 
 def test_every_cache_is_empty_when_a_pass_starts(logged_suite):
@@ -287,3 +332,69 @@ def test_cell_matches_isinstance_rendering(value):
     # True must render "1", not str(True); subclasses render as their nearest
     # base in the table, other numpy scalars take str
     assert acceptance._cell(value) == _isinstance_cell(value)
+
+
+# -- the column-wise CSV writer ----------------------------------------------------------
+
+_CELL_VALUES = {
+    "int": st.integers(-(2**70), 2**70),
+    "str": st.text(max_size=4),
+    "empty": st.just(""),
+    "bool": st.booleans(),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "fraction": st.fractions(),
+    "numpy": st.one_of(
+        st.integers(-(2**62), 2**62).map(np.int64),
+        st.floats(width=32).map(np.float32),
+        st.floats().map(np.float64),
+        st.booleans().map(np.bool_),
+    ),
+    "subclass": st.sampled_from([_Level.HIGH, _Tag("flat:1"), _Tag(""), _Ratio(7, 3), _Ratio(2)]),
+    # equal values that render differently: a lookup must not merge them
+    "equal": st.sampled_from([1, True, Fraction(1), 1.0, 0, False, Fraction(0), 0.0, -0.0, "1", "0"]),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows): columns of one kind or a mix of kinds, rows of one width."""
+    width = draw(st.integers(0, 6))
+    height = draw(st.integers(0, 8))
+    columns = []
+    for _ in range(width):
+        kinds = draw(st.lists(st.sampled_from(sorted(_CELL_VALUES)), min_size=1, max_size=3, unique=True))
+        values = st.one_of(*(_CELL_VALUES[kind] for kind in kinds))
+        columns.append(draw(st.lists(values, min_size=height, max_size=height)))
+    header = [f"c{i}" for i in range(width)]
+    return header, [tuple(column[r] for column in columns) for r in range(height)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables())
+def test_csv_text_matches_per_cell_rendering(table):
+    header, rows = table
+    expected = oracles.csv_text_by_cell(header, rows)
+    assert acceptance.csv_text(header, rows) == expected
+    assert acceptance.csv_text(header, tuple(rows)) == expected
+    assert acceptance.csv_text(header, iter(rows)) == expected
+
+
+def test_csv_text_edge_shapes():
+    for rows in ([], [()], [(), ()]):
+        assert acceptance.csv_text(("x", "y"), rows) == oracles.csv_text_by_cell(("x", "y"), rows)
+    with pytest.raises(ValueError, match="one width"):
+        acceptance.csv_text(("x", "y"), [(1, "a"), (True,), (), (Fraction(1, 2), 2.5, None)])
+    assert acceptance.csv_text(("x",), []) == "x\n"
+    assert acceptance.csv_text((), [(), ()]) == "\n\n\n"
+    # one column holding True, 1 and Fraction(1): equal keys, three renderings
+    rows = [(True,), (1,), (Fraction(1),), (np.bool_(True),), (1.0,), ("1",)]
+    assert acceptance.csv_text(("v",), rows) == "v\n1\n1\n1/1\nTrue\n1\n1\n"
+    for column, text in (
+        ([1, Fraction(1), 1], "1\n1/1\n1"),
+        ([Fraction(0), 0], "0/1\n0"),
+        ([0.0, -0.0, 0.0], "0\n-0\n0"),
+        ([-0.0, "", 0.0], "-0\n\n0"),
+        ([True, 1, "x"], "1\n1\nx"),
+    ):
+        assert acceptance.csv_text(("v",), [(v,) for v in column]) == f"v\n{text}\n"
+    assert acceptance.csv_text(("v",), [(np.bool_(False),), (np.bool_(True),)]) == "v\nFalse\nTrue\n"

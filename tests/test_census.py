@@ -1,10 +1,12 @@
 """The exceptional census over arrays against the per-row reference.
 
-exceptional_census and census_cells count, for every (set, N) cell
-at once, the members whose projection of a set has at most N
-cosets.  Each test here recomputes the cells one at a time with
-tests/oracles.py's exceptional_report_from_stats, which is how the
-library built every census row (with Fractions) before.
+exceptional_census and the columnar census (stacked_census and its
+views) count, for every (set, N) cell at once, the members whose
+projection of a set has at most N cosets.  Each test here recomputes
+the cells one at a time with tests/oracles.py's
+exceptional_report_from_stats, which is how the library built every
+census row (with Fractions) before, or with its per-cell census loop
+(oracles.stacked_census_cells).
 """
 
 import math
@@ -21,14 +23,17 @@ from fpproj.families import circle_family, full_family
 from fpproj.field import AmbientSpace
 from fpproj.pointsets import PointSet, affine_flat_set, random_point_set
 from fpproj.projection import (
+    Census,
+    battery_projection_stats,
     census_cells,
+    census_columns,
     exceptional_bound_check,
     exceptional_census,
     exceptional_count,
     exceptional_report_from_stats,
     explicit_bound_from_sizes,
     family_projection_stats,
-    stacked_census_cells,
+    stacked_census,
 )
 from fpproj.subspaces import first_subspace, grassmannian
 import oracles
@@ -157,8 +162,86 @@ def test_stacked_census_equals_one_census_per_cell(case):
     assert np.array_equal(counts, np.hstack([c for c, _ in per_cell]).reshape(counts.shape))
     assert np.array_equal(theta, np.hstack([t for _, t in per_cell]).reshape(theta.shape))
     for C in (None, *RATIO_CONSTANTS):
-        stacked = stacked_census_cells(batteries, edges, m, all_sizes, all_energies, thresholds, C)
-        assert stacked == [census_cells(sets, m, s, e, thresholds, C) for sets, (s, e) in zip(batteries, blocks)]
+        stacked = stacked_census(batteries, edges, m, all_sizes, all_energies, thresholds, C)
+        assert stacked.count.shape == (len(blocks), S, len(thresholds))
+        for c, (sets, (s, e)) in enumerate(zip(batteries, blocks)):
+            assert_same_columns(stacked[c], census_columns(sets, m, s, e, thresholds, C))
+            assert stacked[c].cells() == census_cells(sets, m, s, e, thresholds, C)
+
+
+def assert_same_columns(census, other):
+    """Equal thresholds, and every column equal in shape, dtype and value."""
+    assert census.thresholds == other.thresholds
+    assert (census.within is None) == (other.within is None)
+    for column, other_column in zip(census.columns(), other.columns()):
+        if column is not None:
+            assert column.shape == other_column.shape and column.dtype == other_column.dtype
+            assert column.tolist() == other_column.tolist()
+
+
+def assert_census_matches_per_cell_loop(batteries, edges, m, sizes, energies, thresholds):
+    """stacked_census equals the per-cell loop, value and Python type, for every C."""
+    for C in (None, *RATIO_CONSTANTS):
+        census = stacked_census(batteries, edges, m, sizes, energies, thresholds, C)
+        reference = oracles.stacked_census_cells(batteries, edges, m, sizes, energies, thresholds, C)
+        cells = [census[c].cells() for c in range(len(reference))]
+        assert cells == reference
+        assert [[[tuple(map(type, cell)) for cell in row] for row in cell_rows] for cell_rows in cells] == [
+            [[tuple(map(type, cell)) for cell in row] for row in cell_rows] for cell_rows in reference
+        ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(stacked_censuses())
+def test_stacked_census_equals_the_per_cell_loop(case):
+    m, batteries, sizes, energies, thresholds = case
+    S = len(batteries[0])
+    edges = np.cumsum([0] + [len(s[0]) for s in sizes])
+    all_sizes = np.hstack([np.array(s, dtype=np.int64).reshape(S, -1) for s in sizes])
+    all_energies = np.hstack([np.array(e, dtype=np.int64).reshape(S, -1) for e in energies])
+    assert_census_matches_per_cell_loop(batteries, edges, m, all_sizes, all_energies, thresholds)
+
+
+def test_census_columns_hold_python_integers_at_any_size():
+    # the integer columns are Python integers, so products past 2^53 and
+    # 2^63 stay exact; the cells agree with the per-cell loop either way
+    sets = point_sets(3, [40, 2])
+    sizes = np.array([[5, 1, 5, 3], [1, 2, 2, 1]])
+    energies = np.array([[40, 7, 41, 0], [4, 50, 9, 1]])
+    small = census_columns(sets, 2, sizes, energies, [0, 1, 5], 16)
+    for column in (small.count, small.bound_num, small.bound_den, small.pairs_lhs, small.pairs_rhs):
+        assert column.dtype == object and {type(x) for x in column.ravel().tolist()} == {int}
+    assert small.ratio.dtype == np.float64 and small.within.dtype == small.pairs_bound_ok.dtype == bool
+    for big in ([0, 1, 5, 2**53], [0, 1, 5, 2**70]):
+        census = census_columns(sets, 2, sizes, energies, big, 16)
+        assert [row[:3] for row in census.cells()] == small.cells()
+        assert_census_matches_per_cell_loop([sets], None, 2, sizes, energies, big)
+    for C in (Fraction(2**60, 3), Fraction(1, 2**60)):
+        assert census_columns(sets, 2, sizes, energies, [0, 1, 5], C).cells() == oracles.stacked_census_cells(
+            [sets], None, 2, sizes, energies, [0, 1, 5], C
+        )[0]
+    # a census of no set has no cell
+    none = np.zeros((0, 4), dtype=np.int64)
+    assert census_columns([], 2, none, none, [0, 1], 16).count.shape == (0, 2)
+    assert census_cells([], 2, none, none, [0, 1], 16) == []
+
+
+def test_census_of_the_random_model_grid_equals_the_per_cell_loop():
+    # the (p, m) groups of criteria 6 and 8, against the loop they replace
+    acceptance.clear_caches()
+    for p, m in sorted({(p, m) for p, m, _ in acceptance.random_model_grid()}):
+        group = acceptance._random_model_group(p, m)
+        keys = [key for key, (G, _, _) in group.cells.items() if len(G)]
+        batteries = [[E for _, E in group.cells[key][1]] for key in keys]
+        sizes, energies = zip(
+            *(battery_projection_stats(sets, group.cells[key][0]) for key, sets in zip(keys, batteries))
+        )
+        edges = np.cumsum([0] + [s.shape[1] for s in sizes])
+        reference = oracles.stacked_census_cells(
+            batteries, edges, m, np.hstack(sizes), np.hstack(energies), (1, 2, 4, 8), 16
+        )
+        assert [group.cells[key][2].cells() for key in keys] == reference
+    acceptance.clear_caches()
 
 
 def test_stacked_census_rejects_bad_cells():
@@ -168,7 +251,9 @@ def test_stacked_census_rejects_bad_cells():
         with pytest.raises(ValueError, match="edges"):
             exceptional_census(sizes, sizes, [1], edges)
     with pytest.raises(ValueError, match="cells"):
-        stacked_census_cells([sets], [0, 1, 3], 1, sizes, sizes, [1])
+        stacked_census([sets], [0, 1, 3], 1, sizes, sizes, [1])
+    with pytest.raises(ValueError, match="sets for 2 rows"):
+        stacked_census([sets, sets[:1]], [0, 1, 3], 1, sizes, sizes, [1])
     with pytest.raises(ValueError, match="nonnegative"):
         exceptional_census(-sizes, sizes, [1], [0, 1, 3])
 
@@ -299,11 +384,12 @@ def test_criterion6_lists_a_violated_pair(monkeypatch):
     p, m, alpha, _ = target
     real_cell = acceptance.random_model_cell
     G, sets, census = real_cell(*target)
-    s = next(s for s, cells in enumerate(census) if any(cell.count for cell in cells))
+    s = next(s for s, cells in enumerate(census.cells()) if any(cell.count for cell in cells))
     sizes, energies = acceptance.battery_stats(sets, G)
     energies = energies.copy()
     energies[s] = 0
-    corrupted = census_cells([E for _, E in sets], m, sizes, energies, acceptance._RATIO_NS, 16)
+    corrupted = census_columns([E for _, E in sets], m, sizes, energies, acceptance._RATIO_NS, 16)
+    assert isinstance(census, Census)
 
     def cell(*key):
         return (G, sets, corrupted) if key == target else real_cell(*key)
@@ -312,7 +398,7 @@ def test_criterion6_lists_a_violated_pair(monkeypatch):
     result = acceptance.criterion6()
     set_id, E = sets[s]
     violated = [
-        ("argument", p, 3, m, set_id, c.count * E.size**2, 0, False) for c in census[s] if c.count
+        ("argument", p, 3, m, set_id, c.count * E.size**2, 0, False) for c in census.cells()[s] if c.count
     ]
     assert not result.passed
     assert [row for row in result.rows if row[-1] is False] == [

@@ -168,6 +168,26 @@ def test_identity_check_point_budget_comes_from_the_sampler(tmp_path, capsys):
     assert out.read_text() == "p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass\n"
 
 
+def test_identity_check_enumerates_nothing_before_the_point_budget(tmp_path, capsys, monkeypatch):
+    # the Grassmannian is counted against its budget first, but its members
+    # are enumerated and named only once the first set has passed p^n's
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("G(n, n-m) enumerated before the first p^n check")
+
+    monkeypatch.setattr(cli, "grassmannian", no_enumeration)
+    monkeypatch.setattr(cli, "csv_subspace_name", no_enumeration)
+    out = tmp_path / "id.csv"
+    args = ("identity-check", "--p", "101", "--n", "3", "--m", "1", "--out", str(out))
+    assert run(*args, "--trials", "1") == 3
+    assert "1030301 exceeds budget 100000" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*args, "--trials", "0") == 0
+    assert out.read_text() == "p,n,m,trial,set_size,check,subspace,spatial,spectral,defect,pass\n"
+    # an over-budget Grassmannian is still refused first, by its count alone
+    assert run(*args, "--trials", "0", "--subspace-budget", "10302") == 3
+    assert "|G(3,2)| over F_101 = 10303 exceeds budget 10302" in capsys.readouterr().err
+
+
 def test_identity_check_negative_trials_is_usage_error(tmp_path, capsys):
     out = tmp_path / "id.csv"
     assert run("identity-check", "--p", "3", "--n", "2", "--m", "1",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpproj import families
+from fpproj.budgets import BudgetError
 from fpproj.families import (
     Family,
     RandomFamilyConfig,
@@ -23,16 +24,18 @@ from fpproj.families import (
     spread_containing,
     spread_perp,
     spread_profile,
+    stacked_spread,
     theoretical_spread_count,
 )
-from fpproj.field import AmbientSpace, FpVector, decode
+from fpproj.field import AmbientSpace, FpVector, decode, encode
 from fpproj.pointsets import (
     PointSet,
     circle_set,
     moment_curve_set,
     random_point_set,
 )
-from fpproj.subspaces import contains, enumerate_subspaces, grassmannian, perp, span_of_point
+from fpproj.subspaces import SubspaceStack, contains, enumerate_subspaces, grassmannian, perp, span_of_point
+import oracles
 
 
 def amb(p, n):
@@ -238,7 +241,7 @@ def test_spread_shortcut_matches_profile_on_full_grassmannians(p, monkeypatch):
                 code = int(np.argmax(counts))
                 expected[variant] = (int(counts[code]), decode(a, code))
             with monkeypatch.context() as mp:
-                mp.setattr(families, "spread_profile", None)  # the shortcut never counts
+                mp.setattr(families, "_spread_tables", None)  # the shortcut never counts
                 assert tuple(spread_containing(G)) == expected["contains"]
                 assert tuple(spread_perp(G)) == expected["perp"]
             # one member fewer is no longer the Grassmannian, and is counted
@@ -250,6 +253,69 @@ def test_spread_shortcut_matches_profile_on_full_grassmannians(p, monkeypatch):
                 counts[0] = -1
                 code = int(np.argmax(counts))
                 assert tuple(spread(H)) == (int(counts[code]), decode(a, code))
+
+
+def stacked_spread_cases():
+    """(ambient, m, families): full Grassmannians, near-full, empty and random families of one (p, n, m)."""
+    for p, n, m in ((3, 3, 1), (3, 3, 2), (5, 3, 1), (2, 4, 2), (7, 3, 2), (3, 4, 1)):
+        a = amb(p, n)
+        full = full_family(a, m)
+        mask = np.ones(len(full), dtype=bool)
+        mask[0] = False
+        alpha = Fraction(min(m, n - m) + m * (n - m), 2)  # inside the legal range
+        yield a, m, [
+            full,
+            Family(a, m, ()),
+            Family(a, m, full.stack.take(mask)),
+            *(sample_random_family(RandomFamilyConfig(a, m, alpha, seed)) for seed in range(4)),
+            Family(a, m, ()),
+            full,
+            Family(a, m, full.stack.take(slice(0, 1))),
+        ]
+
+
+@pytest.mark.parametrize("table_elements", [1, 100, 2**20])
+def test_stacked_spread_equals_one_family_at_a_time(monkeypatch, table_elements):
+    # families in chunks of one, a few, or all at once, as index arrays into
+    # a shuffled stack: each family's count and witness are its own spread's,
+    # and a listing of its span points'
+    monkeypatch.setattr(families, "TABLE_ELEMENTS", table_elements)
+    rng = np.random.default_rng(table_elements)
+    for a, m, fams in stacked_spread_cases():
+        bases = np.concatenate([G.stack.bases for G in fams])
+        order = rng.permutation(len(bases))
+        stack = SubspaceStack(a, bases[order])
+        members = np.argsort(order)  # stack.bases[members] == bases
+        edges = np.cumsum([0] + [len(G) for G in fams])
+        for variant, spread in (("contains", spread_containing), ("perp", spread_perp)):
+            counts, codes = stacked_spread(stack, variant, members, edges)
+            assert counts.dtype == codes.dtype == np.int64
+            for G, count, code in zip(fams, counts.tolist(), codes.tolist()):
+                max_count, witness = spread(G)
+                rows = G.stack.bases if variant == "contains" else G.stack.annihilators
+                ref_count, ref_code = oracles.spread_by_span_points(a.p, a.n, rows)
+                assert count == max_count == ref_count
+                assert code == (encode(witness) if len(G) else 0)
+                assert witness == (None if ref_code is None else decode(a, ref_code))
+
+
+def test_stacked_spread_counts_no_whole_grassmannian_and_checks_the_budget(monkeypatch):
+    a = amb(5, 3)
+    full = full_family(a, 1)
+    stack = full.stack
+    with monkeypatch.context() as mp:
+        mp.setattr(families, "_spread_tables", None)  # whole Grassmannians and empties are not counted
+        counts, codes = stacked_spread(stack, "perp", np.arange(len(full)), [0, 0, len(full), len(full)], budget=1)
+        assert counts.tolist() == [0, theoretical_spread_count(a, 2, "perp"), 0]
+        assert codes.tolist() == [0, 1, 0]
+    with pytest.raises(BudgetError, match="125"):
+        stacked_spread(stack, "contains", np.arange(len(full)), [0, 3, len(full)], budget=124)
+    with pytest.raises(ValueError, match="variant"):
+        stacked_spread(stack, "both", [0, 1, 2], [0, 3])
+    # families may share members of the stack
+    three = spread_containing(Family(a, 1, stack.take(slice(0, 3))))
+    counts, _ = stacked_spread(stack, "contains", [0, 1, 2, 2, 1, 0], [0, 3, 6], budget=125)
+    assert counts.tolist() == [three.max_count] * 2
 
 
 def test_spread_worked_examples():
