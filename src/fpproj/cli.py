@@ -26,8 +26,8 @@ from .families import (
     moment_family,
     sample_random_family,
     save_family,
-    spread_containing,
     spread_perp,
+    stacked_spread,
 )
 from .field import AmbientSpace, FpVector, decode, gaussian_binomial
 from .fourier import dft, plancherel_defect, spectral_mass, verify_coset_identities
@@ -39,7 +39,7 @@ from .pointsets import (
     moment_curve_set,
     random_point_set,
 )
-from .projection import battery_projection_stats, census_cells, project
+from .projection import battery_projection_stats, project, stacked_census
 from .subspaces import (
     csv_subspace_name,
     first_subspace,
@@ -47,6 +47,7 @@ from .subspaces import (
     grassmannian_size,
     parse_subspace,
     serialize_subspace,
+    stack_union,
 )
 
 SWEEP_HEADER = (
@@ -304,25 +305,42 @@ def cmd_sweep(args) -> int:
     # (N, shown) per threshold, reduced first so a bad value fails even if every family is skipped
     cutoffs = [_threshold_to_N(ambient, m, kind, value) for value in values]
 
-    families = []
+    families = []  # (spec, family or None when over the subspace budget, seed field)
     for spec in family_specs:
         try:
-            G, seed_field = parse_family_spec(ambient, m, spec, budget=args.subspace_budget)
-            sc = spread_containing(G, budget=args.point_budget).max_count
-            sp = spread_perp(G, budget=args.point_budget).max_count
-            families.append((spec, G, seed_field, sc, sp))
+            families.append((spec, *parse_family_spec(ambient, m, spec, budget=args.subspace_budget)))
         except BudgetError:
-            families.append((spec, None, "", "", ""))
+            families.append((spec, None, ""))
 
+    # Each set checks p^n against the point budget before anything is
+    # counted, and the spreads below check the same p^n against the same
+    # budget; a sweep without sets writes no row.  So only the subspace
+    # budget skips a family.
     sets = [(spec, parse_set_spec(ambient, spec, point_budget=args.point_budget)) for spec in set_specs]
     for _, E in sets:
         if E.size == 0:
             raise ValueError("sweep sets must be nonempty (the bound uses 1/|E|)")
     points = [E for _, E in sets]
 
+    # The families that are not skipped share one stack of their distinct
+    # members, each family an index array into it: one kernel call meets
+    # the stack with every set, one census counts each family over its
+    # own columns, and one stacked_spread per variant counts the families
+    # in the same stack, whose annihilators are built once.
+    kept = [G for _, G, _ in families if G is not None]
+    results = iter(())  # per kept family: census cells per set, spread_containing, spread_perp
+    if sets and kept:  # a battery needs at least one set
+        union, at, edges = stack_union(G.stack for G in kept)
+        spreads = [stacked_spread(union, variant, at, edges, args.point_budget)[0].tolist()
+                   for variant in ("contains", "perp")]  # fmt: skip
+        sizes, energies = battery_projection_stats(points, union)
+        thresholds = [N for N, _ in cutoffs]
+        census = stacked_census([points] * len(kept), edges, m, sizes[:, at], energies[:, at], thresholds, C)
+        results = ((census[c].cells(), sc, sp) for c, (sc, sp) in enumerate(zip(*spreads)))
+
     rows = []
     any_failed = any_skipped = False
-    for family_id, G, seed_field, sc, sp in families:
+    for family_id, G, seed_field in families:
         if G is None:
             for set_id, E in sets:
                 for _, shown in cutoffs:
@@ -333,11 +351,10 @@ def cmd_sweep(args) -> int:
                     any_skipped = True
             continue
         if not sets:
-            continue  # a battery needs at least one set
-        stats = battery_projection_stats(points, G)
-        census = census_cells(points, m, *stats, [N for N, _ in cutoffs], C)
-        for (set_id, E), cells in zip(sets, census):
-            for (_, shown), cell in zip(cutoffs, cells):
+            continue
+        cells, sc, sp = next(results)
+        for (set_id, E), set_cells in zip(sets, cells):
+            for (_, shown), cell in zip(cutoffs, set_cells):
                 any_failed = any_failed or not cell.within
                 rows.append(
                     (ambient.p, ambient.n, m, family_id, len(G), set_id, E.size, kind, shown,

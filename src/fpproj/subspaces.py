@@ -316,14 +316,51 @@ class SubspaceStack:
 
     def distinct(self) -> "SubspaceStack":
         """The distinct members sorted by basis read row by row (self if already so)."""
-        flat = self.bases.reshape(len(self), self.dim * self.ambient.n)
-        # lexsort's last key is the primary one; the member index only
-        # breaks ties, and keeps the key list nonempty when k = 0.
-        order = np.lexsort((np.arange(len(flat)), *flat.T[::-1]))
-        keep = np.ones(len(flat), dtype=bool)
-        keep[1:] = np.diff(flat[order], axis=0).any(axis=1)
-        index = order[keep]
-        return self if np.array_equal(index, np.arange(len(self))) else self.take(index)
+        return self if _strictly_increasing(_row_keys(self)) else stack_union((self,))[0]
+
+
+def _row_keys(stack: SubspaceStack) -> np.ndarray:
+    """(K, k) keys: each basis row read as a base-p number, its first coordinate on top.
+
+    Rows compare as their keys do, so members compare as their key rows
+    read left to right; the keys are below p^n, within int64.
+    """
+    return stack.bases @ power_vector(stack.ambient.p, stack.ambient.n)[::-1]
+
+
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    """Whether every key row is above the one before it, read left to right."""
+    steps = keys[1:] - keys[:-1]
+    sign = np.zeros(len(steps), dtype=np.int64)  # rows of no columns are all equal
+    for column in steps.T[::-1]:  # the first column that differs decides
+        sign = np.where(column != 0, column, sign)
+    return bool(np.all(sign > 0))
+
+
+def stack_union(stacks) -> tuple[SubspaceStack, np.ndarray, np.ndarray]:
+    """(union, members, edges): the distinct members of stacks of one ambient space and dimension.
+
+    union holds them sorted by basis read row by row, and
+    members[edges[i]:edges[i + 1]] are the members of stacks[i] as
+    indices into union, in that stack's order.  One lexsort over the
+    row keys sorts every member.
+    """
+    stacks = tuple(stacks)
+    if not stacks:
+        raise ValueError("no stacks to unite")
+    ambient, dim = stacks[0].ambient, stacks[0].dim
+    every = stacks[0]  # one stack is read in place, not copied
+    if len(stacks) > 1:
+        every = SubspaceStack(ambient, np.concatenate([SubspaceStack.of(ambient, dim, s).bases for s in stacks]))
+    keys = _row_keys(every)
+    # lexsort's last key is the primary one; the member index only breaks
+    # ties, and keeps the key list nonempty when k = 0.
+    order = np.lexsort((np.arange(len(keys)), *keys.T[::-1]))
+    first = np.ones(len(keys), dtype=bool)  # the first member of each run of equal keys
+    first[1:] = np.diff(keys[order], axis=0).any(axis=1)
+    members = np.empty(len(every), dtype=np.int64)
+    members[order] = np.cumsum(first) - 1
+    return every.take(order[first]), members, np.cumsum([0] + [len(s) for s in stacks])
 
 
 def _annihilator_rows(p: int, bases: np.ndarray) -> np.ndarray:
@@ -403,7 +440,7 @@ def _inverse_mod(values: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray):
+def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray, lines: bool = False):
     """(part, codes) per chunk of a (K, r, n) stack of independent rows.
 
     codes[i] lists the codes of the p^r points spanned by rows[part][i],
@@ -411,10 +448,17 @@ def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray):
     For a stack of annihilators that order is increasing: row j's last
     nonzero coordinate is its free column f_j, where every other row is
     zero, and above f_j only rows l > j are nonzero, so a span point's
-    code compares as its coefficients read from the last.
+    code compares as its coefficients read from the last.  With lines,
+    only the coefficients whose top nonzero digit is 1 are spanned: one
+    point on each of the (p^r - 1)/(p - 1) lines through 0 of a span.
     """
-    p = ambient.p
-    coeffs = digit_table(p, rows.shape[1])
+    p, r = ambient.p, rows.shape[1]
+    coeffs = digit_table(p, r)
+    if lines:
+        top_one = np.zeros(len(coeffs), dtype=bool)
+        for d in range(r):
+            top_one[p**d : 2 * p**d] = True  # codes with top digit 1 at position d
+        coeffs = coeffs[top_one]
     weights = power_vector(p, ambient.n)
     for part in member_chunks(len(rows), len(coeffs) * ambient.n):
         points = coeffs @ rows[part]

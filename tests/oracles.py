@@ -280,3 +280,41 @@ def spread_by_span_points(p, n, member_rows):
     counter = Counter(code for member in codes.tolist() for code in set(member) if code)
     best = max(counter.values())
     return best, min(code for code, count in counter.items() if count == best)
+
+
+def spread_profile_by_span_points(p, n, member_rows):
+    """(p^n,) how many members' spans hold each code, counting every point of every span.
+
+    member_rows is a (K, r, n) array of each member's spanning rows.
+    Each span is listed from all p^r coefficient tuples, as a set, so
+    entry 0 is K.
+    """
+    import numpy as np
+
+    profile = np.zeros(p**n, dtype=np.int64)
+    coeffs = np.array(list(itertools.product(range(p), repeat=member_rows.shape[1])), dtype=np.int64)
+    weights = p ** np.arange(n, dtype=np.int64)
+    for rows in member_rows:
+        codes = (coeffs @ rows % p) @ weights
+        profile[sorted(set(codes.tolist()))] += 1
+    return profile
+
+
+# ---------------------------------------------------------------------------
+# the sort that SubspaceStack.distinct ran on every stack
+# ---------------------------------------------------------------------------
+
+
+def distinct_by_lexsort(bases):
+    """Indices of the distinct members of a (K, k, n) bases array, sorted by basis read row by row.
+
+    One lexsort over every basis entry, member index breaking ties,
+    then the first of each run of equal bases.
+    """
+    import numpy as np
+
+    flat = bases.reshape(len(bases), bases.shape[1] * bases.shape[2])
+    order = np.lexsort((np.arange(len(flat)), *flat.T[::-1]))
+    keep = np.ones(len(flat), dtype=bool)
+    keep[1:] = np.diff(flat[order], axis=0).any(axis=1)
+    return order[keep]

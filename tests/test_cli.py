@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fpproj import cli
+from fpproj.budgets import BudgetError
 from fpproj.cli import main
 from fpproj.families import (
     load_family,
@@ -331,35 +332,53 @@ def test_sweep_budget_cell_skipped(tmp_path):
         assert line.endswith(",skipped")
 
 
-def per_set_sweep(config):
-    """The sweep CSV built one family, one set and one Fraction row at a time."""
+def per_set_sweep(config, subspace_budget=None):
+    """The sweep CSV and exit code, built one family, one set and one Fraction row at a time."""
     cfg = json.loads(config.read_text())
     ambient, m, C = AmbientSpace(cfg["p"], cfg["n"]), cfg["m"], Fraction(cfg["C"])
     kind, values = cfg["thresholds"]["kind"], cfg["thresholds"]["values"]
     lines = [EXPECTED_HEADER]
+    failed = skipped = False
     for family_id in cfg["families"]:
-        G, seed_field = cli.parse_family_spec(ambient, m, family_id)
-        sc, sp = spread_containing(G).max_count, spread_perp(G).max_count
+        try:
+            G, seed_field = cli.parse_family_spec(ambient, m, family_id, budget=subspace_budget)
+        except BudgetError:
+            G = None
+        else:
+            sc, sp = spread_containing(G).max_count, spread_perp(G).max_count
         for set_id in cfg["sets"]:
             E = cli.parse_set_spec(ambient, set_id)
-            sizes, energies = family_projection_stats(E, G)
+            if G is not None:
+                sizes, energies = family_projection_stats(E, G)
             for value in values:
                 N, shown = cli._threshold_to_N(ambient, m, kind, value)
+                prefix = f"{ambient.p},{ambient.n},{m},{family_id},"
+                if G is None:
+                    skipped = True
+                    lines.append(f"{prefix},{set_id},{E.size},{kind},{shown},,,,,,,,skipped")
+                    continue
                 count, _, bound, ratio, _ = oracles.exceptional_report_from_stats(
                     E.size, ambient.p, m, sizes.tolist(), energies.tolist(), N
                 )
+                failed = failed or ratio > C
                 lines.append(
-                    f"{ambient.p},{ambient.n},{m},{family_id},{len(G)},{set_id},{E.size},"
+                    f"{prefix}{len(G)},{set_id},{E.size},"
                     f"{kind},{shown},{count},{bound.numerator},{bound.denominator},"
                     f"{float(ratio):.12g},{sc},{sp},{seed_field},{1 if ratio <= C else 0}"
                 )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 1 if failed else 3 if skipped else 0
 
 
 def test_sweep_battery_rows_equal_per_set_rows(tmp_path):
-    # one battery call per family gives the rows of one call per (family, set);
-    # t = 25 makes N = floor(7^25), past the int64 range
+    # one kernel call over the distinct members of every family gives the
+    # rows of one call per (family, set); t = 25 makes N = floor(7^25),
+    # past the int64 range
     sets = ["random:20:7", "flat:1:0,0,1", "moment", "random:1:3", "random:150:9"]
+    # a family file that lists its members out of the Grassmannian's order, one twice
+    members = enumerate_subspaces(AmbientSpace(7, 3), 2)
+    listed = [members[i] for i in (40, 3, 17, 56, 0, 3, 29)]
+    family_file = tmp_path / "family.txt"
+    family_file.write_text("p=7,n=3,m=1\n" + "".join(serialize_subspace(W) + "\n" for W in listed))
     cases = [
         dict(families=["random:1.5:42", "full", "random:2:5"], sets=sets,
              thresholds={"kind": "N", "values": [4, 0, 2, 2, 9, 400]}),
@@ -372,14 +391,31 @@ def test_sweep_battery_rows_equal_per_set_rows(tmp_path):
              thresholds={"kind": "N", "values": [10**20, 2**63, 1, 0]}),
         dict(p=3, families=["random:13/12:1"], sets=["random:5:7"],
              thresholds={"kind": "t", "values": ["41", "1/2"]}),
+        # the same spec twice, a file family and random subsets of full
+        dict(families=["random:1.5:42", f"file:{family_file}", "full", "random:1.5:42", "random:2:5"],
+             sets=sets, thresholds={"kind": "N", "values": [1, 3, 8]}),
+        dict(families=[f"file:{family_file}"], sets=sets[:3], thresholds={"kind": "N", "values": [2, 5]}),
+        # lines through the circle and the moment curve beside all lines
+        dict(m=2, families=["circle", "moment", "full", "random:3/2:4", "moment"], sets=sets,
+             thresholds={"kind": "N", "values": [1, 2, 6]}),
+        # |G(3,2)| = 57 is over a subspace budget of 20: full and random are
+        # skipped, the file family is counted
+        dict(families=["full", f"file:{family_file}", "random:1.5:42"], sets=sets[:2],
+             thresholds={"kind": "N", "values": [1, 4]}, budget=20),
+        dict(families=["full"], sets=sets[:2], thresholds={"kind": "N", "values": [1]}, budget=20),
+        # a failing row beside a skipped family exits 1
+        dict(m=2, families=["circle", "full"], sets=sets[:1], C="1/100",
+             thresholds={"kind": "N", "values": [1, 40]}, budget=20),
     ]  # fmt: skip
     for case in cases:
+        budget = case.pop("budget", None)
         cfg = write_config(tmp_path, **case)
         out = tmp_path / "report.csv"
-        code = run("sweep", "--config", str(cfg), "--out", str(out))
-        expected = per_set_sweep(cfg)
+        flags = () if budget is None else ("--subspace-budget", str(budget))
+        code = run("sweep", "--config", str(cfg), "--out", str(out), *flags)
+        expected, expected_code = per_set_sweep(cfg, budget)
         assert out.read_text() == expected
-        assert code == (1 if ",0\n" in expected else 0)
+        assert code == expected_code
 
 
 def test_sweep_sparse_matches_benchmark_reference(tmp_path):

@@ -34,7 +34,15 @@ from fpproj.pointsets import (
     moment_curve_set,
     random_point_set,
 )
-from fpproj.subspaces import SubspaceStack, contains, enumerate_subspaces, grassmannian, perp, span_of_point
+from fpproj.subspaces import (
+    Subspace,
+    SubspaceStack,
+    contains,
+    enumerate_subspaces,
+    grassmannian,
+    perp,
+    span_of_point,
+)
 import oracles
 
 
@@ -316,6 +324,87 @@ def test_stacked_spread_counts_no_whole_grassmannian_and_checks_the_budget(monke
     three = spread_containing(Family(a, 1, stack.take(slice(0, 3))))
     counts, _ = stacked_spread(stack, "contains", [0, 1, 2, 2, 1, 0], [0, 3, 6], budget=125)
     assert counts.tolist() == [three.max_count] * 2
+
+
+def line_count_cases():
+    """(name, family): full, random, circle and moment families for p in {2, 3, 5, 7}."""
+    for p in (2, 3, 5, 7):
+        for n, m in ((3, 1), (3, 2), (4, 2)):
+            a = amb(p, n)
+            yield f"full G({n},{n - m})/F_{p}", full_family(a, m)
+            alpha = Fraction(min(m, n - m) + m * (n - m), 2)
+            for seed in range(2):
+                yield f"random {alpha} seed {seed} G({n},{n - m})/F_{p}", sample_random_family(
+                    RandomFamilyConfig(a, m, alpha, seed)
+                )
+        if p > 2:  # the circle and the moment curve need an odd prime
+            yield f"circle/F_{p}", circle_family(p)
+            for n in (3, 4):
+                yield f"moment n={n}/F_{p}", moment_family(p, n)
+
+
+def profile_reference(G, variant):
+    rows = G.stack.bases if variant == "contains" else G.stack.annihilators
+    return oracles.spread_profile_by_span_points(G.ambient.p, G.ambient.n, rows)
+
+
+def max_and_witness(profile):
+    """(largest entry at a nonzero code, smallest such code)."""
+    code = 1 + int(np.argmax(profile[1:]))
+    return int(profile[code]), code
+
+
+@pytest.mark.parametrize("name,G", list(line_count_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_line_counting_equals_every_span_point(name, G):
+    # one point per line of each span gives the profile, count and witness
+    # of counting every point of every span
+    fams = (G, Family(G.ambient, G.m, G.stack.take(slice(1, None))))  # the second is counted even for full
+    stack = G.stack
+    members = np.r_[np.arange(len(G)), np.arange(1, len(G))]
+    edges = [0, len(G), 2 * len(G) - 1]
+    for variant in ("contains", "perp"):
+        counts, codes = stacked_spread(stack, variant, members, edges)
+        for F, count, code in zip(fams, counts.tolist(), codes.tolist()):
+            expected = profile_reference(F, variant)
+            assert np.array_equal(spread_profile(F, variant), expected)
+            assert (count, code) == (max_and_witness(expected) if len(F) else (0, 0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (2, 4), (3, 3), (3, 4), (5, 3), (7, 3)]),
+    st.data(),
+)
+def test_line_counting_of_member_subsets(pn, data):
+    # a few members at a time, so the largest count is often reached on
+    # several lines and the witness is the smallest code of all of them
+    p, n = pn
+    a = amb(p, n)
+    m = data.draw(st.integers(1, n - 1))
+    G = grassmannian(a, n - m)
+    member = st.integers(0, len(G) - 1)
+    picks = data.draw(st.lists(st.lists(member, max_size=6, unique=True), min_size=1, max_size=4))
+    fams = [Family(a, m, G.take(np.array(pick, dtype=np.intp))) for pick in picks]
+    stack = SubspaceStack(a, np.concatenate([F.stack.bases for F in fams]))
+    edges = np.cumsum([0] + [len(F) for F in fams])
+    for variant in ("contains", "perp"):
+        counts, codes = stacked_spread(stack, variant, np.arange(len(stack)), edges)
+        for F, count, code in zip(fams, counts.tolist(), codes.tolist()):
+            expected = profile_reference(F, variant)
+            assert np.array_equal(spread_profile(F, variant), expected)
+            assert (count, code) == (max_and_witness(expected) if len(F) else (0, 0))
+
+
+def test_line_counting_witness_breaks_ties_by_smallest_code():
+    # one plane of F_5^3 holds its 6 lines once each: every nonzero point of
+    # the plane ties at 1, and the witness is the smallest of their codes
+    a = amb(5, 3)
+    W = Subspace.from_rows(a, [(2, 1, 3), (4, 4, 0)])
+    G = Family(a, 1, [W])
+    plane = np.flatnonzero(oracles.spread_profile_by_span_points(5, 3, G.stack.bases))[1:]
+    assert len(plane) == 24
+    assert spread_containing(G) == (1, decode(a, int(plane[0])))
+    assert np.array_equal(np.flatnonzero(spread_profile(G, "contains"))[1:], plane)
 
 
 def test_spread_worked_examples():

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpproj.budgets import BudgetError
 from fpproj.field import AmbientSpace, FpMatrix, FpVector, encode, gaussian_binomial, nullspace
 from fpproj import field, subspaces
 from fpproj.subspaces import (
     Subspace,
+    SubspaceStack,
     contains,
     coset_label,
     coset_points,
@@ -21,10 +24,12 @@ from fpproj.subspaces import (
     serialize_subspace,
     span_codes,
     span_of_point,
+    stack_union,
 )
 from oracles import (
     all_subspace_spans,
     all_vectors,
+    distinct_by_lexsort,
     enumerate_rref_bases,
     min_code_in_coset,
     span_set,
@@ -87,6 +92,71 @@ def test_enumerated_and_perp_bases_pass_validation(p, n):
             assert Subspace(a, W.basis) == W
             V = perp(W)
             assert Subspace(a, V.basis) == V
+
+
+def stack_cases():
+    """(name, stack): sorted, shuffled, duplicated, empty, one-member and k = 0 stacks."""
+    rng = np.random.default_rng(5)
+    for p, n, k in ((2, 4, 2), (3, 3, 1), (5, 3, 2), (3, 4, 3)):
+        a = amb(p, n)
+        G = grassmannian(a, k)
+        yield "sorted", G
+        yield "sorted subset", G.take(np.sort(rng.choice(len(G), len(G) // 3, replace=False)))
+        yield "shuffled", G.take(rng.permutation(len(G)))
+        yield "duplicated", G.take(rng.integers(0, len(G), 2 * len(G)))
+        yield "sorted with a repeat", G.take(np.sort(np.r_[np.arange(len(G)), len(G) // 2]))
+        yield "reversed pair", G.take([1, 0])
+        yield "empty", G.take(np.arange(0))
+        yield "one member", G.take([len(G) - 1])
+        for K in (0, 1, 3):
+            yield f"k = 0, {K} members", SubspaceStack(a, np.zeros((K, 0, n), dtype=np.int64))
+
+
+@pytest.mark.parametrize("name,stack", list(stack_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_distinct_equals_the_lexsort_route(name, stack, monkeypatch):
+    index = distinct_by_lexsort(stack.bases)
+    out = stack.distinct()
+    assert out.bases.shape == (len(index), stack.dim, stack.ambient.n)
+    assert np.array_equal(out.bases, stack.bases[index])
+    if np.array_equal(index, np.arange(len(stack))):
+        # already sorted and distinct: the stack itself, with nothing sorted
+        monkeypatch.setattr(subspaces, "stack_union", None)
+        assert stack.distinct() is stack
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (3, 3), (2, 4), (5, 2), (3, 4)]),
+    st.data(),
+)
+def test_distinct_and_union_of_drawn_stacks(pn, data):
+    # members drawn with repeats, in drawn or sorted order, as one or several stacks
+    p, n = pn
+    a = amb(p, n)
+    G = grassmannian(a, data.draw(st.integers(0, n)))
+    member = st.integers(0, len(G) - 1)
+    picks = data.draw(st.lists(st.lists(member, max_size=12), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        picks = [sorted(set(pick)) for pick in picks]
+    stacks = [G.take(np.array(pick, dtype=np.intp)) for pick in picks]
+    for stack in stacks:
+        assert np.array_equal(stack.distinct().bases, stack.bases[distinct_by_lexsort(stack.bases)])
+    union, members, edges = stack_union(stacks)
+    every = np.concatenate([stack.bases for stack in stacks])
+    assert np.array_equal(union.bases, every[distinct_by_lexsort(every)])
+    assert edges.tolist() == np.cumsum([0] + [len(pick) for pick in picks]).tolist()
+    for i, stack in enumerate(stacks):
+        assert np.array_equal(union.bases[members[edges[i] : edges[i + 1]]], stack.bases)
+
+
+def test_stack_union_checks_its_stacks():
+    a = amb(3, 3)
+    with pytest.raises(ValueError, match="no stacks"):
+        stack_union([])
+    with pytest.raises(ValueError, match="dimension"):
+        stack_union([grassmannian(a, 1), grassmannian(a, 2)])
+    with pytest.raises(ValueError, match="dimension"):
+        stack_union([grassmannian(a, 1), grassmannian(amb(5, 3), 1)])
 
 
 def test_enumeration_budget():
