@@ -6,9 +6,9 @@ artifact, column by column (csv_text).  Criteria 6 and 8 read the
 same random-model cells (family, standard battery and its exceptional
 census per (p, m, alpha, seed)) through random_model_cell.  The 40
 cells of each (p, m) are built together, once per pass: one stacked
-draw per alpha, one stacked draw of every seed's battery, one kernel
-call in which each seed's battery meets the union of that seed's
-families, and one census call, whose columns criterion 8 zips into
+draw per alpha, one stacked draw of every seed's battery, one
+census_stats call in which each seed's battery meets the union of that
+seed's families, and one census call, whose columns criterion 8 zips into
 its ratio rows and criterion 6 masks for violations.  Criterion 8's
 spreadness is one stacked_spread call per (p, m, alpha) row over the
 same union stack.  The four (p, m) groups are kept in a bounded
@@ -52,9 +52,9 @@ from .projection import (
     Census,
     battery_projection_stats,
     census_columns,
+    census_stats,
     explicit_bound_from_sizes,
     stacked_census,
-    stacked_projection_stats,
 )
 from .subspaces import (
     SubspaceStack,
@@ -191,7 +191,9 @@ def battery_stats(sets, G: Family):
 
 def battery_census(sets, G: Family, C: Fraction = _RATIO_C) -> Census:
     """The (S, 4) census of a battery of (set_id, E) pairs at the thresholds N in (1, 2, 4, 8)."""
-    return census_columns([E for _, E in sets], G.m, *battery_stats(sets, G), _RATIO_NS, C)
+    points = [E for _, E in sets]
+    stats = census_stats((points,), G, np.zeros(len(G), dtype=np.int64), _RATIO_NS)
+    return census_columns(points, G.m, *stats, _RATIO_NS, C)
 
 
 def ratio_rows(tag: str, G: Family, family_id: str, sets, census: Census, seed_field):
@@ -294,7 +296,7 @@ def _random_model_group(p: int, m: int) -> _Group:
     seeds, and every seed's battery from one stacked_standard_sets
     call.  Both alphas of a seed share its battery, whose seed
     seed*100 + m does not depend on alpha, so the union of their
-    families meets that battery once: one kernel call takes every
+    families meets that battery once: one census_stats call takes every
     seed's union, seed-major, and a cell's stats are the columns of its
     own members.  One census call then counts every cell.
     """
@@ -307,14 +309,14 @@ def _random_model_group(p: int, m: int) -> _Group:
     ]
     union = np.logical_or.reduce([masks for masks, _ in draws])  # (seed, member index)
     seed_of, member = np.nonzero(union)  # the union's members, seed-major
-    column = np.cumsum(union.ravel()) - 1  # each union member's column in the kernel call
+    column = np.cumsum(union.ravel()) - 1  # each union member's column in the census_stats call
     kept = [seed for seed in seeds if union[seed].any()]
     built = stacked_standard_sets(ambient, [seed * 100 + m for seed in kept])
     batteries = {seed: tuple(sets) for seed, sets in zip(kept, built)}
     points = {seed: [E for _, E in sets] for seed, sets in batteries.items()}
     stack = grassmannian(ambient, 3 - m).take(member)
-    sizes, energies = stacked_projection_stats(
-        [points[seed] for seed in kept], stack, np.searchsorted(kept, seed_of)
+    sizes, energies = census_stats(
+        [points[seed] for seed in kept], stack, np.searchsorted(kept, seed_of), _RATIO_NS
     )
     cells, columns, stacked = {}, {}, []
     for alpha, (masks, families) in zip(alphas, draws):

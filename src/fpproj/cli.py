@@ -13,6 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import acceptance
 from .budgets import BudgetError, DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, floor_pow, parse_fraction
@@ -39,7 +41,7 @@ from .pointsets import (
     moment_curve_set,
     random_point_set,
 )
-from .projection import battery_projection_stats, project, stacked_census
+from .projection import census_stats, project, stacked_census
 from .subspaces import (
     csv_subspace_name,
     first_subspace,
@@ -323,9 +325,9 @@ def cmd_sweep(args) -> int:
     points = [E for _, E in sets]
 
     # The families that are not skipped share one stack of their distinct
-    # members, each family an index array into it: one kernel call meets
-    # the stack with every set, one census counts each family over its
-    # own columns, and one stacked_spread per variant counts the families
+    # members, each family an index array into it: one census_stats call
+    # meets the stack with every set, one census counts each family over
+    # its own columns, and one stacked_spread per variant counts the families
     # in the same stack, whose annihilators are built once.
     kept = [G for _, G, _ in families if G is not None]
     results = iter(())  # per kept family: census cells per set, spread_containing, spread_perp
@@ -333,8 +335,9 @@ def cmd_sweep(args) -> int:
         union, at, edges = stack_union(G.stack for G in kept)
         spreads = [stacked_spread(union, variant, at, edges, args.point_budget)[0].tolist()
                    for variant in ("contains", "perp")]  # fmt: skip
-        sizes, energies = battery_projection_stats(points, union)
         thresholds = [N for N, _ in cutoffs]
+        sizes, energies = census_stats((points,), union, np.zeros(len(union), dtype=np.int64), thresholds,
+                                       args.point_budget)  # fmt: skip
         census = stacked_census([points] * len(kept), edges, m, sizes[:, at], energies[:, at], thresholds, C)
         results = ((census[c].cells(), sc, sp) for c, (sc, sp) in enumerate(zip(*spreads)))
 

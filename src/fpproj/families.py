@@ -18,14 +18,14 @@ import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, le_affine_pow, le_pow
-from .field import AmbientSpace, FpVector, decode, gaussian_binomial, power_vector
+from .field import AmbientSpace, FpVector, decode, gaussian_binomial
 from .pointsets import PointSet, circle_set, moment_curve_set
 from .projection import TABLE_ELEMENTS, family_coset_energy
 from .rng import TWO64, threshold_rows
 from .subspaces import (
     Subspace,
     SubspaceStack,
-    _inverse_mod,
+    _line_minima,
     _rref_stack,
     grassmannian,
     member_chunks,
@@ -224,45 +224,26 @@ def spread_profile(G: Family, variant: str, budget=DEFAULT_POINT_BUDGET) -> np.n
     """
     _check_variant(variant)
     check_budget(G.ambient.point_count, budget, "p^n for the spread profile")
-    lowest = _line_minima(G.ambient)
-    table = _spread_tables(G.stack, variant, np.arange(len(G)), np.array([0, len(G)]), np.array([0]), lowest)
-    profile = table[0, lowest]
+    table = _spread_tables(G.stack, variant, np.arange(len(G)), np.array([0, len(G)]), np.array([0]))
+    profile = table[0, _line_minima(G.ambient)]
     profile[0] = len(G)
     return profile
 
 
-def _line_minima(ambient: AmbientSpace) -> np.ndarray:
-    """(p^n,) codes: each code's smallest multiple, the point scaled so its top nonzero digit is 1.
-
-    lambda x for lambda != 0 runs over the nonzero points of x's line
-    through 0, and a code compares by its top digit first, so this is
-    the smallest code on the line (0 for code 0).
-    """
-    p = ambient.p
-    codes = np.arange(ambient.point_count, dtype=np.int64)
-    lead = codes.copy()  # the top nonzero digit of each code
-    for _ in range(ambient.n - 1):
-        np.floor_divide(lead, p, out=lead, where=lead >= p)
-    scale = _inverse_mod(lead, p)
-    out = np.zeros_like(codes)
-    for weight in power_vector(p, ambient.n).tolist():
-        out += codes // weight % p * scale % p * weight
-    return out
-
-
-def _spread_tables(stack: SubspaceStack, variant: str, members, edges, families, lowest) -> np.ndarray:
+def _spread_tables(stack: SubspaceStack, variant: str, members, edges, families) -> np.ndarray:
     """(len(families), p^n) counts: per listed family, how many of its members' spans hold each line.
 
     Family c is the stack's members members[edges[c]:edges[c + 1]],
     spanned by their bases ('contains') or annihilators ('perp').  A
     span holds all of a line through 0 or only 0, so each member spans
-    one point per line, mapped to the line's smallest code by lowest
-    (_line_minima), and a family's count for a line is kept at that
+    one point per line, mapped to the line's smallest code by
+    _line_minima, and a family's count for a line is kept at that
     code; every other entry, 0 included, is 0.  Each member's codes
     are offset by its family's position times p^n, so one bincount per
     chunk of members fills every family's table.
     """
     P = stack.ambient.point_count
+    lowest = _line_minima(stack.ambient)
     rows = stack.bases if variant == "contains" else stack.annihilators
     index = np.concatenate([members[edges[c] : edges[c + 1]] for c in families.tolist()])
     position = np.repeat(np.arange(len(families)), np.diff(edges)[families])
@@ -303,10 +284,9 @@ def stacked_spread(stack: SubspaceStack, variant: str, members, edges, budget=DE
         check_budget(ambient.point_count, budget, "p^n for the spread profile")
     counts = full * np.int64(theoretical_spread_count(ambient, k, variant) if full.any() else 0)
     codes = full.astype(np.int64)
-    lowest = _line_minima(ambient) if counted.size else None
     for part in member_chunks(len(counted), ambient.point_count, TABLE_ELEMENTS):
         families = counted[part]
-        tables = _spread_tables(stack, variant, members, edges, families, lowest)
+        tables = _spread_tables(stack, variant, members, edges, families)
         codes[families] = tables.argmax(axis=1)  # argmax takes the smallest maximizing code
         counts[families] = tables[np.arange(len(families)), codes[families]]
     return counts, codes

@@ -8,6 +8,14 @@ cosets of W equals p^-m times the spectral mass on the annihilator
 Per(W), where m = codim W.  The spatial side is an exact integer and is
 always treated as the reference; the spectral side is the approximation
 under test.
+
+The identity holds line by line.  For xi != 0 spanning the line l,
+    sum over lambda != 0 of |E_hat(lambda xi)|^2 = p E_l - |E|^2,
+where E_l = sum over s of #{x in E : xi.x = s}^2 is the energy of E
+over the cosets of the hyperplane Per(l) (projection.line_energies).
+Per(W) is (p^m - 1)/(p - 1) lines that meet only at 0, so in integers
+    p^m energy_W(E) = |E|^2 + sum over lines l of Per(W) of (p E_l - |E|^2),
+the form from which the census takes its energies.
 """
 
 from __future__ import annotations

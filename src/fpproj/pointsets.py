@@ -29,7 +29,9 @@ class PointSet:
             raise ValueError("point codes must be strictly increasing")
         if codes.size and (codes[0] < 0 or codes[-1] >= ambient.point_count):
             raise ValueError("point code out of range")
-        codes = codes.astype(np.int64)
+        self._fill(ambient, codes.astype(np.int64))
+
+    def _fill(self, ambient: AmbientSpace, codes: np.ndarray) -> None:
         codes.setflags(write=False)
         self.ambient = ambient
         self.codes = codes
@@ -37,6 +39,13 @@ class PointSet:
         self._coordinates = None
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, ambient: AmbientSpace, codes: np.ndarray) -> "PointSet":
+        """Wrap int64 codes already strictly increasing and in range (no check, no copy)."""
+        E = cls.__new__(cls)
+        E._fill(ambient, codes)
+        return E
 
     @classmethod
     def empty(cls, ambient: AmbientSpace) -> "PointSet":
@@ -114,11 +123,14 @@ def random_point_sets(
     (ambient, size, seed): the members are the `size` codes with the
     smallest counter-based keys (see rng module).  The keys of many
     seeds are drawn as one block per chunk of sets, and p^n is checked
-    against budget once, before any key is allocated.
+    against budget once, before any key is allocated.  A mask's
+    flatnonzero is increasing and in range, so each set wraps it
+    without the constructor's checks and copy.
     """
     out = []
     for _, masks in choose_rows(seeds, ambient.point_count, sizes, budget=budget):
-        out.extend(PointSet(ambient, np.flatnonzero(mask)) for mask in masks)
+        for mask in masks:
+            out.append(PointSet._canonical(ambient, np.flatnonzero(mask).astype(np.int64, copy=False)))
     return out
 
 

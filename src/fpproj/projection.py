@@ -19,9 +19,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .budgets import DEFAULT_SUBSPACE_BUDGET
+from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_pow, le_pow
-from .field import decode_array, power_vector
+from .field import AmbientSpace, decode_array, power_vector
 from .pointsets import PointSet
 from .subspaces import (
     CosetLabel,
@@ -31,6 +31,7 @@ from .subspaces import (
     member_chunks,
     member_stack,
     reduce_points,
+    stacked_span_codes,
 )
 
 
@@ -194,27 +195,9 @@ def stacked_projection_stats(batteries, G, battery_of) -> tuple[np.ndarray, np.n
     before anything is allocated, so every label is an exact int64;
     nothing is floating point.
     """
-    batteries = tuple(map(tuple, batteries))
-    if not batteries or not batteries[0]:
-        raise ValueError("a battery needs at least one point set")
-    B, S = len(batteries), len(batteries[0])
-    if any(len(sets) != S for sets in batteries):
-        raise ValueError(f"batteries of {sorted({len(sets) for sets in batteries})} sets; need one S")
-    ambient = batteries[0][0].ambient
-    for sets in batteries:
-        for E in sets:
-            if E.ambient != ambient:
-                raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
-    stack = member_stack(ambient, G)
-    K = len(stack)
-    battery_of = np.asarray(battery_of)
-    if battery_of.shape != (K,):
-        raise ValueError(f"battery_of of shape {battery_of.shape} for {K} members")
-    if K and (battery_of.dtype.kind not in "iu" or battery_of.min() < 0 or battery_of.max() >= B):
-        raise ValueError(f"battery_of must index the {B} batteries")
-    battery_of = battery_of.astype(np.int64, copy=False)
-    if K and not 0 < stack.dim < ambient.n:
-        raise ValueError("cosets are only defined for proper nontrivial subspaces")
+    batteries, stack, battery_of = _battery_args(batteries, G, battery_of)
+    B, S, K = len(batteries), len(batteries[0]), len(stack)
+    ambient = stack.ambient
     p, n, m = ambient.p, ambient.n, stack.codim
     q = p**m
     if K and (S + 1) * q >= 2**63:
@@ -271,6 +254,31 @@ def stacked_projection_stats(batteries, G, battery_of) -> tuple[np.ndarray, np.n
     return sizes, energies
 
 
+def _battery_args(batteries, G, battery_of):
+    """(batteries, stack, battery_of) of stacked_projection_stats, checked before anything is allocated."""
+    batteries = tuple(map(tuple, batteries))
+    if not batteries or not batteries[0]:
+        raise ValueError("a battery needs at least one point set")
+    B, S = len(batteries), len(batteries[0])
+    if any(len(sets) != S for sets in batteries):
+        raise ValueError(f"batteries of {sorted({len(sets) for sets in batteries})} sets; need one S")
+    ambient = batteries[0][0].ambient
+    for sets in batteries:
+        for E in sets:
+            if E.ambient != ambient:
+                raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
+    stack = member_stack(ambient, G)
+    K = len(stack)
+    battery_of = np.asarray(battery_of)
+    if battery_of.shape != (K,):
+        raise ValueError(f"battery_of of shape {battery_of.shape} for {K} members")
+    if K and (battery_of.dtype.kind not in "iu" or battery_of.min() < 0 or battery_of.max() >= B):
+        raise ValueError(f"battery_of must index the {B} batteries")
+    if K and not 0 < stack.dim < ambient.n:
+        raise ValueError("cosets are only defined for proper nontrivial subspaces")
+    return batteries, stack, battery_of.astype(np.int64, copy=False)
+
+
 def _battery_slots(sets, T: int):
     """(n, T) coordinates and (T,) set index times p of a battery's slots.
 
@@ -319,6 +327,133 @@ def _sorted_block_counts(labels, block_starts):
     return np.diff(bounds, axis=1).T, np.diff(squares[bounds], axis=1).T
 
 
+def line_energies(sets, ambient: AmbientSpace, budget=DEFAULT_POINT_BUDGET) -> np.ndarray:
+    """(S, p^n): each set's energy along every line through 0, kept at the line's smallest code.
+
+    For the line l spanned by xi != 0, E_l = sum over s in F_p of
+    #{x in E : xi . x = s}^2, the energy of E over the cosets of the
+    hyperplane Per(l); it is the same for every nonzero point of l.
+    Every other entry, code 0 included, is 0.  p^n is checked against
+    budget before anything is allocated.
+
+    A line's smallest code is its point whose top nonzero digit is 1.
+    Read as a lowest digit a below higher digits h, that is code 1
+    (h = 0) or any a below an h that is itself the smallest code of a
+    line of F_p^(n-1).  So the lines come in groups of p that share h,
+    and xi . x = a x_0 + h . (x_1, ..., x_(n-1)): one product per group
+    of lines, and one table of a x_0 mod p for every a, added to it.
+    Both residues are below p, so their sum is binned over 2p values
+    per (line, set), folded mod p after one bincount per chunk of
+    groups.
+    """
+    sets = tuple(sets)
+    for E in sets:
+        if E.ambient != ambient:
+            raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
+    check_budget(ambient.point_count, budget, "p^n for the line energies")
+    p, n, S = ambient.p, ambient.n, len(sets)
+    codes = np.concatenate([np.empty(0, dtype=np.int64), *(E.codes for E in sets)])
+    x = decode_array(ambient, codes)
+    width = 2 * p * S  # bins per line
+    digit = np.arange(p, dtype=np.int64)
+    set_bins = np.repeat(np.arange(0, width, 2 * p, dtype=np.int64), [E.size for E in sets])
+    low = digit[:, None] * x[:, 0] % p + (digit * width)[:, None] + set_bins  # (p, T)
+    groups = np.concatenate([[0], *(np.arange(p**d, 2 * p**d, dtype=np.int64) for d in range(n - 1))])
+    out = np.zeros((S, ambient.point_count), dtype=np.int64)
+    for part in member_chunks(len(groups), p * len(codes)):
+        high = decode_array(ambient, groups[part])[:, : n - 1] @ x[:, 1:].T
+        high -= high // p * p  # mod p, as in the projection kernel
+        high += np.arange(0, high.shape[0] * p * width, p * width, dtype=np.int64)[:, None]
+        fibers = np.bincount((low + high[:, None, :]).ravel(), minlength=high.shape[0] * p * width)
+        fibers = fibers.reshape(-1, 2, p).sum(axis=1)
+        lines = (groups[part, None] * p + digit).ravel()
+        keep = (lines >= p) | (lines == 1)
+        out[:, lines[keep]] = np.einsum("ij,ij->i", fibers, fibers).reshape(-1, S)[keep].T
+    return out
+
+
+def census_stats(batteries, G, battery_of, thresholds, budget=DEFAULT_POINT_BUDGET):
+    """(S, K) image sizes and energies, as a census at these thresholds reads them.
+
+    The arguments are those of stacked_projection_stats, plus the
+    census's thresholds and the point budget.  Energies are exact.  For
+    set s of a member's battery, let N* be the largest threshold below
+    min(|E_s|, p^m).  An image size is exact wherever it is at most N*;
+    above N* it may read min(|E_s|, p^m), the most cosets an image can
+    have, which no threshold tells apart from the true size.  So these
+    are census sizes, not image sizes; consumers that show every image
+    size read stacked_projection_stats.
+
+    The route follows from the sizes alone.  When the ambient space has
+    fewer lines through 0 than the stack has members per battery
+    (L * B < K, L = (p^n - 1)/(p - 1)), every energy comes from
+    line_energies of every set, and only the members that Cauchy-Schwarz
+    leaves open are fiber-counted (_line_census_stats); otherwise the
+    kernel counts every pair.
+    """
+    batteries, stack, battery_of = _battery_args(batteries, G, battery_of)
+    p, n = stack.ambient.p, stack.ambient.n
+    if (p**n - 1) // (p - 1) * len(batteries) < len(stack):
+        return _line_census_stats(batteries, stack, battery_of, thresholds, budget)
+    return stacked_projection_stats(batteries, stack, battery_of)
+
+
+def _line_census_stats(batteries, stack, battery_of, thresholds, budget):
+    """census_stats from line energies, fiber-counting only the candidates.
+
+    The annihilator Per(W) of a member W of codimension m holds
+    (p^m - 1)/(p - 1) lines, and Plancherel on Per(W), line by line,
+    gives the member's energy in integers:
+        p^m energy_W(E) = |E|^2 + sum over lines l of Per(W) of (p E_l - |E|^2).
+    stacked_span_codes(lines=True) lists one point per line of Per(W),
+    with top coefficient digit 1 on the annihilator rows.  Row j is 1
+    at its free column f_j, and above f_j only rows l > j are nonzero,
+    so the point's top nonzero coordinate is 1: it is its line's
+    smallest code (what _line_minima would map it to), the key of
+    line_energies.
+
+    Cauchy-Schwarz, |pi_W(E)| energy_W(E) >= |E|^2, means a member with
+    an image of at most N* cosets has |E|^2 <= N* energy: only such a
+    candidate is fiber-counted, one kernel call per set position against
+    that set alone.  Every other member has more than N* cosets, and no
+    threshold lies between N* and min(|E|, p^m), so it gets that size.
+    """
+    ambient, S, K = stack.ambient, len(batteries[0]), len(stack)
+    p, q = ambient.p, ambient.p**stack.codim
+    sets = [E for battery in batteries for E in battery]  # table row b * S + s
+    e = np.array([E.size for E in sets], dtype=np.int64)
+    if (2 * q + 1) * int(e.max()) ** 2 >= 2**63:
+        raise ValueError(f"|E|^2 p^m for |E| = {int(e.max())}, p^m = {q} exceeds the exact int64 range")
+    table = line_energies(sets, ambient, budget)
+    energies = np.empty((S, K), dtype=np.int64)  # E_l summed over the lines of Per(W), until below
+    for part, lines in stacked_span_codes(ambient, stack.annihilators, lines=True):
+        present = np.flatnonzero(np.bincount(battery_of[part]))
+        for b in present.tolist():
+            mine = battery_of[part] == b if len(present) > 1 else slice(None)
+            for s in range(S):
+                energies[s, part][mine] = table[b * S + s, lines[mine]].sum(axis=1)
+    # N* per set: the largest threshold below min(|E|, p^m), or -1 when there is none
+    caps = np.minimum(e, q)
+    below = np.array(sorted({-1, *(max(N, -1) for N in map(int, thresholds) if N < q)}), dtype=np.int64)
+    nstar = below[np.searchsorted(below, caps) - 1]
+    sizes = np.empty((S, K), dtype=np.int64)
+    for s in range(S):  # row by row, so that no temporary is (S, K)
+        of = battery_of * S + s  # member k meets sets[of[k]]
+        e2 = e[of] * e[of]
+        energy = energies[s]
+        energy *= p
+        energy -= ((q - 1) // (p - 1) - 1) * e2
+        energy //= q  # exact
+        sizes[s] = caps[of]
+        members = np.flatnonzero(e2 <= nstar[of] * energy)
+        if members.size:
+            counted, _ = stacked_projection_stats(
+                [(battery[s],) for battery in batteries], stack.take(members), battery_of[members]
+            )
+            sizes[s, members] = counted[0]
+    return sizes, energies
+
+
 @dataclass(frozen=True)
 class ExceptionalReport:
     """Census of family members whose projection of E is small.
@@ -348,7 +483,8 @@ def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndar
     thresholds[t]: how many members W of the cell have |pi_W(E_s)| <= N,
     and the energy of E_s summed over those members.  Each row is sorted
     once by (cell, size): searchsorted gives every count, and a prefix
-    sum of the energies in the same order every energy.
+    sum of the energies in the same order every energy.  The rows are
+    taken one at a time, so no temporary is (S, K).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     energies = np.asarray(energies, dtype=np.int64)
@@ -373,16 +509,19 @@ def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndar
         raise ValueError("cell-offset sizes exceed the exact int64 range")
     offsets = np.arange(cells, dtype=np.int64) * (top + 1)
     targets = (offsets[:, None] + np.array([min(N, top) for N in thresholds], dtype=np.int64)).ravel()
-    keys = sizes + np.repeat(offsets, widths)
-    order = np.argsort(keys, axis=1)
-    prefix = np.zeros((S, K + 1), dtype=np.int64)
-    np.cumsum(np.take_along_axis(energies, order, axis=1), axis=1, out=prefix[:, 1:])
-    ends = np.array(
-        [np.searchsorted(row, targets, side="right") for row in np.take_along_axis(keys, order, axis=1)],
-        dtype=np.int64,
-    ).reshape(S, targets.size)
+    cell_offsets = np.repeat(offsets, widths)
     starts = np.repeat(edges[:-1], len(thresholds))
-    return ends - starts, np.take_along_axis(prefix, ends, axis=1) - prefix[:, starts]
+    counts = np.empty((S, targets.size), dtype=np.int64)
+    theta = np.empty((S, targets.size), dtype=np.int64)
+    prefix = np.zeros(K + 1, dtype=np.int64)
+    for s in range(S):
+        keys = sizes[s] + cell_offsets
+        order = np.argsort(keys)
+        np.cumsum(energies[s, order], out=prefix[1:])
+        ends = np.searchsorted(keys[order], targets, side="right")
+        counts[s] = ends - starts
+        theta[s] = prefix[ends] - prefix[starts]
+    return counts, theta
 
 
 class CensusCell(NamedTuple):

@@ -466,6 +466,28 @@ def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray, lines: bool = Fa
         yield part, points @ weights
 
 
+@lru_cache(maxsize=8)
+def _line_minima(ambient: AmbientSpace) -> np.ndarray:
+    """(p^n,) codes, read only: each code's smallest multiple, the point scaled so its top nonzero digit is 1.
+
+    lambda x for lambda != 0 runs over the nonzero points of x's line
+    through 0, and a code compares by its top digit first, so this is
+    the smallest code on the line (0 for code 0).  Callers check p^n
+    against their point budget before the first call.
+    """
+    p = ambient.p
+    codes = np.arange(ambient.point_count, dtype=np.int64)
+    lead = codes.copy()  # the top nonzero digit of each code
+    for _ in range(ambient.n - 1):
+        np.floor_divide(lead, p, out=lead, where=lead >= p)
+    scale = _inverse_mod(lead, p)
+    out = np.zeros_like(codes)
+    for weight in power_vector(p, ambient.n).tolist():
+        out += codes // weight % p * scale % p * weight
+    out.setflags(write=False)
+    return out
+
+
 def member_stack(ambient: AmbientSpace, G) -> SubspaceStack:
     """The stack of a family: G itself, a Family's stack, or built from an iterable."""
     stack = getattr(G, "stack", G)

@@ -97,6 +97,19 @@ def brute_energy_over_cosets(E_points, subspace_points, p, n):
     return total
 
 
+def energy_by_differences(E_points, subspace_points, p):
+    """energy_W(E) = sum over d in W of r_E(d), r_E(d) = #{(x, y) in E^2 : x - y = d}.
+
+    x and y share a coset of W iff x - y lies in W, so this counts the
+    ordered pairs inside each coset: the sum of squared fibers.  It
+    costs |E|^2 + |W| steps, not the p^n cosets of brute_energy_over_cosets.
+    """
+    from collections import Counter
+
+    r = Counter(tuple((a - b) % p for a, b in zip(x, y)) for x in E_points for y in E_points)
+    return sum(r[d] for d in subspace_points)
+
+
 def direct_dft_value(E_points, xi, p):
     """sum over x in E of exp(-2 pi i (x.xi)/p), straight from the definition."""
     total = 0j
@@ -318,3 +331,21 @@ def distinct_by_lexsort(bases):
     keep = np.ones(len(flat), dtype=bool)
     keep[1:] = np.diff(flat[order], axis=0).any(axis=1)
     return order[keep]
+
+
+# ---------------------------------------------------------------------------
+# the unpruned census: every image size from the fiber kernel
+# ---------------------------------------------------------------------------
+
+
+def unpruned_census(sets, G, thresholds, C=None):
+    """The census of one battery against G as it was built before census_stats.
+
+    Every image size comes from battery_projection_stats, the fiber
+    kernel on every (set, member) pair, with nothing pruned.
+    """
+    from fpproj.projection import battery_projection_stats, census_columns
+    from fpproj.subspaces import member_stack
+
+    m = member_stack(sets[0].ambient, G).codim
+    return census_columns(sets, m, *battery_projection_stats(sets, G), thresholds, C)

@@ -30,18 +30,20 @@ REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "refe
 
 @pytest.fixture(scope="module")
 def logged_suite():
-    """run_suite() with the random-model grid's stacked draws and kernel calls logged per pass.
+    """run_suite() with the random-model grid's stacked draws and stats calls logged per pass.
 
     Per pass, draws counts each acceptance.sample_random_families call
     by (p, m, alpha, seeds), and kernel lists the (p, m, member count)
-    of each acceptance.stacked_projection_stats call.  Also returns, per
-    pass, the size of every package cache when the pass began.
+    of each acceptance.census_stats call over more than one battery,
+    which only the grid makes (battery_census passes one).  Also
+    returns, per pass, the size of every package cache when the pass
+    began.
     """
     passes = []
     cache_sizes = []
     first, *rest = acceptance.CRITERIA
     draw = acceptance.sample_random_families
-    kernel = acceptance.stacked_projection_stats
+    stats = acceptance.census_stats
     caches = acceptance.package_caches()
 
     def start_pass():
@@ -55,14 +57,16 @@ def logged_suite():
         passes[-1]["draws"][key] += 1
         return draw(cfgs, *args, **kwargs)
 
-    def counted_kernel(batteries, G, battery_of):
-        passes[-1]["kernel"].append((G.ambient.p, G.codim, len(G)))
-        return kernel(batteries, G, battery_of)
+    def counted_stats(batteries, G, battery_of, thresholds):
+        batteries = tuple(batteries)
+        if len(batteries) > 1:
+            passes[-1]["kernel"].append((G.ambient.p, G.codim, len(G)))
+        return stats(batteries, G, battery_of, thresholds)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptance, "CRITERIA", (start_pass, *rest))
         mp.setattr(acceptance, "sample_random_families", counted_draw)
-        mp.setattr(acceptance, "stacked_projection_stats", counted_kernel)
+        mp.setattr(acceptance, "census_stats", counted_stats)
         suite = acceptance.run_suite()
     return suite, passes, cache_sizes
 

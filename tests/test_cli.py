@@ -418,6 +418,31 @@ def test_sweep_battery_rows_equal_per_set_rows(tmp_path):
         assert code == expected_code
 
 
+def test_sweep_on_the_line_route_equals_per_set_rows(tmp_path):
+    # F_3^4 and F_5^4 have fewer lines (40, 156) than G(4,2) has members
+    # (130, 806), so the sweep's census takes line energies and
+    # fiber-counts only its candidates; thresholds sit on both sides of
+    # |E| and p^m, and a line of p points ties |E|^2 = N* energy at N* = 1
+    cases = [
+        dict(p=3, n=4, m=2, families=["full", "random:3:2", "random:5/2:1"],
+             sets=["random:20:7", "flat:1:0,0,1,2", "flat:2:1,1,1,1", "moment", "random:1:3", "random:60:9"],
+             thresholds={"kind": "N", "values": [4, 0, 2, 2, 9, 400, 1, 8, 19, 20, 21]}),
+        dict(p=5, n=4, m=2, families=["full"], sets=["flat:1:0,1,2,3", "random:30:1", "moment"],
+             thresholds={"kind": "N", "values": [1]}),
+        dict(p=5, n=4, m=2, families=["random:3:4", "full"], sets=["random:40:2", "moment", "flat:2:0,0,0,1"],
+             thresholds={"kind": "eps", "values": ["1/10", "1/5", "1/2", "1", "2"]}),
+        dict(p=3, n=4, m=1, families=["full"], sets=["random:20:7", "moment"],
+             thresholds={"kind": "N", "values": [1, 2, 3]}),
+    ]  # fmt: skip
+    for case in cases:
+        cfg = write_config(tmp_path, **case)
+        out = tmp_path / "report.csv"
+        code = run("sweep", "--config", str(cfg), "--out", str(out))
+        expected, expected_code = per_set_sweep(cfg)
+        assert out.read_text() == expected
+        assert code == expected_code
+
+
 def test_sweep_sparse_matches_benchmark_reference(tmp_path):
     # the benchmark's sweep-sparse operation at seed 0 (perfbench is read, not changed)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")

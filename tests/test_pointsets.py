@@ -15,6 +15,7 @@ from fpproj.pointsets import (
     load_point_set,
     moment_curve_set,
     random_point_set,
+    random_point_sets,
     save_point_set,
 )
 from fpproj.subspaces import enumerate_subspaces, first_subspace, span_of_point
@@ -187,6 +188,17 @@ def test_random_set_budget_is_checked_before_allocating(monkeypatch):
         random_point_set(amb(3, 3), 3, 0, budget=26)
     monkeypatch.undo()
     assert random_point_set(amb(3, 3), 3, 0, budget=27) == random_point_set(amb(3, 3), 3, 0)
+
+
+def test_drawn_sets_equal_sets_built_by_the_checking_constructor():
+    a = amb(5, 3)
+    sizes = [0, 1, 7, 60, 124, 125]
+    for E in random_point_sets(a, sizes, range(len(sizes))):
+        F = PointSet(a, np.array(E.codes))
+        assert E == F and E.size == F.size == len(E.codes)
+        assert E.codes.dtype == np.int64 and not E.codes.flags.writeable
+        assert np.array_equal(E.coordinates(), F.coordinates())
+    assert [E.size for E in random_point_sets(a, sizes, range(len(sizes)))] == sizes
 
 
 def test_random_set_deterministic():
