@@ -51,7 +51,6 @@ from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_poi
 from .projection import (
     Census,
     battery_projection_stats,
-    census_columns,
     census_stats,
     explicit_bound_from_sizes,
     stacked_census,
@@ -193,7 +192,7 @@ def battery_census(sets, G: Family, C: Fraction = _RATIO_C) -> Census:
     """The (S, 4) census of a battery of (set_id, E) pairs at the thresholds N in (1, 2, 4, 8)."""
     points = [E for _, E in sets]
     stats = census_stats((points,), G, np.zeros(len(G), dtype=np.int64), _RATIO_NS)
-    return census_columns(points, G.m, *stats, _RATIO_NS, C)
+    return stacked_census((points,), None, G.m, *stats, _RATIO_NS, C)[0]
 
 
 def ratio_rows(tag: str, G: Family, family_id: str, sets, census: Census, seed_field):

@@ -227,17 +227,13 @@ def cmd_examples(args) -> int:
     print(f"spread_perp {spread_perp(G, budget=args.point_budget).max_count}")
     if args.which == "moment":
         print(f"hyperplane_max {hyperplane_intersection_max(S, budget=args.subspace_budget)}")
-    failed = False
     sets = acceptance.standard_sets(S.ambient, base_seed=args.p, budget=args.point_budget)
-    for (set_id, _), cells in zip(sets, acceptance.battery_census(sets, G, 16).cells()):
-        for cell in cells:
-            ok = cell.within
-            failed = failed or not ok
-            print(
-                f"ratio {set_id} N={cell.threshold} count={cell.count} "
-                f"ratio={cell.ratio:.12g} {'ok' if ok else 'FAIL'}"
-            )
-    return 1 if failed else 0
+    census = acceptance.battery_census(sets, G, 16)
+    keys = [(set_id, N) for set_id, _ in sets for N in census.thresholds]
+    columns = (census.count, census.ratio, census.within)
+    for (set_id, N), count, ratio, ok in zip(keys, *(c.ravel().tolist() for c in columns)):
+        print(f"ratio {set_id} N={N} count={count} ratio={ratio:.12g} {'ok' if ok else 'FAIL'}")
+    return 0 if census.within.all() else 1
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def cmd_sweep(args) -> int:
     # its own columns, and one stacked_spread per variant counts the families
     # in the same stack, whose annihilators are built once.
     kept = [G for _, G, _ in families if G is not None]
-    results = iter(())  # per kept family: census cells per set, spread_containing, spread_perp
+    results = iter(())  # per kept family: its (S, T) census, spread_containing, spread_perp
     if sets and kept:  # a battery needs at least one set
         union, at, edges = stack_union(G.stack for G in kept)
         spreads = [stacked_spread(union, variant, at, edges, args.point_budget)[0].tolist()
@@ -339,31 +335,27 @@ def cmd_sweep(args) -> int:
         sizes, energies = census_stats((points,), union, np.zeros(len(union), dtype=np.int64), thresholds,
                                        args.point_budget)  # fmt: skip
         census = stacked_census([points] * len(kept), edges, m, sizes[:, at], energies[:, at], thresholds, C)
-        results = ((census[c].cells(), sc, sp) for c, (sc, sp) in enumerate(zip(*spreads)))
+        results = ((census[c], sc, sp) for c, (sc, sp) in enumerate(zip(*spreads)))
 
+    # the (set_id, set_size, threshold_kind, threshold) of each row of a family
+    keys = [(set_id, E.size, kind, shown) for set_id, E in sets for _, shown in cutoffs]
     rows = []
     any_failed = any_skipped = False
     for family_id, G, seed_field in families:
+        prefix = (ambient.p, ambient.n, m, family_id)
         if G is None:
-            for set_id, E in sets:
-                for _, shown in cutoffs:
-                    rows.append(
-                        (ambient.p, ambient.n, m, family_id, "", set_id, E.size, kind, shown,
-                         *("",) * 6, seed_field, "skipped")
-                    )  # fmt: skip
-                    any_skipped = True
+            rows.extend((*prefix, "", *key, *("",) * 6, seed_field, "skipped") for key in keys)
+            any_skipped = any_skipped or bool(keys)
             continue
         if not sets:
             continue
-        cells, sc, sp = next(results)
-        for (set_id, E), set_cells in zip(sets, cells):
-            for (_, shown), cell in zip(cutoffs, set_cells):
-                any_failed = any_failed or not cell.within
-                rows.append(
-                    (ambient.p, ambient.n, m, family_id, len(G), set_id, E.size, kind, shown,
-                     cell.count, cell.bound_num, cell.bound_den, cell.ratio, sc, sp, seed_field,
-                     cell.within)
-                )  # fmt: skip
+        cell, sc, sp = next(results)  # this family's cell of the census
+        any_failed = any_failed or not cell.within.all()
+        columns = (cell.count, cell.bound_num, cell.bound_den, cell.ratio, cell.within)
+        rows.extend(
+            (*prefix, len(G), *key, count, num, den, ratio, sc, sp, seed_field, within)
+            for key, count, num, den, ratio, within in zip(keys, *(c.ravel().tolist() for c in columns))
+        )
 
     _write(acceptance.csv_text(SWEEP_HEADER, rows), args.out or cfg_out)
     return 1 if any_failed else 3 if any_skipped else 0

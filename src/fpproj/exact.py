@@ -84,7 +84,8 @@ def parse_fraction(text) -> Fraction:
 
     Floats go through their shortest decimal repr, so the JSON literal
     1.3 becomes 13/10 rather than its binary expansion.  A bool is an
-    int to Python but no rational to a config, so it is refused.
+    int to Python but no rational to a config, so it is refused, and
+    so is a zero denominator.
     """
     if isinstance(text, bool):
         raise ValueError(f"expected a rational number, got the bool {text}")
@@ -94,4 +95,7 @@ def parse_fraction(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         return Fraction(repr(text))
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None

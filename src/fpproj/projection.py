@@ -12,10 +12,9 @@ powers, never by floating point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -59,15 +58,28 @@ def image_codes(E: PointSet, W: Subspace) -> np.ndarray:
     return reduce_points(W, E.coordinates())
 
 
+def _fibers(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct codes, how often each occurs), sorted: one sort, then a neighbour comparison.
+
+    np.unique would do the same, but without a return_* flag it imports
+    numpy.ma to rule out a masked array.
+    """
+    codes = np.sort(codes)
+    new_run = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    return codes[starts], np.diff(starts, append=codes.size)
+
+
 def project(E: PointSet, W: Subspace) -> ProjectionImage:
     """The projection of E along W: every coset of W meeting E."""
-    reps = np.unique(image_codes(E, W))
+    reps, _ = _fibers(image_codes(E, W))
     return ProjectionImage(W, frozenset(CosetLabel(W, int(r)) for r in reps))
 
 
 def fiber_counts(E: PointSet, W: Subspace) -> np.ndarray:
     """|E ∩ coset| for every coset of W that meets E (sorted by label)."""
-    _, counts = np.unique(image_codes(E, W), return_counts=True)
+    _, counts = _fibers(image_codes(E, W))
     return counts
 
 
@@ -80,7 +92,7 @@ def energy(E: PointSet, planes: Iterable[CosetLabel]) -> int:
     total = 0
     for W, reps in by_subspace.items():
         codes = image_codes(E, W) if E.size else np.empty(0, dtype=np.int64)
-        hit, counts = np.unique(codes, return_counts=True)
+        hit, counts = _fibers(codes)
         lookup = dict(zip(hit.tolist(), counts.tolist()))
         for rep in reps:
             c = lookup.get(rep, 0)
@@ -524,35 +536,20 @@ def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndar
     return counts, theta
 
 
-class CensusCell(NamedTuple):
-    """One (set, N) cell of a census; its bound is bound_num / bound_den in lowest terms.
-
-    ratio is count/bound as a float, within whether ratio <= C (None
-    when no C was given), and pairs_lhs <= pairs_rhs is the pair-counting
-    inequality count |E|^2 <= theta N, which pairs_bound_ok records
-    (True for N = 0).
-    """
-
-    threshold: int
-    count: int
-    bound_num: int
-    bound_den: int
-    ratio: float
-    within: bool | None
-    pairs_lhs: int
-    pairs_rhs: int
-    pairs_bound_ok: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Census:
-    """A census as columns: the CensusCell fields of every (cell, set, N).
+    """A census as columns: every (cell, set, N) of stacked_census.
 
     Each array field has shape (C, S, T) for C cells of S sets at the T
     thresholds, or (S, T) for one cell (census[c]); thresholds holds
-    the T thresholds.  within is None when no C was given.  Integer
-    fields are object arrays of Python integers, exact at any size;
-    ratio is float64 and the flags bool.
+    the T thresholds.  At each (set, N): count members have an image of
+    at most N cosets, against the bound bound_num / bound_den in lowest
+    terms; ratio is count/bound as a float, within whether ratio <= C
+    (None when no C was given), and pairs_lhs <= pairs_rhs is the
+    pair-counting inequality count |E|^2 <= theta N, which
+    pairs_bound_ok records (True for N = 0).  Integer fields are object
+    arrays of Python integers, exact at any size; ratio is float64 and
+    the flags bool.
     """
 
     thresholds: tuple[int, ...]
@@ -573,35 +570,11 @@ class Census:
         )
 
     def columns(self) -> tuple:
-        """The array fields (within may be None), in CensusCell order after threshold."""
+        """The array fields (within may be None), in field order."""
         return (
             self.count, self.bound_num, self.bound_den, self.ratio, self.within,
             self.pairs_lhs, self.pairs_rhs, self.pairs_bound_ok,
         )  # fmt: skip
-
-    def cells(self) -> list[list[CensusCell]]:
-        """Per set of a one-cell census, its CensusCells in threshold order."""
-        S, T = self.count.shape
-        columns = [
-            itertools.repeat(None) if column is None else column.ravel().tolist()
-            for column in self.columns()
-        ]
-        flat = list(map(CensusCell, self.thresholds * S, *columns))
-        return [flat[s * T : (s + 1) * T] for s in range(S)]
-
-
-def census_columns(sets, m: int, sizes, energies, thresholds, C=None) -> Census:
-    """The (S, T) census of S nonempty sets against one family.
-
-    sizes and energies are the sets' (S, K) battery stats.  This is the
-    one-cell case of stacked_census.
-    """
-    return stacked_census((sets,), None, m, sizes, energies, thresholds, C)[0]
-
-
-def census_cells(sets, m: int, sizes, energies, thresholds, C=None) -> list[list[CensusCell]]:
-    """Per nonempty set, its census cells against one family, in threshold order."""
-    return census_columns(sets, m, sizes, energies, thresholds, C).cells()
 
 
 def stacked_census(batteries, edges, m: int, sizes, energies, thresholds, C=None) -> Census:
@@ -655,10 +628,11 @@ def exceptional_report_from_stats(
     E: PointSet, m: int, sizes: np.ndarray, energies: np.ndarray, N: int
 ) -> ExceptionalReport:
     """One cell of the census, with its bound and ratio as Fractions."""
-    ((cell,),) = census_cells((E,), m, np.asarray(sizes)[None], np.asarray(energies)[None], (N,))
-    num, den = cell.bound_num, cell.bound_den
-    ratio = Fraction(cell.count * den, num) if num else Fraction(0)
-    return ExceptionalReport(len(sizes), N, cell.count, Fraction(num, den), ratio, cell.pairs_bound_ok)
+    census = stacked_census(((E,),), None, m, np.asarray(sizes)[None], np.asarray(energies)[None], (N,))[0]
+    count, num, den = census.count[0, 0], census.bound_num[0, 0], census.bound_den[0, 0]
+    ratio = Fraction(count * den, num) if num else Fraction(0)
+    ok = bool(census.pairs_bound_ok[0, 0])
+    return ExceptionalReport(len(sizes), N, count, Fraction(num, den), ratio, ok)
 
 
 def exceptional_count(E: PointSet, G, N: int) -> ExceptionalReport:

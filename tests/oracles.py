@@ -230,18 +230,20 @@ def csv_text_by_cell(header, rows):
 
 
 def stacked_census_cells(batteries, edges, m, sizes, energies, thresholds, C=None):
-    """Per cell, per set, its CensusCells, built one cell at a time in Python integers.
+    """Per cell, per set, its census tuples, built one cell at a time in Python integers.
 
     The census loop the library ran before its census became columns:
     counts and theta-energies from one exceptional_census call, then
     per (cell, set, N) the bound in lowest terms (one math.gcd), the
     cross-multiplied ratio test, the correctly rounded float ratio and
-    the pair-counting inequality.
+    the pair-counting inequality.  Each tuple is (threshold, count,
+    bound_num, bound_den, ratio, within, pairs_lhs, pairs_rhs,
+    pairs_bound_ok), the fields of census_tuples.
     """
     import math
 
     import numpy as np
-    from fpproj.projection import CensusCell, exceptional_census
+    from fpproj.projection import exceptional_census
 
     widths = [np.shape(sizes)[1]] if edges is None else np.diff(edges).tolist()
     thresholds = [int(N) for N in thresholds]
@@ -268,10 +270,33 @@ def stacked_census_cells(batteries, edges, m, sizes, energies, thresholds, C=Non
                     within = 0 <= C
                 lhs, rhs = count * e * e, th * N
                 ratio = count * den / num if num else 0.0
-                row.append(CensusCell(N, count, num, den, ratio, within, lhs, rhs, lhs <= rhs or N == 0))
+                row.append((N, count, num, den, ratio, within, lhs, rhs, lhs <= rhs or N == 0))
             cell_rows.append(row)
         out.append(cell_rows)
     return out
+
+
+def census_tuples(census):
+    """Per set of an (S, T) Census, its (threshold, *columns) tuples in threshold order.
+
+    Each tuple is zipped from the columns' Python values, within None
+    when the census has no C: what stacked_census_cells builds per cell.
+    """
+    S, T = census.count.shape
+    columns = [itertools.repeat(None) if c is None else c.ravel().tolist() for c in census.columns()]
+    flat = list(zip(census.thresholds * S, *columns))
+    return [flat[s * T : (s + 1) * T] for s in range(S)]
+
+
+def typed(value):
+    """value with each leaf paired with its type, nested lists and tuples as lists.
+
+    typed(a) == typed(b) checks value and Python type at once, where
+    1 == 1.0 == True == np.int64(1) would pass a bare ==.
+    """
+    if isinstance(value, (list, tuple)):
+        return [typed(v) for v in value]
+    return type(value), value
 
 
 def spread_by_span_points(p, n, member_rows):
@@ -344,8 +369,8 @@ def unpruned_census(sets, G, thresholds, C=None):
     Every image size comes from battery_projection_stats, the fiber
     kernel on every (set, member) pair, with nothing pruned.
     """
-    from fpproj.projection import battery_projection_stats, census_columns
+    from fpproj.projection import battery_projection_stats, stacked_census
     from fpproj.subspaces import member_stack
 
     m = member_stack(sets[0].ambient, G).codim
-    return census_columns(sets, m, *battery_projection_stats(sets, G), thresholds, C)
+    return stacked_census((sets,), None, m, *battery_projection_stats(sets, G), thresholds, C)[0]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from fpproj import acceptance
 from fpproj.families import RandomFamilyConfig, sample_random_family, spread_containing, spread_perp
 from fpproj.field import AmbientSpace, decode, encode
-from fpproj.projection import battery_projection_stats, census_columns
+from fpproj.projection import battery_projection_stats, stacked_census
 import oracles
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -205,7 +205,8 @@ def per_cell_route(p, m, alpha, seed):
         return G, (), None
     sets = tuple(acceptance.standard_sets(ambient, base_seed=seed * 100 + m))
     points = [E for _, E in sets]
-    census = census_columns(points, m, *battery_projection_stats(points, G), (1, 2, 4, 8), Fraction(16))
+    stats = battery_projection_stats(points, G)
+    census = stacked_census((points,), None, m, *stats, (1, 2, 4, 8), Fraction(16))[0]
     return G, sets, census
 
 
@@ -228,7 +229,8 @@ def test_stacked_grid_equals_per_cell_route():
                 assert column.shape == ref_column.shape == (10, 4)
                 assert column.dtype == ref_column.dtype
                 assert column.tolist() == ref_column.tolist()
-            assert census.cells() == ref_census.cells()
+            cells, ref_cells = oracles.census_tuples(census), oracles.census_tuples(ref_census)
+            assert oracles.typed(cells) == oracles.typed(ref_cells)
     assert empty < 160
     with pytest.raises(ValueError, match="grid cell"):
         acceptance.random_model_cell(7, 1, Fraction(5, 4), 20)

@@ -1,12 +1,14 @@
 """The exceptional census over arrays against the per-row reference.
 
-exceptional_census and the columnar census (stacked_census and its
-views) count, for every (set, N) cell at once, the members whose
-projection of a set has at most N cosets.  Each test here recomputes
+exceptional_census and the columnar census (stacked_census) count,
+for every (set, N) cell at once, the members whose projection of a set
+has at most N cosets.  Each test here recomputes
 the cells one at a time with tests/oracles.py's
 exceptional_report_from_stats, which is how the library built every
 census row (with Fractions) before, or with its per-cell census loop
-(oracles.stacked_census_cells).
+(oracles.stacked_census_cells).  A census is read as tuples zipped
+from its columns (oracles.census_tuples) and compared with
+oracles.typed, value and Python type together.
 """
 
 import math
@@ -25,8 +27,6 @@ from fpproj.pointsets import PointSet, affine_flat_set, random_point_set
 from fpproj.projection import (
     Census,
     battery_projection_stats,
-    census_cells,
-    census_columns,
     exceptional_bound_check,
     exceptional_census,
     exceptional_count,
@@ -91,19 +91,23 @@ def assert_census_matches_reference(p, m, sets, sizes, energies, thresholds):
     assert counts.shape == theta.shape == (S, T)
     assert counts.dtype == theta.dtype == np.int64
     for C in (None, *RATIO_CONSTANTS):
-        census = census_cells(sets, m, *stats, thresholds, C)
+        census = oracles.census_tuples(stacked_census((sets,), None, m, *stats, thresholds, C)[0])
+        assert len(census) == S
         for s, (row, ref_row) in enumerate(zip(census, reference)):
+            assert len(row) == T
             for t, (cell, (count, theta_ref, bound, ratio, pairs_ok)) in enumerate(zip(row, ref_row)):
-                assert counts[s, t] == count == cell.count
+                N, cell_count, num, den, cell_ratio, within, lhs, rhs, ok = cell
+                assert counts[s, t] == count == cell_count and type(cell_count) is int
                 assert theta[s, t] == theta_ref
-                assert cell.threshold == thresholds[t]
-                assert Fraction(cell.bound_num, cell.bound_den) == bound
-                assert math.gcd(cell.bound_num, cell.bound_den) == 1
-                assert type(cell.ratio) is float and cell.ratio == float(ratio)
-                assert cell.within is (None if C is None else ratio <= C)
-                assert cell.pairs_lhs == count * sets[s].size ** 2
-                assert cell.pairs_rhs == theta_ref * thresholds[t]
-                assert cell.pairs_bound_ok is pairs_ok
+                assert N == thresholds[t] and type(N) is int
+                assert type(num) is type(den) is int
+                assert Fraction(num, den) == bound
+                assert math.gcd(num, den) == 1
+                assert type(cell_ratio) is float and cell_ratio == float(ratio)
+                assert within is (None if C is None else ratio <= C)
+                assert lhs == count * sets[s].size ** 2 and type(lhs) is int
+                assert rhs == theta_ref * thresholds[t] and type(rhs) is int
+                assert ok is pairs_ok
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,8 +169,10 @@ def test_stacked_census_equals_one_census_per_cell(case):
         stacked = stacked_census(batteries, edges, m, all_sizes, all_energies, thresholds, C)
         assert stacked.count.shape == (len(blocks), S, len(thresholds))
         for c, (sets, (s, e)) in enumerate(zip(batteries, blocks)):
-            assert_same_columns(stacked[c], census_columns(sets, m, s, e, thresholds, C))
-            assert stacked[c].cells() == census_cells(sets, m, s, e, thresholds, C)
+            one = stacked_census((sets,), None, m, s, e, thresholds, C)[0]
+            assert_same_columns(stacked[c], one)
+            cells, one_cells = oracles.census_tuples(stacked[c]), oracles.census_tuples(one)
+            assert oracles.typed(cells) == oracles.typed(one_cells)
 
 
 def assert_same_columns(census, other):
@@ -184,11 +190,8 @@ def assert_census_matches_per_cell_loop(batteries, edges, m, sizes, energies, th
     for C in (None, *RATIO_CONSTANTS):
         census = stacked_census(batteries, edges, m, sizes, energies, thresholds, C)
         reference = oracles.stacked_census_cells(batteries, edges, m, sizes, energies, thresholds, C)
-        cells = [census[c].cells() for c in range(len(reference))]
-        assert cells == reference
-        assert [[[tuple(map(type, cell)) for cell in row] for row in cell_rows] for cell_rows in cells] == [
-            [[tuple(map(type, cell)) for cell in row] for row in cell_rows] for cell_rows in reference
-        ]
+        cells = [oracles.census_tuples(census[c]) for c in range(len(reference))]
+        assert oracles.typed(cells) == oracles.typed(reference)
 
 
 @settings(max_examples=120, deadline=None)
@@ -208,22 +211,24 @@ def test_census_columns_hold_python_integers_at_any_size():
     sets = point_sets(3, [40, 2])
     sizes = np.array([[5, 1, 5, 3], [1, 2, 2, 1]])
     energies = np.array([[40, 7, 41, 0], [4, 50, 9, 1]])
-    small = census_columns(sets, 2, sizes, energies, [0, 1, 5], 16)
+    small = stacked_census((sets,), None, 2, sizes, energies, [0, 1, 5], 16)[0]
     for column in (small.count, small.bound_num, small.bound_den, small.pairs_lhs, small.pairs_rhs):
         assert column.dtype == object and {type(x) for x in column.ravel().tolist()} == {int}
     assert small.ratio.dtype == np.float64 and small.within.dtype == small.pairs_bound_ok.dtype == bool
     for big in ([0, 1, 5, 2**53], [0, 1, 5, 2**70]):
-        census = census_columns(sets, 2, sizes, energies, big, 16)
-        assert [row[:3] for row in census.cells()] == small.cells()
+        census = stacked_census((sets,), None, 2, sizes, energies, big, 16)[0]
+        cells = [row[:3] for row in oracles.census_tuples(census)]
+        assert oracles.typed(cells) == oracles.typed(oracles.census_tuples(small))
         assert_census_matches_per_cell_loop([sets], None, 2, sizes, energies, big)
     for C in (Fraction(2**60, 3), Fraction(1, 2**60)):
-        assert census_columns(sets, 2, sizes, energies, [0, 1, 5], C).cells() == oracles.stacked_census_cells(
-            [sets], None, 2, sizes, energies, [0, 1, 5], C
-        )[0]
+        census = stacked_census((sets,), None, 2, sizes, energies, [0, 1, 5], C)[0]
+        reference = oracles.stacked_census_cells([sets], None, 2, sizes, energies, [0, 1, 5], C)[0]
+        assert oracles.typed(oracles.census_tuples(census)) == oracles.typed(reference)
     # a census of no set has no cell
     none = np.zeros((0, 4), dtype=np.int64)
-    assert census_columns([], 2, none, none, [0, 1], 16).count.shape == (0, 2)
-    assert census_cells([], 2, none, none, [0, 1], 16) == []
+    census = stacked_census(((),), None, 2, none, none, [0, 1], 16)[0]
+    assert census.count.shape == (0, 2)
+    assert oracles.census_tuples(census) == []
 
 
 def test_census_of_the_random_model_grid_equals_the_per_cell_loop():
@@ -240,7 +245,8 @@ def test_census_of_the_random_model_grid_equals_the_per_cell_loop():
         reference = oracles.stacked_census_cells(
             batteries, edges, m, np.hstack(sizes), np.hstack(energies), (1, 2, 4, 8), 16
         )
-        assert [group.cells[key][2].cells() for key in keys] == reference
+        cells = [oracles.census_tuples(group.cells[key][2]) for key in keys]
+        assert oracles.typed(cells) == oracles.typed(reference)
     acceptance.clear_caches()
 
 
@@ -305,7 +311,7 @@ def test_census_rejects_empty_sets_and_negative_thresholds():
     empty = PointSet.empty(E.ambient)
     sizes = np.array([[1, 2]])
     with pytest.raises(ValueError, match="nonempty"):
-        census_cells([E, empty], 1, np.vstack([sizes, sizes]), np.vstack([sizes, sizes]), [1])
+        stacked_census(([E, empty],), None, 1, np.vstack([sizes, sizes]), np.vstack([sizes, sizes]), [1])
     with pytest.raises(ValueError, match="nonempty"):
         exceptional_report_from_stats(empty, 1, sizes[0], sizes[0], 1)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -384,11 +390,11 @@ def test_criterion6_lists_a_violated_pair(monkeypatch):
     p, m, alpha, _ = target
     real_cell = acceptance.random_model_cell
     G, sets, census = real_cell(*target)
-    s = next(s for s, cells in enumerate(census.cells()) if any(cell.count for cell in cells))
+    s = next(s for s, counts in enumerate(census.count.tolist()) if any(counts))
     sizes, energies = acceptance.battery_stats(sets, G)
     energies = energies.copy()
     energies[s] = 0
-    corrupted = census_columns([E for _, E in sets], m, sizes, energies, acceptance._RATIO_NS, 16)
+    corrupted = stacked_census(([E for _, E in sets],), None, m, sizes, energies, acceptance._RATIO_NS, 16)[0]
     assert isinstance(census, Census)
 
     def cell(*key):
@@ -398,7 +404,7 @@ def test_criterion6_lists_a_violated_pair(monkeypatch):
     result = acceptance.criterion6()
     set_id, E = sets[s]
     violated = [
-        ("argument", p, 3, m, set_id, c.count * E.size**2, 0, False) for c in census.cells()[s] if c.count
+        ("argument", p, 3, m, set_id, count * E.size**2, 0, False) for count in census.count[s].tolist() if count
     ]
     assert not result.passed
     assert [row for row in result.rows if row[-1] is False] == [

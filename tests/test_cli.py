@@ -6,11 +6,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from fpproj import cli
+from fpproj import acceptance, cli
 from fpproj.budgets import BudgetError
 from fpproj.cli import main
 from fpproj.families import (
+    circle_family,
     load_family,
+    moment_family,
     sample_random_family,
     spread_containing,
     spread_perp,
@@ -19,7 +21,7 @@ from fpproj.families import (
 from fpproj.field import AmbientSpace
 from fpproj.fourier import coset_energy_spectral, dft, plancherel_defect
 from fpproj.pointsets import random_point_set, save_point_set
-from fpproj.projection import family_projection_stats, fiber_counts
+from fpproj.projection import battery_projection_stats, family_projection_stats, fiber_counts
 from fpproj.subspaces import enumerate_subspaces, serialize_subspace
 from fractions import Fraction
 import oracles
@@ -215,6 +217,23 @@ def test_random_family_rejects_coarse_alpha(capsys):
                "--alpha", "19/13", "--seed", "1") == 2
 
 
+def test_zero_denominators_are_usage_errors(tmp_path, capsys):
+    # Fraction("1/0") raises ZeroDivisionError; parse_fraction makes it a usage error
+    assert run("random-family", "--p", "7", "--n", "3", "--m", "1", "--alpha", "1/0", "--seed", "1") == 2
+    assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
+    out = tmp_path / "report.csv"
+    for overrides in (
+        dict(C="1/0"),
+        dict(thresholds={"kind": "t", "values": [1, "1/0"]}),
+        dict(thresholds={"kind": "eps", "values": ["1/0"]}),
+        dict(families=["random:1/0:1"]),
+    ):
+        cfg = write_config(tmp_path, **overrides)
+        assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
+        assert not out.exists()
+
+
 # -- examples --------------------------------------------------------------------
 
 
@@ -253,6 +272,28 @@ def test_examples_point_budget_reaches_battery(capsys):
         assert capsys.readouterr().out == ""
         assert run("examples", *args, "--point-budget", "200000") == 0
         assert "ratio union:flat+random N=8" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("which, p, n", [("circle", 13, 3), ("moment", 7, 3)])
+def test_examples_ratio_lines_equal_per_row_reference(which, p, n, capsys):
+    # every ratio line, rebuilt from one Fraction report per (set, N) of the same battery
+    G = circle_family(p) if which == "circle" else moment_family(p, n)
+    sets = acceptance.standard_sets(G.ambient, base_seed=p)
+    sizes, energies = battery_projection_stats([E for _, E in sets], G)
+    expected, failed = [], False
+    for (set_id, E), row_sizes, row_energies in zip(sets, sizes.tolist(), energies.tolist()):
+        for N in (1, 2, 4, 8):
+            count, _, _, ratio, _ = oracles.exceptional_report_from_stats(
+                E.size, p, G.m, row_sizes, row_energies, N
+            )
+            ok = ratio <= 16
+            failed = failed or not ok
+            verdict = "ok" if ok else "FAIL"
+            expected.append(f"ratio {set_id} N={N} count={count} ratio={float(ratio):.12g} {verdict}")
+    assert run("examples", which, "--p", str(p), "--n", str(n)) == (1 if failed else 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("ratio ")] == expected
+    assert len(expected) == 4 * len(sets)
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from fpproj.pointsets import PointSet, affine_flat_set, moment_curve_set, random
 from fpproj.projection import (
     _line_census_stats,
     battery_projection_stats,
-    census_columns,
     census_stats,
     line_energies,
+    stacked_census,
     stacked_projection_stats,
 )
 from fpproj.subspaces import (
@@ -237,7 +237,7 @@ def assert_pruned_census_is_exact(sets, G, thresholds, C=16):
     for got_sizes, got_energies in (census_stats([sets], stack, zeros(stack), thresholds), by_line):
         assert got_energies.tolist() == energies.tolist()
         assert ((got_sizes == sizes) | (got_sizes == clipped)).all()
-        census = census_columns(sets, stack.codim, got_sizes, got_energies, thresholds, C)
+        census = stacked_census((sets,), None, stack.codim, got_sizes, got_energies, thresholds, C)[0]
         for column, ref_column in zip(census.columns(), reference.columns()):
             assert column.tolist() == ref_column.tolist()
 

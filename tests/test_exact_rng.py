@@ -116,6 +116,9 @@ def test_parse_fraction_forms():
     for flag in (True, False):
         with pytest.raises(ValueError, match="bool"):
             parse_fraction(flag)
+    for text in ("1/0", " 3/0 ", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_fraction(text)
 
 
 # -- counter-based keys ----------------------------------------------------------

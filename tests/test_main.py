@@ -15,16 +15,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def fpproj(*argv):
+def python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "fpproj", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         check=False,
     )
+
+
+def fpproj(*argv):
+    return python("-m", "fpproj", *argv)
 
 
 def test_count_prints_formula_and_enumeration():
@@ -63,3 +67,17 @@ def test_budget_failure_exits_3():
                   "--set", "random:3:1")  # fmt: skip
     assert done.returncode == 3 and done.stdout == ""
     assert "budget exceeded" in done.stderr
+
+
+def test_project_leaves_numpy_ma_unloaded():
+    # np.unique without a return_* flag imports numpy.ma to rule out a
+    # masked array; counting fibers by one sort needs no such import
+    done = python("-c", """if True:
+        import sys
+        from fpproj import cli
+        code = cli.main(["project", "--p", "3", "--n", "3", "--subspace", "1,0,2", "--set", "random:5:1"])
+        print(code, "numpy.ma" in sys.modules)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert "image_size" in done.stdout
+    assert done.stdout.splitlines()[-1] == "0 False"
