@@ -6,12 +6,12 @@ artifact, column by column (csv_text).  Criteria 6 and 8 read the
 same random-model cells (family, standard battery and its exceptional
 census per (p, m, alpha, seed)) through random_model_cell.  The 40
 cells of each (p, m) are built together, once per pass: one stacked
-draw per alpha, one stacked draw of every seed's battery, one
-census_stats call in which each seed's battery meets the union of that
-seed's families, and one census call, whose columns criterion 8 zips into
-its ratio rows and criterion 6 masks for violations.  Criterion 8's
-spreadness is one stacked_spread call per (p, m, alpha) row over the
-same union stack.  The four (p, m) groups are kept in a bounded
+draw per alpha, one stacked draw of every seed's battery, and one
+family_census call over the union of the 40 families, in which each
+family meets its seed's battery; criterion 8 zips its columns into
+its ratio rows and criterion 6 masks them for violations.  Criterion
+8's spreadness is one stacked_spread call per (p, m, alpha) row over
+the same union stack.  The four (p, m) groups are kept in a bounded
 cache; a criterion called alone builds the groups it misses, so its
 output does not depend on what ran before it.  ``run_suite`` clears
 every cache of the package before each pass, so the two passes that
@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,13 +48,7 @@ from .exact import floor_pow
 from .field import AmbientSpace, decode, gaussian_binomial
 from .fourier import SpectralTable, plancherel_defect, stacked_dft, verify_coset_identities
 from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_sets
-from .projection import (
-    Census,
-    battery_projection_stats,
-    census_stats,
-    explicit_bound_from_sizes,
-    stacked_census,
-)
+from .projection import Census, battery_projection_stats, explicit_bound_from_sizes, family_census
 from .subspaces import (
     SubspaceStack,
     csv_subspace_name,
@@ -62,6 +56,7 @@ from .subspaces import (
     first_subspace,
     grassmannian,
     perp_stack,
+    stack_union,
 )
 
 
@@ -191,8 +186,7 @@ def battery_stats(sets, G: Family):
 def battery_census(sets, G: Family, C: Fraction = _RATIO_C) -> Census:
     """The (S, 4) census of a battery of (set_id, E) pairs at the thresholds N in (1, 2, 4, 8)."""
     points = [E for _, E in sets]
-    stats = census_stats((points,), G, np.zeros(len(G), dtype=np.int64), _RATIO_NS)
-    return stacked_census((points,), None, G.m, *stats, _RATIO_NS, C)[0]
+    return family_census((points,), G.stack, np.arange(len(G)), (0, len(G)), (0,), _RATIO_NS, C)[0]
 
 
 def ratio_rows(tag: str, G: Family, family_id: str, sets, census: Census, seed_field):
@@ -272,19 +266,19 @@ def random_model_cell(p: int, m: int, alpha: Fraction, seed: int):
 def random_model_spreads(p: int, m: int, alpha: Fraction, variant: str):
     """stacked_spread of the 20 families of one grid row, in seed order: (counts, codes).
 
-    The families are index arrays into the (p, m) group's union stack,
-    whose annihilators are built once for every row of the group.
+    The row's families are a slice of the (p, m) group's edges into its
+    union stack, whose annihilators are built once for every row.
     """
-    group = _random_model_group(p, m)
-    columns = [group.columns[alpha, seed] for seed in range(_RANDOM_SEED_COUNT)]
-    edges = np.cumsum([0] + [len(c) for c in columns])
-    return stacked_spread(group.union, variant, np.concatenate(columns), edges)
+    cells, union, members, edges = _random_model_group(p, m)
+    row = list(cells).index((alpha, 0))
+    return stacked_spread(union, variant, members, edges[row : row + _RANDOM_SEED_COUNT + 1])
 
 
 class _Group(NamedTuple):
-    cells: dict  # (alpha, seed) -> random_model_cell(p, m, alpha, seed)
-    union: SubspaceStack  # every seed's union of families, seed-major
-    columns: dict  # (alpha, seed) -> the cell's members as indices into union
+    cells: dict  # (alpha, seed) -> random_model_cell(p, m, alpha, seed), alpha-major
+    union: SubspaceStack  # the distinct members of every cell's family
+    members: np.ndarray  # cell c's family is union at members[edges[c]:edges[c + 1]], in cells' order
+    edges: np.ndarray
 
 
 @lru_cache(maxsize=_RANDOM_GROUP_COUNT)
@@ -294,44 +288,24 @@ def _random_model_group(p: int, m: int) -> _Group:
     The families of each alpha come from one stacked draw over the
     seeds, and every seed's battery from one stacked_standard_sets
     call.  Both alphas of a seed share its battery, whose seed
-    seed*100 + m does not depend on alpha, so the union of their
-    families meets that battery once: one census_stats call takes every
-    seed's union, seed-major, and a cell's stats are the columns of its
-    own members.  One census call then counts every cell.
+    seed*100 + m does not depend on alpha, so one family_census, with
+    each family's battery its seed, counts each member of a seed's
+    families once against that battery, and every cell in one census.
     """
     ambient = AmbientSpace(p, 3)
     seeds = range(_RANDOM_SEED_COUNT)
     alphas = [alpha for row_p, row_m, alpha in random_model_grid() if (row_p, row_m) == (p, m)]
-    draws = [
-        sample_random_families(RandomFamilyConfig(ambient, m, alpha, seed) for seed in seeds)
-        for alpha in alphas
-    ]
-    union = np.logical_or.reduce([masks for masks, _ in draws])  # (seed, member index)
-    seed_of, member = np.nonzero(union)  # the union's members, seed-major
-    column = np.cumsum(union.ravel()) - 1  # each union member's column in the census_stats call
-    kept = [seed for seed in seeds if union[seed].any()]
-    built = stacked_standard_sets(ambient, [seed * 100 + m for seed in kept])
-    batteries = {seed: tuple(sets) for seed, sets in zip(kept, built)}
-    points = {seed: [E for _, E in sets] for seed, sets in batteries.items()}
-    stack = grassmannian(ambient, 3 - m).take(member)
-    sizes, energies = census_stats(
-        [points[seed] for seed in kept], stack, np.searchsorted(kept, seed_of), _RATIO_NS
-    )
-    cells, columns, stacked = {}, {}, []
-    for alpha, (masks, families) in zip(alphas, draws):
-        for seed, mask, G in zip(seeds, masks, families):
-            cells[alpha, seed] = G, (), None
-            columns[alpha, seed] = column[seed * mask.size + np.flatnonzero(mask)]
-            if len(G):
-                stacked.append((alpha, seed))
-    at = np.concatenate([columns[key] for key in stacked])
-    edges = np.cumsum([0] + [len(columns[key]) for key in stacked])
-    census = stacked_census(
-        [points[seed] for _, seed in stacked], edges, m, sizes[:, at], energies[:, at], _RATIO_NS, _RATIO_C
-    )
-    for c, (alpha, seed) in enumerate(stacked):
-        cells[alpha, seed] = cells[alpha, seed][0], batteries[seed], census[c]
-    return _Group(cells, stack, columns)
+    cfgs = [[RandomFamilyConfig(ambient, m, alpha, seed) for seed in seeds] for alpha in alphas]
+    families = [G for row in cfgs for G in sample_random_families(row)]  # alpha-major
+    union, members, edges = stack_union(G.stack for G in families)
+    batteries = [tuple(sets) for sets in stacked_standard_sets(ambient, [seed * 100 + m for seed in seeds])]
+    points = [[E for _, E in sets] for sets in batteries]
+    census = family_census(points, union, members, edges, np.tile(seeds, len(alphas)), _RATIO_NS, _RATIO_C)
+    cells = {
+        (alpha, seed): (G, batteries[seed], census[c]) if len(G) else (G, (), None)
+        for c, ((alpha, seed), G) in enumerate(zip(product(alphas, seeds), families))
+    }
+    return _Group(cells, union, members, edges)
 
 
 def package_caches() -> dict:

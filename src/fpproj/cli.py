@@ -41,7 +41,7 @@ from .pointsets import (
     moment_curve_set,
     random_point_set,
 )
-from .projection import census_stats, project, stacked_census
+from .projection import family_census, project
 from .subspaces import (
     csv_subspace_name,
     first_subspace,
@@ -144,9 +144,10 @@ def _write(text: str, path) -> None:
 
 
 def cmd_count(args) -> int:
+    ambient = AmbientSpace(args.p, args.n)  # checks p^n before the formula raises p to n
     formula = gaussian_binomial(args.n, args.k, args.p)
     try:
-        count = len(grassmannian(AmbientSpace(args.p, args.n), args.k, budget=args.subspace_budget))
+        count = len(grassmannian(ambient, args.k, budget=args.subspace_budget))
     except BudgetError:
         print(f"{formula} SKIPPED(budget)")
         return 3
@@ -217,7 +218,7 @@ def cmd_random_family(args) -> int:
 def cmd_examples(args) -> int:
     if args.which == "circle" and args.n != 3:
         raise ValueError("the circle family lives in n = 3")
-    check_budget(args.p**args.n, args.point_budget, "p^n for point sets")
+    check_budget(AmbientSpace(args.p, args.n).point_count, args.point_budget, "p^n for point sets")
     if args.which == "circle":
         G, S = circle_family(args.p), circle_set(args.p)
     else:
@@ -320,21 +321,17 @@ def cmd_sweep(args) -> int:
             raise ValueError("sweep sets must be nonempty (the bound uses 1/|E|)")
     points = [E for _, E in sets]
 
-    # The families that are not skipped share one stack of their distinct
-    # members, each family an index array into it: one census_stats call
-    # meets the stack with every set, one census counts each family over
-    # its own columns, and one stacked_spread per variant counts the families
-    # in the same stack, whose annihilators are built once.
+    # The families that are not skipped share one stack of their distinct members, each
+    # family an index array into it: one family_census and one stacked_spread per variant
+    # read it, so each member is counted once and its annihilators are built once.
     kept = [G for _, G, _ in families if G is not None]
     results = iter(())  # per kept family: its (S, T) census, spread_containing, spread_perp
     if sets and kept:  # a battery needs at least one set
         union, at, edges = stack_union(G.stack for G in kept)
         spreads = [stacked_spread(union, variant, at, edges, args.point_budget)[0].tolist()
                    for variant in ("contains", "perp")]  # fmt: skip
-        thresholds = [N for N, _ in cutoffs]
-        sizes, energies = census_stats((points,), union, np.zeros(len(union), dtype=np.int64), thresholds,
-                                       args.point_budget)  # fmt: skip
-        census = stacked_census([points] * len(kept), edges, m, sizes[:, at], energies[:, at], thresholds, C)
+        census = family_census((points,), union, at, edges, np.zeros(len(kept), dtype=np.int64),
+                               [N for N, _ in cutoffs], C, args.point_budget)  # fmt: skip
         results = ((census[c], sc, sp) for c, (sc, sp) in enumerate(zip(*spreads)))
 
     # the (set_id, set_size, threshold_kind, threshold) of each row of a family

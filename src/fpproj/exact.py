@@ -79,13 +79,19 @@ def floor_pow(p: int, expo) -> int:
     return floor_mul_pow(1, p, expo)
 
 
+# A decimal exponent beyond this is refused before 10^exponent is built: Python's
+# default limit on the digits of an int read from a string.
+MAX_DECIMAL_EXPONENT = 4300
+
+
 def parse_fraction(text) -> Fraction:
     """Parse 'a/b', decimal strings, ints or floats to an exact Fraction.
 
     Floats go through their shortest decimal repr, so the JSON literal
     1.3 becomes 13/10 rather than its binary expansion.  A bool is an
     int to Python but no rational to a config, so it is refused, and
-    so is a zero denominator.
+    so are a zero denominator and a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT.
     """
     if isinstance(text, bool):
         raise ValueError(f"expected a rational number, got the bool {text}")
@@ -95,7 +101,12 @@ def parse_fraction(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         return Fraction(repr(text))
+    text = str(text).strip()
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"decimal exponent {exponent} is beyond +-{MAX_DECIMAL_EXPONENT}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None

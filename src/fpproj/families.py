@@ -138,8 +138,8 @@ def inclusion_masks(cfgs) -> np.ndarray:
     return np.concatenate([masks for _, masks in rows])
 
 
-def sample_random_families(cfgs, budget=DEFAULT_SUBSPACE_BUDGET) -> tuple[np.ndarray, tuple[Family, ...]]:
-    """(inclusion_masks(cfgs), the family of each config), for configs differing in seed only.
+def sample_random_families(cfgs, budget=DEFAULT_SUBSPACE_BUDGET) -> tuple[Family, ...]:
+    """The family of each config, for configs differing in seed only: one inclusion_masks draw.
 
     |G(n, n-m)| is checked against budget before any key is drawn.
     """
@@ -148,8 +148,7 @@ def sample_random_families(cfgs, budget=DEFAULT_SUBSPACE_BUDGET) -> tuple[np.nda
         raise ValueError("no configs to draw")
     ambient, m = cfgs[0].ambient, cfgs[0].m
     G = grassmannian(ambient, ambient.n - m, budget=budget)
-    masks = inclusion_masks(cfgs)
-    return masks, tuple(Family(ambient, m, G.take(mask)) for mask in masks)
+    return tuple(Family(ambient, m, G.take(mask)) for mask in inclusion_masks(cfgs))
 
 
 def sample_random_family(cfg: RandomFamilyConfig, budget=DEFAULT_SUBSPACE_BUDGET) -> Family:
@@ -157,7 +156,7 @@ def sample_random_family(cfg: RandomFamilyConfig, budget=DEFAULT_SUBSPACE_BUDGET
 
     The one-config case of sample_random_families.
     """
-    return sample_random_families((cfg,), budget)[1][0]
+    return sample_random_families((cfg,), budget)[0]
 
 
 @dataclass(frozen=True)
@@ -224,32 +223,33 @@ def spread_profile(G: Family, variant: str, budget=DEFAULT_POINT_BUDGET) -> np.n
     """
     _check_variant(variant)
     check_budget(G.ambient.point_count, budget, "p^n for the spread profile")
-    table = _spread_tables(G.stack, variant, np.arange(len(G)), np.array([0, len(G)]), np.array([0]))
-    profile = table[0, _line_minima(G.ambient)]
+    lowest = _line_minima(G.ambient)
+    table = _spread_tables(G.stack, variant, np.arange(len(G)), np.array([0, len(G)]), np.array([0]), lowest)
+    profile = table[0, lowest]
     profile[0] = len(G)
     return profile
 
 
-def _spread_tables(stack: SubspaceStack, variant: str, members, edges, families) -> np.ndarray:
+def _spread_tables(stack: SubspaceStack, variant: str, members, edges, families, lowest) -> np.ndarray:
     """(len(families), p^n) counts: per listed family, how many of its members' spans hold each line.
 
     Family c is the stack's members members[edges[c]:edges[c + 1]],
     spanned by their bases ('contains') or annihilators ('perp').  A
     span holds all of a line through 0 or only 0, so each member spans
-    one point per line, mapped to the line's smallest code by
-    _line_minima, and a family's count for a line is kept at that
-    code; every other entry, 0 included, is 0.  Each member's codes
-    are offset by its family's position times p^n, so one bincount per
+    one point per line, kept at the line's smallest code; every other
+    entry, 0 included, is 0.  lowest, _line_minima of the ambient
+    space, maps a basis point there ('contains'); an annihilator point
+    is there already (see _line_census_stats).  Each member's codes are
+    offset by its family's position times p^n, so one bincount per
     chunk of members fills every family's table.
     """
     P = stack.ambient.point_count
-    lowest = _line_minima(stack.ambient)
     rows = stack.bases if variant == "contains" else stack.annihilators
     index = np.concatenate([members[edges[c] : edges[c + 1]] for c in families.tolist()])
     position = np.repeat(np.arange(len(families)), np.diff(edges)[families])
     tables = np.zeros(len(families) * P, dtype=np.int64)
     for part, codes in stacked_span_codes(stack.ambient, rows[index], lines=True):
-        codes = lowest[codes] + position[part, None] * P
+        codes = (lowest[codes] if variant == "contains" else codes) + position[part, None] * P
         tables += np.bincount(codes.ravel(), minlength=tables.size)
     return tables.reshape(len(families), P)
 
@@ -284,9 +284,10 @@ def stacked_spread(stack: SubspaceStack, variant: str, members, edges, budget=DE
         check_budget(ambient.point_count, budget, "p^n for the spread profile")
     counts = full * np.int64(theoretical_spread_count(ambient, k, variant) if full.any() else 0)
     codes = full.astype(np.int64)
+    lowest = _line_minima(ambient) if counted.size and variant == "contains" else None
     for part in member_chunks(len(counted), ambient.point_count, TABLE_ELEMENTS):
         families = counted[part]
-        tables = _spread_tables(stack, variant, members, edges, families)
+        tables = _spread_tables(stack, variant, members, edges, families, lowest)
         codes[families] = tables.argmax(axis=1)  # argmax takes the smallest maximizing code
         counts[families] = tables[np.arange(len(families)), codes[families]]
     return counts, codes

@@ -21,15 +21,28 @@ import numpy as np
 MAX_POINT_COUNT = 2**63 - 1
 
 
+# Miller-Rabin with every prime base up to 37 decides primality exactly below 3.18 * 10^23.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality check; moduli here are always small."""
+    """Deterministic Miller-Rabin on the prime bases 2..37: exact for every p below 2^64."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in _WITNESSES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):  # a prime p has a^(d 2^j) = p - 1 for some j < s
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 
@@ -41,14 +54,13 @@ class AmbientSpace:
     n: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.p**self.n > MAX_POINT_COUNT:
-            raise ValueError(
-                f"p^n = {self.p}^{self.n} exceeds the exact index range"
-            )
+        # p >= 2^(bits - 1), so p^n is refused unbuilt when (bits - 1) n reaches 63
+        if self.p > 1 and ((int(self.p).bit_length() - 1) * self.n >= 63 or self.p**self.n > MAX_POINT_COUNT):
+            raise ValueError(f"p^n = {self.p}^{self.n} exceeds the exact index range")
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
 
     @property
     def point_count(self) -> int:

@@ -624,6 +624,33 @@ def stacked_census(batteries, edges, m: int, sizes, energies, thresholds, C=None
     return Census(thresholds, count, num, den, ratio, within, lhs, rhs, ok)
 
 
+def family_census(batteries, stack, members, edges, battery_of, thresholds, C=None, budget=DEFAULT_POINT_BUDGET):
+    """The (F, S, T) census of F families of one stack, each against its own battery.
+
+    Family c is the stack at members[edges[c]:edges[c + 1]] (the layout
+    stacked_spread reads) against batteries[battery_of[c]].  One B * K
+    mask finds the distinct (battery, member) pairs, census_stats counts
+    each once, and each family gathers its columns for stacked_census.
+    """
+    batteries, thresholds = tuple(map(tuple, batteries)), tuple(thresholds)
+    members, edges, battery_of = (np.asarray(a, dtype=np.int64) for a in (members, edges, battery_of))
+    B, K, widths = len(batteries), len(stack), np.diff(edges)
+    if edges.size == 0 or edges[0] != 0 or edges[-1] != members.size or np.any(widths < 0):
+        raise ValueError(f"family edges must rise from 0 to {members.size}")
+    outside = np.any((battery_of < 0) | (battery_of >= B)) or np.any((members < 0) | (members >= K))
+    if battery_of.shape != widths.shape or outside:
+        raise ValueError(f"battery_of must give each family one of {B} batteries, and members index {K}")
+    at = np.repeat(battery_of, widths) * K + members  # each family column's (battery, member) pair
+    seen = np.zeros(B * K, dtype=bool)
+    seen[at] = True
+    pairs = np.flatnonzero(seen)
+    taken = stack if np.array_equal(pairs, np.arange(K)) else stack.take(pairs % K)  # no copy of range(K)
+    sizes, energies = census_stats(batteries, taken, pairs // K, thresholds, budget)
+    at = np.searchsorted(pairs, at)  # and now its column among the pairs
+    own = [batteries[b] for b in battery_of.tolist()]
+    return stacked_census(own, edges, stack.codim, sizes[:, at], energies[:, at], thresholds, C)
+
+
 def exceptional_report_from_stats(
     E: PointSet, m: int, sizes: np.ndarray, energies: np.ndarray, N: int
 ) -> ExceptionalReport:

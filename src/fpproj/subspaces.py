@@ -311,8 +311,12 @@ class SubspaceStack:
         )
 
     def take(self, index) -> "SubspaceStack":
-        """The members selected by an index array or boolean mask, as a new stack."""
-        return SubspaceStack(self.ambient, self.bases[index])
+        """The members selected by an index array or boolean mask, rows already built included."""
+        out = SubspaceStack(self.ambient, self.bases[index])
+        if "annihilators" in self.__dict__:  # a member's rows depend on its basis alone
+            out.__dict__["annihilators"] = self.annihilators[index]  # where cached_property keeps them
+            out.annihilators.setflags(write=False)
+        return out
 
     def distinct(self) -> "SubspaceStack":
         """The distinct members sorted by basis read row by row (self if already so)."""
@@ -466,14 +470,14 @@ def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray, lines: bool = Fa
         yield part, points @ weights
 
 
-@lru_cache(maxsize=8)
 def _line_minima(ambient: AmbientSpace) -> np.ndarray:
-    """(p^n,) codes, read only: each code's smallest multiple, the point scaled so its top nonzero digit is 1.
+    """(p^n,) codes: each code's smallest multiple, the point scaled so its top nonzero digit is 1.
 
     lambda x for lambda != 0 runs over the nonzero points of x's line
     through 0, and a code compares by its top digit first, so this is
     the smallest code on the line (0 for code 0).  Callers check p^n
-    against their point budget before the first call.
+    against their point budget first; the map is built per call and
+    not kept.
     """
     p = ambient.p
     codes = np.arange(ambient.point_count, dtype=np.int64)
@@ -484,7 +488,6 @@ def _line_minima(ambient: AmbientSpace) -> np.ndarray:
     out = np.zeros_like(codes)
     for weight in power_vector(p, ambient.n).tolist():
         out += codes // weight % p * scale % p * weight
-    out.setflags(write=False)
     return out
 
 

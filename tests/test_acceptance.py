@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpproj.projection
 from fpproj import acceptance
 from fpproj.families import RandomFamilyConfig, sample_random_family, spread_containing, spread_perp
 from fpproj.field import AmbientSpace, decode, encode
@@ -34,16 +35,16 @@ def logged_suite():
 
     Per pass, draws counts each acceptance.sample_random_families call
     by (p, m, alpha, seeds), and kernel lists the (p, m, member count)
-    of each acceptance.census_stats call over more than one battery,
-    which only the grid makes (battery_census passes one).  Also
-    returns, per pass, the size of every package cache when the pass
-    began.
+    of each fpproj.projection.census_stats call (the one family_census
+    makes) over more than one battery, which only the grid makes
+    (battery_census passes one).  Also returns, per pass, the size of
+    every package cache when the pass began.
     """
     passes = []
     cache_sizes = []
     first, *rest = acceptance.CRITERIA
     draw = acceptance.sample_random_families
-    stats = acceptance.census_stats
+    stats = fpproj.projection.census_stats
     caches = acceptance.package_caches()
 
     def start_pass():
@@ -57,16 +58,16 @@ def logged_suite():
         passes[-1]["draws"][key] += 1
         return draw(cfgs, *args, **kwargs)
 
-    def counted_stats(batteries, G, battery_of, thresholds):
+    def counted_stats(batteries, G, battery_of, thresholds, *args):
         batteries = tuple(batteries)
         if len(batteries) > 1:
             passes[-1]["kernel"].append((G.ambient.p, G.codim, len(G)))
-        return stats(batteries, G, battery_of, thresholds)
+        return stats(batteries, G, battery_of, thresholds, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptance, "CRITERIA", (start_pass, *rest))
         mp.setattr(acceptance, "sample_random_families", counted_draw)
-        mp.setattr(acceptance, "census_stats", counted_stats)
+        mp.setattr(fpproj.projection, "census_stats", counted_stats)
         suite = acceptance.run_suite()
     return suite, passes, cache_sizes
 

@@ -16,23 +16,37 @@ def test_every_lru_cache_is_bounded():
     assert [name for name, maxsize in found.items() if maxsize is None] == []
 
 
-def test_line_map_is_built_once_per_ambient_in_a_sweep(tmp_path):
-    # both spread variants read one cached map
+def test_line_map_is_built_once_per_ambient_in_a_sweep(tmp_path, monkeypatch):
+    # the map is not cached: the sweep builds it once, for its 'contains'
+    # spreads, and annihilator span points are line minima already
     import json
 
-    from fpproj import cli
-    from fpproj.field import AmbientSpace
-    from fpproj.subspaces import _line_minima
+    import numpy as np
 
-    assert "fpproj.subspaces._line_minima" in package_caches()
-    assert _line_minima.cache_parameters()["maxsize"] is not None
+    from fpproj import cli, families
+    from fpproj.field import AmbientSpace
+    from fpproj.subspaces import grassmannian
+
+    assert not any(name.endswith("_line_minima") for name in package_caches())
+    builds = []
+    real = families._line_minima
+
+    def counted(ambient):
+        builds.append(ambient)
+        return real(ambient)
+
+    monkeypatch.setattr(families, "_line_minima", counted)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "p": 3, "n": 4, "m": 2, "families": ["full", "random:3:1"],
         "sets": ["random:20:1", "moment"], "thresholds": {"kind": "N", "values": [1, 4]},
     }))  # fmt: skip
-    _line_minima.cache_clear()
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
-    info = _line_minima.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
-    assert not _line_minima(AmbientSpace(3, 4)).flags.writeable
+    assert builds == [AmbientSpace(3, 4)]
+    builds.clear()
+    stack = grassmannian(AmbientSpace(3, 4), 2)
+    members = np.arange(len(stack) - 1)  # not all of G(4, 2), so the family is counted
+    counts, _ = families.stacked_spread(stack, "perp", members, [0, len(members)])
+    assert builds == [] and counts[0] > 0
+    families.stacked_spread(stack, "contains", members, [0, len(members)])
+    assert builds == [AmbientSpace(3, 4)]

@@ -10,10 +10,11 @@ census of every image size (oracles.unpruned_census).
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fpproj.projection
@@ -26,6 +27,7 @@ from fpproj.projection import (
     _line_census_stats,
     battery_projection_stats,
     census_stats,
+    family_census,
     line_energies,
     stacked_census,
     stacked_projection_stats,
@@ -325,7 +327,9 @@ def test_stacked_line_route_equals_the_kernel_per_battery(case, thresholds):
         assert ((got_sizes <= N) == (sizes <= N)).all()
 
 
-def test_the_route_follows_from_the_sizes(monkeypatch):
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the census routes taken, in call order."""
     taken = []
     for name in ("_line_census_stats", "stacked_projection_stats"):
         original = getattr(fpproj.projection, name)
@@ -335,6 +339,11 @@ def test_the_route_follows_from_the_sizes(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(fpproj.projection, name, spy)
+    return taken
+
+
+def test_the_route_follows_from_the_sizes(routes):
+    taken = routes
     a = AmbientSpace(3, 4)
     G = full_family(a, 2)  # 130 members; F_3^4 has 40 lines
     cases = [
@@ -371,3 +380,126 @@ def test_line_route_checks_the_budget_and_the_int64_range():
     assert 4 * (2 * 3**38 + 1) >= 2**63
     with pytest.raises(ValueError, match="int64"):
         _line_census_stats(((StandIn(big, 2),),), stack, zeros(stack), [1], None)
+
+
+# -- one census for many families --------------------------------------------------
+
+
+def assert_family_census_is_per_family(batteries, stack, families, battery_of, thresholds, C):
+    """family_census equals, family by family, the unpruned census of its own battery; returns the route."""
+    members = np.array([i for family in families for i in family], dtype=np.int64)
+    edges = np.cumsum([0] + [len(family) for family in families])
+    census = family_census(batteries, stack, members, edges, battery_of, thresholds, C)
+    S, T = len(batteries[0]), len(thresholds)
+    assert census.thresholds == tuple(thresholds)
+    for column in census.columns():
+        assert column is None or column.shape == (len(families), S, T)
+    for c, family in enumerate(families):
+        reference = oracles.unpruned_census(batteries[battery_of[c]], stack.take(family), thresholds, C)
+        got = oracles.census_tuples(census[c])
+        assert oracles.typed(got) == oracles.typed(oracles.census_tuples(reference))
+    pairs = {(battery_of[c], i) for c, family in enumerate(families) for i in family}
+    a = stack.ambient
+    return "lines" if (a.p**a.n - 1) // (a.p - 1) * len(batteries) < len(pairs) else "kernel"
+
+
+@st.composite
+def family_layouts(draw):
+    """(batteries, stack, families, battery_of): 1-5 families of G(n, k) against 1-3 batteries.
+
+    A family is all of G(n, k), empty, a repeat of an earlier one or
+    any distinct members, so families overlap and repeat.  F_2^4 has
+    15 lines against 35 members of G(4, 2) and F_3^4 40 against 130,
+    so a layout with many distinct (battery, member) pairs takes the
+    line route and one with few the kernel; F_3^3 always takes the
+    kernel.  The sets are random sets of any size and flats, whose
+    small images leave candidates on the line route.
+    """
+    p, n, k = draw(st.sampled_from([(2, 4, 2), (3, 4, 2), (3, 3, 1)]))
+    a = AmbientSpace(p, n)
+    stack = grassmannian(a, k)
+    K = len(stack)
+    pool = [
+        *random_point_sets(a, [1, 2, 5, 9, a.point_count // 2, a.point_count], [1, 2, 3, 4, 5, 6]),
+        affine_flat_set(first_subspace(a, 1), FpVector(a, (1,) * n)),
+        affine_flat_set(first_subspace(a, 2), FpVector(a, (0,) * (n - 1) + (1,))),
+    ]
+    B, S = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    batteries = [[pool[draw(st.integers(0, len(pool) - 1))] for _ in range(S)] for _ in range(B)]
+    families = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["full", "empty", "repeat", "some"]))
+        if kind == "full":
+            families.append(list(range(K)))
+        elif kind == "empty":
+            families.append([])
+        elif kind == "repeat" and families:
+            families.append(draw(st.sampled_from(families)))
+        else:
+            families.append(draw(st.lists(st.integers(0, K - 1), unique=True, max_size=K)))
+    battery_of = draw(st.lists(st.integers(0, B - 1), min_size=len(families), max_size=len(families)))
+    return batteries, stack, families, battery_of
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family_layouts(),
+    st.lists(st.integers(0, 30), max_size=4),
+    st.sampled_from([None, Fraction(16), Fraction(1, 3)]),
+)
+def test_family_census_equals_each_family_on_its_own(layout, thresholds, C):
+    route = assert_family_census_is_per_family(*layout, thresholds, C)
+    event(f"route: {route}")
+
+
+def test_family_census_takes_both_routes(routes):
+    taken = routes
+    a = AmbientSpace(3, 4)
+    stack = grassmannian(a, 2)  # 130 members; F_3^4 has 40 lines
+    sets = [random_point_set(a, 20, 1), affine_flat_set(first_subspace(a, 1), FpVector(a, (1, 1, 1, 1)))]
+    full, half = list(range(130)), list(range(0, 130, 2))
+    cases = [
+        ([sets], [full, half, [], half], [0, 0, 0, 0], "lines"),  # 130 pairs > 40 lines
+        ([sets, sets[::-1]], [half, half[:10], [3, 1]], [0, 1, 1], "kernel"),  # 65 + 10 + 2 pairs <= 80
+        ([sets, sets[::-1]], [full, half], [0, 1], "lines"),  # 195 pairs > 80
+    ]
+    for batteries, families, battery_of, route in cases:
+        taken.clear()
+        assert assert_family_census_is_per_family(batteries, stack, families, battery_of, [1, 3, 9], 16) == route
+        assert taken[0] == ("_line_census_stats" if route == "lines" else "stacked_projection_stats")
+
+
+def test_family_census_counts_each_distinct_pair_once(monkeypatch):
+    a = AmbientSpace(3, 3)
+    stack = grassmannian(a, 1)  # 13 members
+    batteries = [[random_point_set(a, 6, b)] for b in range(3)]
+    calls = []
+    original = fpproj.projection.census_stats
+
+    def counted(batteries, G, battery_of, *rest):
+        calls.append((len(G), np.asarray(battery_of).tolist()))
+        return original(batteries, G, battery_of, *rest)
+
+    monkeypatch.setattr(fpproj.projection, "census_stats", counted)
+    members = [0, 1, 2, 2, 1, 0, 5, 12, 5]
+    family_census(batteries, stack, members, [0, 3, 6, 9], [2, 2, 0], [1, 2])
+    # (2, 0), (2, 1), (2, 2) once, then (0, 5) and (0, 12), battery-major
+    assert calls == [(5, [0, 0, 2, 2, 2])]
+
+
+def test_family_census_rejects_bad_layouts():
+    a = AmbientSpace(3, 3)
+    stack = grassmannian(a, 1)
+    batteries = [[random_point_set(a, 6, 1)]]
+    for members, edges, battery_of, match in (
+        ([0, 1], [0, 3], [0], "edges"),
+        ([0, 1], [0, 2, 1, 2], [0, 0, 0], "edges"),
+        ([0, 1], [], [], "edges"),
+        ([0, 1], [0, 2], [1], "battery_of"),
+        ([0, 1], [0, 2], [-1], "battery_of"),
+        ([0, 1], [0, 1, 2], [0], "battery_of"),
+        ([0, 13], [0, 2], [0], "members"),
+        ([-1, 0], [0, 2], [0], "members"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            family_census(batteries, stack, members, edges, battery_of, [1])

@@ -119,6 +119,13 @@ def test_parse_fraction_forms():
     for text in ("1/0", " 3/0 ", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_fraction(text)
+    # a decimal exponent is bounded before 10^exponent is built
+    assert parse_fraction("1e4300") == 10**4300
+    assert parse_fraction("-2.5E-4300") == Fraction(-25, 10**4301)
+    assert parse_fraction("1e00000000003") == 1000
+    for text in ("1e4301", "1E-4301", "1e999999999", "3.5e+00100000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_fraction(text)
 
 
 # -- counter-based keys ----------------------------------------------------------

@@ -39,6 +39,12 @@ def test_ambient_rejects_bad_n():
 def test_ambient_rejects_oversized_space():
     with pytest.raises(ValueError):
         AmbientSpace(2, 64)
+    # refused from the bit lengths alone, before p^n or primality is computed
+    for p, n in ((2, 10**12), (3, 10**8), (2**61 - 1, 2), (4, 10**9)):
+        with pytest.raises(ValueError, match="exact index range"):
+            AmbientSpace(p, n)
+    assert AmbientSpace(2, 62).point_count == 2**62
+    assert AmbientSpace(2**61 - 1, 1).point_count == 2**61 - 1
 
 
 def test_point_count():
@@ -218,6 +224,22 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for m in range(-2, 32):
         assert is_prime(m) == (m in primes)
+
+
+def test_is_prime_equals_trial_division():
+    # a sieve below 10^5, then a Mersenne prime, a strong pseudoprime to
+    # the bases 2, 3, 5 and 7, a Carmichael number, and numbers just below 2^63 and 2^64
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [m for m in range(limit) if is_prime(m)] == [m for m in range(limit) if sieve[m]]
+    assert is_prime(2**61 - 1)
+    assert not is_prime(3215031751) and 3215031751 == 151 * 751 * 28351
+    assert not is_prime(561) and 561 == 3 * 11 * 17
+    assert is_prime(2**63 - 25) and is_prime(2**64 - 59)
+    assert not is_prime((2**31 - 1) * (2**31 + 11))
 
 
 # -- vectors normalize --------------------------------------------------

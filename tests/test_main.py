@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def python(*args):
+def python(*args, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     return subprocess.run(
@@ -24,6 +24,7 @@ def python(*args):
         text=True,
         env=env,
         check=False,
+        timeout=timeout,
     )
 
 
@@ -47,6 +48,24 @@ def test_count_prints_formula_and_enumeration():
 def test_usage_errors_exit_2(argv):
     done = fpproj(*argv)
     assert done.returncode == 2 and done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--p", "2", "--n", "100000000", "--k", "3"),
+        ("project", "--p", "3", "--n", "100000000", "--subspace", "1", "--set", "moment"),
+        ("examples", "moment", "--p", "3", "--n", "100000000"),
+        ("count", "--p", "1000000000000000003", "--n", "1", "--k", "0"),  # a prime
+        ("random-family", "--p", "3", "--n", "3", "--m", "1", "--alpha", "1e999999999", "--seed", "1"),
+    ],
+    ids=("count-huge-n", "project-huge-n", "examples-huge-n", "count-huge-prime", "alpha-huge-exponent"),
+)
+def test_raw_numbers_too_large_to_compute_exit_2_at_once(argv):
+    # each used to run for well over 15 s in big-integer arithmetic
+    done = python("-m", "fpproj", *argv, timeout=15)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
 def test_sweep_config_with_an_unknown_key_exits_2(tmp_path):

@@ -149,6 +149,25 @@ def test_distinct_and_union_of_drawn_stacks(pn, data):
         assert np.array_equal(union.bases[members[edges[i] : edges[i + 1]]], stack.bases)
 
 
+def test_take_carries_built_annihilator_rows(monkeypatch):
+    a = amb(5, 4)
+    stack = SubspaceStack(a, grassmannian(a, 2).bases.copy())  # rows not built yet
+    indices = (np.array([3, 0, 3, 7]), np.arange(len(stack)) % 2 == 0, slice(2, 9), np.array([], dtype=np.intp))
+    assert "annihilators" not in stack.take(indices[0]).__dict__  # nothing built, nothing carried
+    expected = [subspaces._annihilator_rows(5, stack.bases[index]) for index in indices]
+    assert stack.annihilators.shape == (len(stack), 2, 4)  # built now
+    calls = []
+    monkeypatch.setattr(subspaces, "_annihilator_rows", lambda *args: calls.append(args))
+    for index, rows in zip(indices, expected):
+        taken = stack.take(index)
+        assert np.array_equal(taken.bases, stack.bases[index])
+        assert taken.annihilators.shape == rows.shape and np.array_equal(taken.annihilators, rows)
+        assert not taken.annihilators.flags.writeable
+        # and carried on again, through a take of the take
+        assert np.array_equal(taken.take(slice(None, None, -1)).annihilators, rows[::-1])
+    assert calls == []
+
+
 def test_stack_union_checks_its_stacks():
     a = amb(3, 3)
     with pytest.raises(ValueError, match="no stacks"):
