@@ -45,11 +45,10 @@ print("incidences + pairs", I, "+", P2, "=", I + P2)
 print("incidences are |G|*|E|:", I == len(G) * E.size)
 
 # The exceptional census: how many W see an image of size at most N,
-# against the bound |G| N (1/|E| + p^-m).
+# against the bound |G| N (1/|E| + p^-m).  One census holds every
+# threshold as columns; bound_num / bound_den is the exact bound.
 print("\nexceptional counts:")
-for N in (1, 2, 3, 4, 5):
-    rep = exceptional_count(E, G, N)
-    print(
-        f"  N={N}: count={rep.count:2d} bound={float(rep.bound):7.2f} "
-        f"ratio={float(rep.ratio):.3f}"
-    )
+census = exceptional_count(E, G, (1, 2, 3, 4, 5))
+columns = (census.count, census.bound_num, census.bound_den, census.ratio)
+for N, count, num, den, ratio in zip(census.thresholds, *(c[0].tolist() for c in columns)):
+    print(f"  N={N}: count={count:2d} bound={num / den:7.2f} ratio={ratio:.3f}")

@@ -53,6 +53,6 @@ print(f"audit passed: {audit.passed} "
 
 print("\nexceptional ratios for a random 20-point set:")
 E = random_point_set(ambient, 20, seed=7)
-for N in (1, 2, 4):
-    rep = exceptional_count(E, G, N)
-    print(f"  N={N}: count={rep.count} ratio={float(rep.ratio):.4f} (<= 16)")
+census = exceptional_count(E, G, (1, 2, 4))
+for N, count, ratio in zip(census.thresholds, census.count[0].tolist(), census.ratio[0].tolist()):
+    print(f"  N={N}: count={count} ratio={ratio:.4f} (<= 16)")

@@ -46,6 +46,6 @@ for label, E in (
     ("random 200", random_point_set(ambient, 200, seed=2)),
     ("a flat line", affine_flat_set(G.members[0], decode(ambient, 57))),
 ):
-    for N in (1, 4):
-        rep = exceptional_count(E, G, N)
-        print(f"  {label:11s} N={N}: count={rep.count} ratio={float(rep.ratio):.4f}")
+    census = exceptional_count(E, G, (1, 4))
+    for N, count, ratio in zip(census.thresholds, census.count[0].tolist(), census.ratio[0].tolist()):
+        print(f"  {label:11s} N={N}: count={count} ratio={ratio:.4f}")

@@ -42,7 +42,7 @@ from .pointsets import (
     save_point_set,
 )
 from .projection import (
-    ExceptionalReport,
+    Census,
     ExplicitBoundCheck,
     ProjectionImage,
     cauchy_schwarz_gap,

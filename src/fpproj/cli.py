@@ -17,7 +17,7 @@ import numpy as np
 
 from . import acceptance
 from .budgets import BudgetError, DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
-from .exact import floor_mul_pow, floor_pow, parse_fraction
+from .exact import MAX_DECIMAL_EXPONENT, MAX_POWER_BITS, floor_mul_pow, floor_pow, parse_fraction
 from .families import (
     Family,
     RandomFamilyConfig,
@@ -249,6 +249,13 @@ def _config_int(path, key, value) -> int:
     return int(value)
 
 
+def _config_strings(path, key, value) -> list:
+    """A JSON list of strings; list() would split a string into characters or read a dict's keys."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{path}: {key} must be a list of strings, got {json.dumps(value)}")
+    return value
+
+
 def _load_sweep_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -259,13 +266,17 @@ def _load_sweep_config(path):
     try:
         p, n, m = (_config_int(path, key, raw[key]) for key in ("p", "n", "m"))
         ambient = AmbientSpace(p, n)
-        families = list(raw["families"])
-        sets = list(raw["sets"])
+        families = _config_strings(path, "families", raw["families"])
+        sets = _config_strings(path, "sets", raw["sets"])
         thresholds = raw["thresholds"]
         kind = thresholds["kind"]
-        values = list(thresholds["values"])
+        values = thresholds["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed key: {exc}") from None
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: thresholds.values must be a list, got {json.dumps(values)}")
+    if not isinstance(raw.get("output", ""), str):
+        raise ValueError(f"{path}: output must be a string, got {json.dumps(raw['output'])}")
     for where, given, allowed in (("", raw, CONFIG_KEYS), ("thresholds.", thresholds, THRESHOLD_KEYS)):
         for key in given:
             if key not in allowed:
@@ -293,6 +304,9 @@ def _threshold_to_N(ambient, m, kind, value):
     if kind == "t":
         if frac <= 0:
             raise ValueError("threshold exponent t must be positive")
+        if ambient.p.bit_length() * frac > MAX_POWER_BITS:  # p^t < 2^(bits t), checked before it is built
+            limit = f"{ambient.p}^t may have more than {MAX_DECIMAL_EXPONENT} digits"
+            raise ValueError(f"threshold exponent t = {value} is too large: {limit}")
         return floor_pow(ambient.p, frac), f"{frac.numerator}/{frac.denominator}"
     if frac < 0:
         raise ValueError("threshold scale eps must be nonnegative")

@@ -82,6 +82,8 @@ def floor_pow(p: int, expo) -> int:
 # A decimal exponent beyond this is refused before 10^exponent is built: Python's
 # default limit on the digits of an int read from a string.
 MAX_DECIMAL_EXPONENT = 4300
+# An integer below 2^MAX_POWER_BITS has at most MAX_DECIMAL_EXPONENT digits (2^14284 < 10^4300).
+MAX_POWER_BITS = (10**MAX_DECIMAL_EXPONENT).bit_length() - 1
 
 
 def parse_fraction(text) -> Fraction:

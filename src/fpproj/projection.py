@@ -398,14 +398,16 @@ def census_stats(batteries, G, battery_of, thresholds, budget=DEFAULT_POINT_BUDG
 
     The route follows from the sizes alone.  When the ambient space has
     fewer lines through 0 than the stack has members per battery
-    (L * B < K, L = (p^n - 1)/(p - 1)), every energy comes from
-    line_energies of every set, and only the members that Cauchy-Schwarz
-    leaves open are fiber-counted (_line_census_stats); otherwise the
-    kernel counts every pair.
+    (L * B < K, L = (p^n - 1)/(p - 1)) and its p^n points fit the
+    budget, every energy comes from line_energies of every set, and only
+    the members that Cauchy-Schwarz leaves open are fiber-counted
+    (_line_census_stats); otherwise the kernel, which allocates no p^n
+    table, counts every pair.
     """
     batteries, stack, battery_of = _battery_args(batteries, G, battery_of)
     p, n = stack.ambient.p, stack.ambient.n
-    if (p**n - 1) // (p - 1) * len(batteries) < len(stack):
+    fits = budget is None or p**n <= budget
+    if fits and (p**n - 1) // (p - 1) * len(batteries) < len(stack):
         return _line_census_stats(batteries, stack, battery_of, thresholds, budget)
     return stacked_projection_stats(batteries, stack, battery_of)
 
@@ -466,24 +468,6 @@ def _line_census_stats(batteries, stack, battery_of, thresholds, budget):
     return sizes, energies
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
-    """Census of family members whose projection of E is small.
-
-    bound is the exact rational |G| * N * (1/|E| + p^-m); ratio is
-    count/bound.  pairs_bound_ok records the exact inequality
-    count * |E|^2 <= (energy of E over the exceptional cosets) * N,
-    which follows from Cauchy-Schwarz whenever N >= 1.
-    """
-
-    family_size: int
-    threshold: int
-    count: int
-    bound: Fraction
-    ratio: Fraction
-    pairs_bound_ok: bool
-
-
 def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndarray, np.ndarray]:
     """Counts and theta-energies of the members with image size <= N.
 
@@ -493,10 +477,13 @@ def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndar
     along K, each counted on its own; None is the one cell (0, K).
     Returns two (S, C * T) int64 arrays, column c * T + t for cell c at
     thresholds[t]: how many members W of the cell have |pi_W(E_s)| <= N,
-    and the energy of E_s summed over those members.  Each row is sorted
-    once by (cell, size): searchsorted gives every count, and a prefix
-    sum of the energies in the same order every energy.  The rows are
-    taken one at a time, so no temporary is (S, K).
+    and the energy of E_s summed over those members.  No row is sorted:
+    with the U distinct cuts c_0 < ... < c_(U-1), bin j of a cell holds
+    its members with c_(j-1) < size <= c_j (bin U those above every
+    cut), so a running sum over the cell's U + 1 bins counts the members
+    at or below each cut.  One bincount gives the counts and one add.at
+    the energies; the rows are taken one at a time, so no temporary is
+    (S, K).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     energies = np.asarray(energies, dtype=np.int64)
@@ -514,26 +501,21 @@ def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndar
         raise ValueError("image sizes are nonnegative")
     if energies.size and int(energies.max()) > (2**63 - 1) // K:
         raise ValueError("summed energies exceed the exact int64 range")
-    # a cutoff at or above every size counts every member
+    # a cut at or above every size counts every member, so each is clipped there and fits in int64
     top = int(sizes.max()) if sizes.size else 0
-    cells = widths.size
-    if cells * (top + 1) > 2**63:
-        raise ValueError("cell-offset sizes exceed the exact int64 range")
-    offsets = np.arange(cells, dtype=np.int64) * (top + 1)
-    targets = (offsets[:, None] + np.array([min(N, top) for N in thresholds], dtype=np.int64)).ravel()
-    cell_offsets = np.repeat(offsets, widths)
-    starts = np.repeat(edges[:-1], len(thresholds))
-    counts = np.empty((S, targets.size), dtype=np.int64)
-    theta = np.empty((S, targets.size), dtype=np.int64)
-    prefix = np.zeros(K + 1, dtype=np.int64)
+    cuts, column = np.unique(np.array([min(N, top) for N in thresholds], dtype=np.int64), return_inverse=True)
+    U, cells = cuts.size, widths.size
+    bins = cells * (U + 1)
+    cell_bins = np.repeat(np.arange(0, bins, U + 1, dtype=np.int64), widths)
+    counts = np.empty((S, bins), dtype=np.int64)
+    theta = np.zeros((S, bins), dtype=np.int64)
     for s in range(S):
-        keys = sizes[s] + cell_offsets
-        order = np.argsort(keys)
-        np.cumsum(energies[s, order], out=prefix[1:])
-        ends = np.searchsorted(keys[order], targets, side="right")
-        counts[s] = ends - starts
-        theta[s] = prefix[ends] - prefix[starts]
-    return counts, theta
+        keys = cell_bins + np.searchsorted(cuts, sizes[s])  # how many cuts lie below the size
+        counts[s] = np.bincount(keys, minlength=bins)
+        np.add.at(theta[s], keys, energies[s])
+    # bins 0..j of a cell hold its members with size <= c_j
+    running = (np.cumsum(a.reshape(S, cells, U + 1), axis=2) for a in (counts, theta))
+    return tuple(a[..., column].reshape(S, cells * len(thresholds)) for a in running)
 
 
 @dataclass(frozen=True, eq=False)
@@ -653,22 +635,18 @@ def family_census(batteries, stack, members, edges, battery_of, thresholds, C=No
 
 def exceptional_report_from_stats(
     E: PointSet, m: int, sizes: np.ndarray, energies: np.ndarray, N: int
-) -> ExceptionalReport:
-    """One cell of the census, with its bound and ratio as Fractions."""
-    census = stacked_census(((E,),), None, m, np.asarray(sizes)[None], np.asarray(energies)[None], (N,))[0]
-    count, num, den = census.count[0, 0], census.bound_num[0, 0], census.bound_den[0, 0]
-    ratio = Fraction(count * den, num) if num else Fraction(0)
-    ok = bool(census.pairs_bound_ok[0, 0])
-    return ExceptionalReport(len(sizes), N, count, Fraction(num, den), ratio, ok)
+) -> Census:
+    """The (1, 1) census of one set's per-member stats at one threshold."""
+    return stacked_census(((E,),), None, m, np.asarray(sizes)[None], np.asarray(energies)[None], (N,))[0]
 
 
-def exceptional_count(E: PointSet, G, N: int) -> ExceptionalReport:
-    """Count members of G with |projection of E| <= N, with bound and ratio."""
+def exceptional_count(E: PointSet, G, thresholds) -> Census:
+    """The (1, T) census of E against the members of G, at every threshold."""
     stack = member_stack(E.ambient, G)
-    if not len(stack):
+    K = len(stack)
+    if not K:
         raise ValueError("empty family")
-    sizes, energies = family_projection_stats(E, stack)
-    return exceptional_report_from_stats(E, stack.codim, sizes, energies, N)
+    return family_census(((E,),), stack, np.arange(K), (0, K), (0,), thresholds)[0]
 
 
 # ---------------------------------------------------------------------------

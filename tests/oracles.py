@@ -232,9 +232,10 @@ def csv_text_by_cell(header, rows):
 def stacked_census_cells(batteries, edges, m, sizes, energies, thresholds, C=None):
     """Per cell, per set, its census tuples, built one cell at a time in Python integers.
 
-    The census loop the library ran before its census became columns:
-    counts and theta-energies from one exceptional_census call, then
-    per (cell, set, N) the bound in lowest terms (one math.gcd), the
+    The census loop the library ran before its census became columns,
+    counted in plain Python: per (cell, set, N), the count and
+    theta-energy of exceptional_report_from_stats over the cell's
+    columns, the bound in lowest terms (one math.gcd), the
     cross-multiplied ratio test, the correctly rounded float ratio and
     the pair-counting inequality.  Each tuple is (threshold, count,
     bound_num, bound_den, ratio, within, pairs_lhs, pairs_rhs,
@@ -242,23 +243,22 @@ def stacked_census_cells(batteries, edges, m, sizes, energies, thresholds, C=Non
     """
     import math
 
-    import numpy as np
-    from fpproj.projection import exceptional_census
-
-    widths = [np.shape(sizes)[1]] if edges is None else np.diff(edges).tolist()
+    sizes, energies = [list(map(int, row)) for row in sizes], [list(map(int, row)) for row in energies]
+    if edges is None:
+        edges = [0, len(sizes[0]) if sizes else 0]
+    edges = [int(edge) for edge in edges]
     thresholds = [int(N) for N in thresholds]
-    counts, theta = exceptional_census(sizes, energies, thresholds, edges)
     C = None if C is None else Fraction(C)
-    counts, theta = counts.tolist(), theta.tolist()
-    T = len(thresholds)
     out = []
-    for c, (sets, K) in enumerate(zip(batteries, widths)):
-        at = slice(c * T, (c + 1) * T)
+    for sets, lo, hi in zip(batteries, edges, edges[1:]):
+        K = hi - lo
         cell_rows = []
-        for E, count_row, theta_row in zip(sets, counts, theta):
-            e, q = E.size, E.ambient.p**m
+        for E, size_row, energy_row in zip(sets, sizes, energies):
+            e, p = E.size, E.ambient.p
+            q = p**m
             row = []
-            for N, count, th in zip(thresholds, count_row[at], theta_row[at]):
+            for N in thresholds:
+                count, th, *_ = exceptional_report_from_stats(e, p, m, size_row[lo:hi], energy_row[lo:hi], N)
                 num, den = K * N * (q + e), e * q
                 g = math.gcd(num, den)
                 num, den = num // g, den // g

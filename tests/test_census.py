@@ -14,13 +14,14 @@ oracles.typed, value and Python type together.
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpproj import acceptance
+from fpproj import acceptance, projection
 from fpproj.families import circle_family, full_family
 from fpproj.field import AmbientSpace
 from fpproj.pointsets import PointSet, affine_flat_set, random_point_set
@@ -116,21 +117,40 @@ def test_census_matches_per_row_reference(case):
     assert_census_matches_reference(*case)
 
 
+def assert_matches_oracle(census, references):
+    """A census with no C equals, at each (set, N), the oracle's (count, theta, bound, ratio, pairs_ok), types too.
+
+    references[s][t] is oracles.exceptional_report_from_stats of set s
+    at census.thresholds[t]; the ratio is checked as the exact Fraction
+    count * bound_den / bound_num as well as its float.
+    """
+    assert census.within is None
+    tuples = oracles.census_tuples(census)
+    assert [len(row) for row in tuples] == [len(row) for row in references]
+    for row, ref_row in zip(tuples, references):
+        for (N, count, num, den, ratio, _, lhs, rhs, ok), (ref_count, theta, bound, ref_ratio, pairs_ok) in zip(
+            row, ref_row
+        ):
+            assert type(num) is type(den) is int and math.gcd(num, den) == 1
+            assert oracles.typed((count, Fraction(num, den), ratio, ok)) == oracles.typed(
+                (ref_count, bound, float(ref_ratio), pairs_ok)
+            )
+            assert (Fraction(count * den, num) if num else Fraction(0)) == ref_ratio
+            assert oracles.typed(rhs) == oracles.typed(theta * N) and type(lhs) is int
+
+
 @settings(max_examples=60, deadline=None)
 @given(censuses())
 def test_one_cell_report_matches_reference(case):
     p, m, sets, sizes, energies, thresholds = case
     for E, row_sizes, row_energies in zip(sets, sizes, energies):
         for N in thresholds:
-            report = exceptional_report_from_stats(
+            census = exceptional_report_from_stats(
                 E, m, np.array(row_sizes, dtype=np.int64), np.array(row_energies, dtype=np.int64), N
             )
-            count, _, bound, ratio, pairs_ok = oracles.exceptional_report_from_stats(
-                E.size, p, m, row_sizes, row_energies, N
-            )
-            assert (report.family_size, report.threshold) == (len(row_sizes), N)
-            assert (report.count, report.bound, report.ratio) == (count, bound, ratio)
-            assert report.pairs_bound_ok is pairs_ok
+            assert isinstance(census, Census) and census.thresholds == (N,)
+            reference = oracles.exceptional_report_from_stats(E.size, p, m, row_sizes, row_energies, N)
+            assert_matches_oracle(census, [[reference]])
 
 
 @st.composite
@@ -290,9 +310,21 @@ def test_census_of_an_empty_family_at_thresholds_beyond_int64():
     huge = [7**25, 10**20, 2**63, 0, 3]
     assert_census_matches_reference(7, 1, sets, [[], []], [[], []], huge)
     for N in huge:
-        report = exceptional_report_from_stats(sets[0], 1, np.zeros(0, np.int64), np.zeros(0, np.int64), N)
-        assert (report.family_size, report.count, report.bound, report.ratio) == (0, 0, 0, 0)
-        assert report.pairs_bound_ok
+        census = exceptional_report_from_stats(sets[0], 1, np.zeros(0, np.int64), np.zeros(0, np.int64), N)
+        assert oracles.typed(oracles.census_tuples(census)) == oracles.typed([[(N, 0, 0, 1, 0.0, None, 0, 0, True)]])
+        assert_matches_oracle(census, [[oracles.exceptional_report_from_stats(20, 7, 1, [], [], N)]])
+
+
+def test_census_theta_beyond_2_to_the_53_is_exact():
+    # theta sums energies past 2^53, where a float64 sum would round off the odd units
+    sets = point_sets(3, [40, 2])
+    sizes = [[5, 1, 5, 3, 2], [1, 2, 2, 1, 0]]
+    energies = [[2**53 + 1, 7, 2**54 + 1, 0, 5], [4, 2**60 + 1, 9, 2**55 + 1, 3]]
+    thresholds = [5, 2, 0, 1, 10**20]
+    _, theta = exceptional_census(sizes, energies, thresholds)
+    every = [3 * 2**53 + 14, 2**60 + 2**55 + 18]
+    assert theta.tolist() == [[every[0], 12, 0, 7, every[0]], [every[1], every[1], 3, 2**55 + 8, every[1]]]
+    assert_census_matches_reference(3, 2, sets, sizes, energies, thresholds)
 
 
 def test_census_ratios_are_correctly_rounded_at_any_size():
@@ -327,14 +359,50 @@ def test_exceptional_count_is_a_census_cell():
     G = full_family(ambient, 1)
     E = random_point_set(ambient, 9, seed=4)
     sizes, energies = family_projection_stats(E, G)
-    for N in range(5):
-        count, _, bound, ratio, pairs_ok = oracles.exceptional_report_from_stats(
-            E.size, 3, 1, sizes.tolist(), energies.tolist(), N
-        )
-        report = exceptional_count(E, G, N)
-        assert (report.count, report.bound, report.ratio, report.pairs_bound_ok) == (
-            count, bound, ratio, pairs_ok
-        )
+    census = exceptional_count(E, G, range(5))
+    assert isinstance(census, Census) and census.thresholds == (0, 1, 2, 3, 4)
+    references = [
+        [oracles.exceptional_report_from_stats(E.size, 3, 1, sizes.tolist(), energies.tolist(), N) for N in range(5)]
+    ]
+    assert_matches_oracle(census, references)
+
+
+@st.composite
+def counts_on_both_routes(draw):
+    """(route, E, family, thresholds): a set against some members of G(n, k).
+
+    census_stats takes the line route when the family has more members
+    than F_p^n has lines through 0, and the kernel otherwise; the route
+    is drawn first and the family's size from its side of that line.
+    """
+    p, n, k = draw(st.sampled_from([(2, 4, 2), (3, 4, 2), (2, 5, 3), (2, 4, 1), (3, 3, 1)]))
+    a = AmbientSpace(p, n)
+    stack = grassmannian(a, k)
+    K, L = len(stack), (p**n - 1) // (p - 1)
+    route = draw(st.sampled_from(("lines", "kernel") if L < K else ("kernel",)))
+    size = draw(st.integers(L + 1, K) if route == "lines" else st.integers(1, min(L, K)))
+    family = stack.take(np.sort(draw(st.permutations(range(K)))[:size]))
+    codes = draw(st.lists(st.integers(0, a.point_count - 1), min_size=1, max_size=20, unique=True))
+    thresholds = draw(st.lists(st.one_of(st.integers(0, 25), st.sampled_from((10**20, 2**63))), max_size=6))
+    return route, PointSet.from_codes(a, codes), family, thresholds
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts_on_both_routes())
+def test_exceptional_count_equals_the_oracle_on_both_routes(case):
+    route, E, family, thresholds = case
+    with mock.patch.object(projection, "_line_census_stats", wraps=projection._line_census_stats) as lines:
+        census = exceptional_count(E, family, thresholds)
+    assert lines.called == (route == "lines")
+    assert census.thresholds == tuple(thresholds)
+    a = E.ambient
+    points = [v.coords for v in E.points()]
+    spans = [oracles.span_set(W.basis, a.p, a.n) for W in family.members]
+    sizes = [len(oracles.brute_projection_cosets(points, span, a.p)) for span in spans]
+    energies = [oracles.energy_by_differences(points, span, a.p) for span in spans]
+    assert_matches_oracle(
+        census, [[oracles.exceptional_report_from_stats(E.size, a.p, family.codim, sizes, energies, N) for N in thresholds]]
+    )
 
 
 # -- consumers ---------------------------------------------------------------------

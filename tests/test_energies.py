@@ -359,13 +359,34 @@ def test_the_route_follows_from_the_sizes(routes):
         assert taken[0] == route
 
 
+def test_a_point_budget_below_p_to_the_n_takes_the_kernel_route(routes, monkeypatch):
+    # the kernel allocates no p^n table, so a budget under p^n = 81 raises no BudgetError
+    a = AmbientSpace(3, 4)
+    G = grassmannian(a, 2)  # 130 members against 40 lines: the line route when p^n fits
+    E = random_point_set(a, 10, 1)
+    args = (((E,),), G, np.arange(len(G)), (0, len(G)), (0,), (1, 2, 4), 16)
+    unlimited = family_census(*args, budget=None)
+    assert routes == ["_line_census_stats", "stacked_projection_stats"]  # the candidates are fiber-counted
+
+    def no_line_energies(*args):
+        raise AssertionError("line_energies called")
+
+    monkeypatch.setattr(fpproj.projection, "line_energies", no_line_energies)
+    routes.clear()
+    for budget in (50, 80):
+        census = family_census(*args, budget=budget)
+        assert oracles.typed(oracles.census_tuples(census[0])) == oracles.typed(oracles.census_tuples(unlimited[0]))
+    assert routes == ["stacked_projection_stats"] * 2
+
+
 def test_line_route_checks_the_budget_and_the_int64_range():
     a = AmbientSpace(3, 4)
     G = full_family(a, 2)
     E = random_point_set(a, 5, 1)
+    stack = member_stack(a, G)
     with pytest.raises(BudgetError, match="line energies"):
-        census_stats([[E]], G, zeros(G), [1], budget=80)
-    sizes, _ = census_stats([[E]], G, zeros(G), [1], budget=81)
+        _line_census_stats(((E,),), stack, zeros(G), [1], 80)
+    sizes, _ = _line_census_stats(((E,),), stack, zeros(G), [1], 81)
     assert sizes.shape == (1, len(G))
 
     class StandIn:

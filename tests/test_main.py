@@ -80,6 +80,54 @@ def test_sweep_config_with_an_unknown_key_exits_2(tmp_path):
     assert "unknown key ouput" in done.stderr
 
 
+def sweep_config(tmp_path, **overrides):
+    config = {
+        "p": 5, "n": 3, "m": 1, "families": ["full"], "sets": ["random:20:7"],
+        "thresholds": {"kind": "N", "values": [1, 2]},
+    }  # fmt: skip
+    config.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def assert_one_error_line(done, *fragments):
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+    for fragment in fragments:
+        assert fragment in done.stderr
+
+
+@pytest.mark.parametrize("t", ["100000000000", "1e4300", 7000], ids=("t-1e11", "t-1e4300", "t-7000"))
+def test_sweep_refuses_a_t_whose_power_is_too_long_to_print(tmp_path, t):
+    # each ran until killed, or (t = 7000 over F_5) built 5^7000 and only then failed to print it
+    path = sweep_config(tmp_path, thresholds={"kind": "t", "values": [1, t]})
+    done = python("-m", "fpproj", "sweep", "--config", str(path), timeout=15)
+    assert_one_error_line(done, "threshold exponent t", "4300 digits")
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("thresholds.values must be a list", dict(thresholds={"kind": "N", "values": "12"})),
+        ("families must be a list of strings", dict(families={"full": 1})),
+        ("families must be a list of strings", dict(families=["full", 3])),
+        ("sets must be a list of strings", dict(sets=["random:20:7", 5])),
+        ("output must be a string", dict(output=2)),
+        ("output must be a string", dict(output=True)),
+        ("output must be a string", dict(output=["report.csv"])),
+    ],
+    ids=("values-string", "families-dict", "families-number", "sets-number", "output-2", "output-true", "output-list"),
+)
+def test_sweep_config_values_of_the_wrong_json_type_exit_2(tmp_path, key, overrides):
+    # a string was split into characters, a dict read by its keys, and an
+    # integer output opened as a file descriptor and closed after writing
+    done = python("-m", "fpproj", "sweep", "--config", str(sweep_config(tmp_path, **overrides)), timeout=15)
+    assert_one_error_line(done, key)
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_budget_failure_exits_3():
     # p^n = 2^17 = 131,072 exceeds the default point budget of 100,000
     done = fpproj("project", "--p", "2", "--n", "17", "--subspace", ",".join("1" + "0" * 16),

@@ -24,7 +24,7 @@ from fpproj.subspaces import (
     enumerate_subspaces,
     span_of_point,
 )
-from oracles import brute_energy_over_cosets, brute_projection_cosets, span_set
+from oracles import brute_energy_over_cosets, brute_projection_cosets, span_set, typed
 
 
 def amb(p, n):
@@ -202,15 +202,17 @@ def test_cauchy_schwarz_exhaustive_sweep():
 def test_exceptional_count_zero_threshold():
     a, E, W = three_point_set()
     G = full_family(a, 1)
-    report = exceptional_count(E, G, 0)
-    assert report.count == 0 and report.ratio == 0
+    census = exceptional_count(E, G, [0])
+    assert census.thresholds == (0,)
+    columns = (census.count, census.bound_num, census.bound_den, census.ratio, census.pairs_bound_ok)
+    assert typed([c.tolist() for c in columns]) == typed([[[0]], [[0]], [[1]], [[0.0]], [[True]]])
 
 
 def test_exceptional_count_lagrange_threshold():
     a, E, W = three_point_set()
     G = full_family(a, 1)
-    report = exceptional_count(E, G, 3)
-    assert report.count == len(G)
+    census = exceptional_count(E, G, [3])
+    assert typed(census.count.tolist()) == typed([[len(G)]])
 
 
 def test_exceptional_count_brute_force_example():
@@ -218,17 +220,25 @@ def test_exceptional_count_brute_force_example():
     G = full_family(a, 1)
     assert len(G) == 4
     expected = sum(1 for V in G if project(E, V).size <= 2)
-    report = exceptional_count(E, G, 2)
-    assert report.count == expected
-    assert report.bound == Fraction(4 * 2 * (3 + 3), 3 * 3)
-    assert report.ratio == Fraction(report.count) / report.bound
-    assert report.pairs_bound_ok
+    census = exceptional_count(E, G, [2])
+    bound = Fraction(4 * 2 * (3 + 3), 3 * 3)
+    columns = (census.count, census.bound_num, census.bound_den, census.ratio, census.pairs_bound_ok)
+    [[count]], [[num]], [[den]], [[ratio]], [[ok]] = (c.tolist() for c in columns)
+    assert typed((count, num, den, ok)) == typed((expected, bound.numerator, bound.denominator, True))
+    assert Fraction(count * den, num) == Fraction(expected) / bound
+    assert typed(ratio) == typed(float(Fraction(expected) / bound))
 
 
 def test_exceptional_count_rejects_empty_set():
     a, _, W = three_point_set()
-    with pytest.raises(ValueError):
-        exceptional_count(PointSet.empty(a), full_family(a, 1), 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        exceptional_count(PointSet.empty(a), full_family(a, 1), [1])
+
+
+def test_exceptional_count_rejects_empty_family():
+    a, _, W = three_point_set()
+    with pytest.raises(ValueError, match="empty family"):
+        exceptional_count(random_point_set(a, 3, seed=1), [], [1])
 
 
 def test_pairs_inequality_holds_on_sweep():
@@ -237,8 +247,9 @@ def test_pairs_inequality_holds_on_sweep():
         G = full_family(a, m)
         for seed in range(5):
             E = random_point_set(a, 5 + 3 * seed, seed=seed)
-            for N in (1, 2, 4, 9):
-                assert exceptional_count(E, G, N).pairs_bound_ok
+            census = exceptional_count(E, G, (1, 2, 4, 9))
+            assert typed(census.pairs_bound_ok.tolist()) == typed([[True] * 4])
+            assert (census.pairs_lhs <= census.pairs_rhs).all()
 
 
 def test_exceptional_count_agrees_with_per_subspace_recount():
@@ -247,9 +258,9 @@ def test_exceptional_count_agrees_with_per_subspace_recount():
         for m in range(1, n):
             G = full_family(a, m)
             E = random_point_set(a, max(2, p, p**n // 3), seed=n + m)
-            for N in range(0, p**m + 1):
-                recount = sum(1 for W in G if project(E, W).size <= N)
-                assert exceptional_count(E, G, N).count == recount
+            thresholds = range(0, p**m + 1)
+            recount = [sum(1 for W in G if project(E, W).size <= N) for N in thresholds]
+            assert typed(exceptional_count(E, G, thresholds).count.tolist()) == typed([recount])
 
 
 # -- explicit-constant check -----------------------------------------------------
