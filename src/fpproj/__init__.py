@@ -6,6 +6,22 @@ mathematics is exact and audited tolerances where floating point enters
 (the transform only).
 """
 
+import os
+import sys
+
+# fpproj makes no BLAS call: its matrix products are on int64, which numpy
+# runs in its own loops, and its transform is pocketfft.  OpenBLAS sizes its
+# worker pool once, when numpy loads it, and an idle worker spins on another
+# core.  So numpy is loaded here with one BLAS thread, unless the caller chose
+# a count or loaded numpy first; os.environ is left as it was found.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .budgets import BudgetError, DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET
 from .field import (
     AmbientSpace,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -65,10 +66,8 @@ MAX_EXPONENT_DENOMINATOR = 12
 
 def _exponent(value) -> Fraction:
     frac = parse_fraction(value)
-    if frac.denominator > MAX_EXPONENT_DENOMINATOR:
-        raise ValueError(
-            f"exponent {frac} has denominator > {MAX_EXPONENT_DENOMINATOR}"
-        )
+    if frac.denominator > MAX_EXPONENT_DENOMINATOR:  # shown as given: frac may be too long to print
+        raise ValueError(f"exponent {value} has denominator > {MAX_EXPONENT_DENOMINATOR}")
     return frac
 
 
@@ -172,6 +171,10 @@ def cmd_project(args) -> int:
 def cmd_identity_check(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
+    if not 1 <= args.m <= args.n - 1:
+        raise ValueError(f"--m must be in [1, {args.n - 1}] for n = {args.n}, got {args.m}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
     ambient = AmbientSpace(args.p, args.n)
     k = args.n - args.m
     grassmannian_size(ambient, k, budget=args.subspace_budget)
@@ -273,6 +276,8 @@ def _load_sweep_config(path):
         values = thresholds["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed key: {exc}") from None
+    if not 1 <= m <= n - 1:  # an eps cutoff raises p to m before any family checks it
+        raise ValueError(f"codimension m = {m} out of range [1, {n - 1}]")
     if not isinstance(values, list):
         raise ValueError(f"{path}: thresholds.values must be a list, got {json.dumps(values)}")
     if not isinstance(raw.get("output", ""), str):
@@ -300,16 +305,23 @@ def _threshold_to_N(ambient, m, kind, value):
         if n_val < 0:
             raise ValueError("threshold N must be nonnegative")
         return n_val, str(n_val)
-    frac = _exponent(value)
     if kind == "t":
+        frac = _exponent(value)
         if frac <= 0:
             raise ValueError("threshold exponent t must be positive")
         if ambient.p.bit_length() * frac > MAX_POWER_BITS:  # p^t < 2^(bits t), checked before it is built
             limit = f"{ambient.p}^t may have more than {MAX_DECIMAL_EXPONENT} digits"
             raise ValueError(f"threshold exponent t = {value} is too large: {limit}")
         return floor_pow(ambient.p, frac), f"{frac.numerator}/{frac.denominator}"
+    frac = parse_fraction(value)  # a scale, not an exponent: any denominator
     if frac < 0:
         raise ValueError("threshold scale eps must be nonnegative")
+    num_bits, den_bits = frac.numerator.bit_length(), frac.denominator.bit_length()
+    # eps is printed as num/den, and eps p^m < 2^(num_bits + bits(p) m - den_bits + 1):
+    # all three are bounded from bit lengths, before any product is taken
+    if max(num_bits, den_bits, num_bits + ambient.p.bit_length() * m - den_bits + 1) > MAX_POWER_BITS:
+        limit = f"its numerator, denominator or floor(eps {ambient.p}^{m}) may have more than"
+        raise ValueError(f"threshold scale eps = {value} is out of range: {limit} {MAX_DECIMAL_EXPONENT} digits")
     return floor_mul_pow(frac, ambient.p, m), f"{frac.numerator}/{frac.denominator}"
 
 

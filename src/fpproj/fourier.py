@@ -20,6 +20,7 @@ the form from which the census takes its energies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,8 +186,10 @@ def verify_coset_identities(
 
     Without tables the transforms come from stacked_dft, which checks
     p^n against budget before anything is allocated; given tables are
-    used as they are.
+    used as they are.  tol must be finite and nonnegative.
     """
+    if not (math.isfinite(tol) and tol >= 0):  # a nan or negative tol fails every pair, inf passes it
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     sets = tuple(sets)
     if not sets:
         raise ValueError("a battery needs at least one point set")

@@ -234,6 +234,29 @@ def test_zero_denominators_are_usage_errors(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_t_denominator_too_long_to_print_is_refused_by_its_text(tmp_path, capsys):
+    # formatting the Fraction 1/10^4300 into the message raised Python's digit-limit error
+    cfg = write_config(tmp_path, thresholds={"kind": "t", "values": [1, "1e-4300"]})
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: exponent 1e-4300 has denominator > 12\n"
+    assert not out.exists()
+
+
+def test_sweep_eps_is_a_scale_with_any_denominator(tmp_path):
+    # eps is no exponent, so its denominator is not capped at 12 (0.001 was
+    # refused as an exponent); its rows are the rows of the cutoffs floor(7 eps)
+    eps, cutoffs = ["0.001", "0.31", "1.001", "1e-4000"], [0, 2, 7, 0]
+    rows = {}
+    for kind, values in (("eps", eps), ("N", cutoffs)):
+        out = tmp_path / f"{kind}.csv"
+        cfg = write_config(tmp_path, thresholds={"kind": kind, "values": values})
+        assert run("sweep", "--config", str(cfg), "--out", str(out)) == 0
+        rows[kind] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[8] for row in rows["eps"]] == ["1/1000", "31/100", "1001/1000", "1/1" + "0" * 4000]
+    assert [row[:7] + row[9:] for row in rows["eps"]] == [row[:7] + row[9:] for row in rows["N"]]
+
+
 # -- examples --------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from fpproj.fourier import (
     coset_energy_spectral,
     dft,
     plancherel_defect,
+    verify_coset_identities,
     verify_coset_identity,
 )
 from fpproj.pointsets import PointSet, affine_flat_set, random_point_set
@@ -147,6 +148,19 @@ def test_identity_exhaustive_over_planes():
         for W in enumerate_subspaces(a, 2):
             res = verify_coset_identity(E, W, tol=1e-6, table=table)
             assert res.passed
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_identity_refuses_a_tolerance_that_is_negative_or_not_finite(tol):
+    # a nan or negative tol failed every pair and an infinite one passed every pair
+    a = amb(3, 2)
+    E = random_point_set(a, 4, seed=1)
+    W = span_of_point(FpVector(a, (0, 1)))
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        verify_coset_identities((E,), (W,), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        verify_coset_identity(E, W, tol=tol)
+    assert verify_coset_identity(E, W, tol=0.0).spatial == verify_coset_identity(E, W).spatial
 
 
 def test_spectral_multiplicity_identity():

@@ -4,7 +4,9 @@ A stdlib stand-in for a linter's unused-import rule: a deletion that
 leaves its import behind fails here.  __init__.py is exempt, since its
 imports are the package's re-exports, and so is ``from __future__``.
 ``python -O`` strips assert statements, so a check the package relies
-on must raise explicitly.
+on must raise explicitly.  And __init__.py loads numpy with one BLAS
+thread before anything else can load it, an order that an import sorter
+would undo.
 """
 
 import ast
@@ -50,3 +52,39 @@ def test_no_assert_statement(path):
 def test_an_assert_statement_is_found():
     tree = ast.parse("def f(x):\n    assert x, 'no x'\n    return x\nassert f(1)\n")
     assert sorted(_asserts(tree)) == [2, 4]
+
+
+def _imports_before_blas_default(tree: ast.Module) -> list[int]:
+    """Lines of package or numpy imports that run before the one-thread BLAS default.
+
+    The default is the top-level ``if`` that sets OPENBLAS_NUM_THREADS; without
+    one, every such import runs too early.
+    """
+    default = next(
+        (node for node in tree.body if isinstance(node, ast.If) and "OPENBLAS_NUM_THREADS" in ast.unparse(node)),
+        None,
+    )
+    end = default.lineno if default else float("inf")
+    early = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            loads = node.level > 0 or (node.module or "").split(".")[0] == "numpy"
+        elif isinstance(node, ast.Import):
+            loads = any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        else:
+            continue
+        if loads and node.lineno < end:
+            early.append(node.lineno)
+    return sorted(early)
+
+
+def test_blas_default_comes_before_any_import_that_loads_numpy():
+    assert _imports_before_blas_default(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))) == []
+
+
+def test_an_import_before_the_blas_default_is_found():
+    default = "if 'numpy' not in sys.modules:\n    os.environ['OPENBLAS_NUM_THREADS'] = '1'\n    import numpy\n"
+    tree = ast.parse("import os, sys\nfrom .budgets import BudgetError\nimport numpy.fft\n" + default)
+    assert _imports_before_blas_default(tree) == [2, 3]
+    assert _imports_before_blas_default(ast.parse("import os, sys\n" + default + "from . import cli\n")) == []
+    assert _imports_before_blas_default(ast.parse("import os\nfrom . import cli\n")) == [2]

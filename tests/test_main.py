@@ -1,7 +1,8 @@
 """``python -m fpproj`` exits with main()'s code across a real process.
 
 Exit codes: 0 success, 1 bound failure, 2 usage or parse error, 3 budget
-exceeded.  Each case runs a fresh interpreter, as a user would run it.
+exceeded.  Each case runs a fresh interpreter, as a user would run it;
+so do the checks that ``import fpproj`` starts no BLAS worker thread.
 """
 
 import json
@@ -12,11 +13,15 @@ from pathlib import Path
 
 import pytest
 
+from fpproj import BLAS_THREAD_VARIABLES
+
 ROOT = Path(__file__).resolve().parent.parent
+NO_BLAS_THREADS = dict.fromkeys(BLAS_THREAD_VARIABLES)  # an env override that unsets all three
 
 
-def python(*args, timeout=None):
-    env = dict(os.environ)
+def python(*args, timeout=None, env=None):
+    """Run a fresh interpreter on src/; env overrides os.environ, and a None value unsets."""
+    env = {key: value for key, value in {**os.environ, **(env or {})}.items() if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args],
@@ -148,3 +153,100 @@ def test_project_leaves_numpy_ma_unloaded():
     assert done.returncode == 0, done.stderr
     assert "image_size" in done.stdout
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+# -- the one-thread BLAS default ---------------------------------------------------
+
+THREADS = "int(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Threads: from /proc")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def child_report(code, env):
+    """Run code in a fresh interpreter and return the JSON value it prints last."""
+    done = python("-c", code, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@needs_proc
+def test_import_starts_no_blas_worker():
+    # numpy's OpenBLAS starts one thread per core by default; fpproj makes no BLAS call
+    assert child_report(f"import json, fpproj; print(json.dumps({THREADS}))", NO_BLAS_THREADS) == 1
+
+
+def test_import_leaves_the_environment_as_found():
+    code = "import json, os; before = dict(os.environ); import fpproj; print(json.dumps(dict(os.environ) == before))"
+    assert child_report(code, NO_BLAS_THREADS) is True
+
+
+@needs_proc
+def test_a_sweep_in_process_ends_with_one_thread(tmp_path):
+    out = tmp_path / "report.csv"
+    argv = ["sweep", "--config", str(sweep_config(tmp_path)), "--out", str(out)]
+    code = f"import json; from fpproj import cli; code = cli.main({argv!r}); print(json.dumps([code, {THREADS}]))"
+    assert child_report(code, NO_BLAS_THREADS) == [0, 1]
+    assert out.read_text().startswith("p,n,m,family_id,")
+
+
+@needs_proc
+@pytest.mark.skipif(CPUS < 2, reason="a pool of two threads needs two usable cores")
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_callers_blas_thread_count_is_kept(name):
+    code = f"import json, os, fpproj; print(json.dumps([{THREADS}, os.environ.get({name!r})]))"
+    assert child_report(code, {**NO_BLAS_THREADS, name: "2"}) == [2, "2"]
+
+
+@needs_proc
+def test_numpy_imported_first_is_left_as_it_loaded():
+    code = f"""if True:
+        import json, os, numpy
+        threads, env = {THREADS}, dict(os.environ)
+        import fpproj
+        print(json.dumps([threads, {THREADS}, env == dict(os.environ)]))
+    """
+    numpy_threads, threads, same_env = child_report(code, NO_BLAS_THREADS)
+    assert (threads, same_env) == (numpy_threads, True)
+
+
+# -- arguments checked before any work ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m, eps",
+    [(1, "1e4300"), (1, "1e-4300"), (2, "1e4299")],
+    ids=("numerator", "denominator", "cutoff"),
+)
+def test_sweep_refuses_an_eps_too_long_to_print(tmp_path, m, eps):
+    # 1e4300 and 1e-4300 ended in Python's own digit-limit message, naming neither
+    # key nor value; over F_5 at m = 2, 10^4299 prints but floor(eps 5^2) may not
+    out = tmp_path / "report.csv"
+    path = sweep_config(tmp_path, m=m, thresholds={"kind": "eps", "values": [1, eps]}, output=str(out))
+    done = python("-m", "fpproj", "sweep", "--config", str(path), timeout=15)
+    assert_one_error_line(done, f"threshold scale eps = {eps}", "4300 digits")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m", [-10**9, 0, 3])
+def test_sweep_refuses_an_m_out_of_range_before_any_threshold(tmp_path, m):
+    # an eps cutoff took floor(eps 5^m), which for m = -10^9 ran until killed
+    out = tmp_path / "report.csv"
+    path = sweep_config(tmp_path, m=m, thresholds={"kind": "eps", "values": ["1/2"]}, output=str(out))
+    done = python("-m", "fpproj", "sweep", "--config", str(path), timeout=15)
+    assert_one_error_line(done, f"codimension m = {m} out of range [1, 2]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--m", "4"), ("--m", "3"), ("--m", "0"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf")],
+)
+def test_identity_check_refuses_an_m_or_tol_out_of_range(tmp_path, flag, value):
+    # --m 4 over n = 3 reported k = -1 and --m 0 a coset error; --tol nan and
+    # -1 failed every check (exit 1), and --tol inf passed every one
+    out = tmp_path / "id.csv"
+    given = {"--m": "1", "--tol": "1e-6", flag: value}
+    argv = [item for pair in given.items() for item in pair]
+    done = fpproj("identity-check", "--p", "3", "--n", "3", "--trials", "1", "--out", str(out), *argv)
+    assert_one_error_line(done, f"{flag} must be")
+    assert not out.exists()
