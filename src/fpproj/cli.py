@@ -266,6 +266,8 @@ def _load_sweep_config(path):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer past the digit limit of int()
+        raise ValueError(f"{path}: {exc}") from None
     try:
         p, n, m = (_config_int(path, key, raw[key]) for key in ("p", "n", "m"))
         ambient = AmbientSpace(p, n)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, le_affine_pow, le_pow
-from .field import AmbientSpace, FpVector, decode, gaussian_binomial
+from .field import AmbientSpace, FpVector, _eliminate, _rref_stack, decode, gaussian_binomial
 from .pointsets import PointSet, circle_set, moment_curve_set
 from .projection import TABLE_ELEMENTS, family_coset_energy
 from .rng import TWO64, threshold_rows
@@ -26,9 +26,10 @@ from .subspaces import (
     Subspace,
     SubspaceStack,
     _line_minima,
-    _rref_stack,
+    _parse_rows,
     grassmannian,
     member_chunks,
+    serialize_subspace,
     stacked_span_codes,
 )
 
@@ -442,8 +443,6 @@ def audit_family(G: Family, branch: str, beta, C, test_sets=()) -> FamilyAudit:
 
 
 def save_family(G: Family, path) -> None:
-    from .subspaces import serialize_subspace
-
     lines = [f"p={G.ambient.p},n={G.ambient.n},m={G.m}"]
     lines.extend(serialize_subspace(W) for W in G)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -451,8 +450,7 @@ def save_family(G: Family, path) -> None:
 
 
 def load_family(path, ambient: AmbientSpace | None = None, m: int | None = None) -> Family:
-    from .subspaces import parse_subspace
-
+    """Read a family file; one elimination reduces the rows of every member line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -468,5 +466,23 @@ def load_family(path, ambient: AmbientSpace | None = None, m: int | None = None)
         raise ValueError("family header does not match requested ambient space")
     if m is not None and m != file_m:
         raise ValueError(f"family header m={file_m} does not match requested m={m}")
-    members = [parse_subspace(file_ambient, line) for line in lines[1:] if line.strip()]
-    return Family(file_ambient, file_m, tuple(members))
+    k = n - file_m
+    if not 0 < k < n:
+        raise ValueError(f"codimension m = {file_m} out of range [1, {n - 1}]")
+    members, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            try:
+                members.append(_parse_rows(file_ambient, line))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            linenos.append(lineno)
+    # zero rows pad each member to one height, k at least, and leave its rank as it was
+    rows = np.zeros((len(members), max([k, *map(len, members)]), n), dtype=np.int64)
+    for i, member in enumerate(members):
+        rows[i, : len(member)] = member
+    reduced, rank = _eliminate(p, rows)
+    bad = np.flatnonzero(rank != k)
+    if len(bad):
+        raise ValueError(f"{path}: line {linenos[bad[0]]}: rows of rank {rank[bad[0]]}, expected n - m = {k}")
+    return Family(file_ambient, file_m, SubspaceStack(file_ambient, reduced[:, :k]))

@@ -2,8 +2,9 @@
 
 Vectors are tuples of residues, matrices are tuples of row tuples, and
 every count is a Python integer, so all identities in this package can
-be checked with zero tolerance.  The numpy kernels at the bottom exist
-only to move many points at once; they never round anything.
+be checked with zero tolerance.  The numpy kernels at the bottom move
+many points at once and hold the one Gaussian elimination, of which
+rref and nullspace are one-matrix cases; they never round anything.
 
 Points of F_p^n are indexed by little-endian base-p codes: coordinate i
 of a vector is digit i of its code, so (2, 1) over F_3 has code
@@ -166,58 +167,28 @@ class FpMatrix:
 
 
 def rref(M: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
-    """Unique reduced row echelon form over F_p.
+    """Unique reduced row echelon form over F_p: _eliminate on the one-member stack of M.
 
     Pivot entries are 1, pivot columns are otherwise 0, zero rows are
     dropped and pivot columns strictly increase.  Returns the reduced
     matrix, its rank and the pivot column indices.
     """
-    p, n = M.ambient.p, M.ambient.n
-    rows = [list(r) for r in M.rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return FpMatrix(M.ambient, tuple(tuple(row) for row in rows[:r])), r, tuple(pivots)
+    reduced, rank = _eliminate(M.ambient.p, np.array(M.rows, dtype=np.int64).reshape(1, -1, M.ambient.n))
+    rows = reduced[0, : rank[0]]
+    pivots = tuple((rows != 0).argmax(axis=1).tolist())
+    return FpMatrix(M.ambient, tuple(map(tuple, rows.tolist()))), len(rows), pivots
 
 
 def nullspace(M: FpMatrix) -> FpMatrix:
     """RREF-canonical basis of {x : M x^T = 0}; has n - rank(M) rows.
 
-    For each free column f of the RREF R of M, the vector 1 at f and
-    -R[i][f] at pivot column i lies in the nullspace; one rref makes
-    these canonical.
+    The closed-form annihilator rows of the RREF of M, themselves
+    brought to reduced row echelon form: perp_stack for one matrix.
     """
-    p, n = M.ambient.p, M.ambient.n
-    R, _, pivots = rref(M)
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[f] = 1
-        for row, c in zip(R.rows, pivots):
-            v[c] = -row[f] % p
-        basis.append(tuple(v))
-    out, rank, _ = rref(FpMatrix(M.ambient, tuple(basis)))
-    if rank != len(basis):
-        raise ArithmeticError(f"nullspace basis of rank {rank}, expected {len(basis)}")
-    return out
+    p = M.ambient.p
+    reduced = np.array(rref(M)[0].rows, dtype=np.int64).reshape(1, -1, M.ambient.n)
+    rows = _rref_stack(p, _annihilator_rows(p, reduced))[0]
+    return FpMatrix(M.ambient, tuple(map(tuple, rows.tolist())))
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -242,7 +213,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numpy kernels: bulk encode/decode for the enumeration-heavy modules
+# numpy kernels: bulk encode/decode, and the one Gaussian elimination
 # ---------------------------------------------------------------------------
 
 
@@ -275,3 +246,77 @@ def encode_array(ambient: AmbientSpace, points: np.ndarray) -> np.ndarray:
 def decode_array(ambient: AmbientSpace, codes: np.ndarray) -> np.ndarray:
     """(m, n) coordinates of codes in O(m n) memory; unravel_index gives the top digit first."""
     return np.array(np.unravel_index(codes, (ambient.p,) * ambient.n)[::-1], dtype=np.int64).T
+
+
+def _eliminate(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reduced, rank): the reduced row echelon form and rank of each member of a (K, r, n) stack.
+
+    Column by column, every member that still has a row with a nonzero
+    entry there at or below its rank swaps the first such row up,
+    scales it to a leading 1 and clears the column in its other rows;
+    rows at or past its rank come out zero.  Products of two residues
+    fit int64 while (p-1)^2 < 2^63, as p^n < 2^63 gives for n >= 2; for
+    n = 1 with p past that the same steps run on Python integers.
+    """
+    out = np.asarray(rows, dtype=np.int64 if (p - 1) ** 2 < 2**63 else object) % p
+    K, r, n = out.shape
+    rank = np.zeros(K, dtype=np.intp)
+    for col in range(n):
+        candidates = (out[:, :, col] != 0) & (np.arange(r) >= rank[:, None])
+        has = candidates.any(axis=1)
+        if not has.any():
+            continue
+        who, src, dst = np.flatnonzero(has), candidates[has].argmax(axis=1), rank[has]
+        pivot = out[who, src]
+        out[who, src] = out[who, dst]
+        pivot = pivot * _inverse_mod(pivot[:, col], p)[:, None] % p
+        out[who, dst] = pivot
+        factors = out[who, :, col]
+        factors[np.arange(len(who)), dst] = 0
+        out[who] = (out[who] - factors[:, :, None] * pivot[:, None, :]) % p
+        rank[has] += 1
+    return out, rank
+
+
+def _rref_stack(p: int, rows: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form of each member of a (K, r, n) stack of independent rows."""
+    out, rank = _eliminate(p, rows)
+    if not np.all(rank == out.shape[1]):
+        raise ValueError("rows of a stack member are linearly dependent")
+    return out
+
+
+def _inverse_mod(values: np.ndarray, p: int) -> np.ndarray:
+    """values^(p-2) mod p elementwise: the inverses of nonzero residues."""
+    out = np.ones_like(values)
+    base = values.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _annihilator_rows(p: int, bases: np.ndarray) -> np.ndarray:
+    """Closed-form bases of Per(W) for a (K, k, n) stack of RREF bases.
+
+    For each free (non-pivot) column f the row is 1 at f and -R[i, f] at
+    pivot column i; these span the nullspace, and _rref_stack makes
+    them canonical.
+    """
+    K, k, n = bases.shape
+    m = n - k
+    out = np.zeros((K, m, n), dtype=bases.dtype)
+    members = np.arange(K)[:, None]
+    pivots = (bases != 0).argmax(axis=2)  # (K, k): first nonzero entry of each row
+    free_mask = np.ones((K, n), dtype=bool)
+    free_mask[members, pivots] = False
+    free = np.nonzero(free_mask)[1].reshape(K, m)  # (K, m), increasing per member
+    at_free = np.take_along_axis(bases, np.broadcast_to(free[:, None, :], (K, k, m)), axis=2)
+    out[members[:, :, None], np.arange(m)[None, :, None], pivots[:, None, :]] = (
+        -at_free.transpose(0, 2, 1) % p
+    )
+    out[members, np.arange(m)[None, :], free] = 1
+    return out

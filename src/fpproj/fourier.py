@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET, check_budget
-from .field import AmbientSpace, decode_array
+from .field import AmbientSpace
 from .pointsets import PointSet
 from .projection import battery_projection_stats
 from .subspaces import (
@@ -91,40 +91,9 @@ def _dft_chunks(sets, ambient: AmbientSpace):
         yield part, np.fft.fftn(cube, axes=tuple(range(1, n + 1))).reshape(len(chunk), -1)
 
 
-def dft(E: PointSet, method: str = "factored", budget=DEFAULT_POINT_BUDGET) -> SpectralTable:
-    """Transform of the indicator of E.
-
-    method 'factored' (the default) evaluates one axis at
-    a time in O(n p^(n+1)) via the FFT, as the one-set case of
-    stacked_dft; 'direct' sums characters per frequency in O(p^n |E|)
-    and exists as the independent cross-check.
-    """
-    ambient = E.ambient
-    check_budget(ambient.point_count, budget, "p^n for the transform")
-    if method == "factored":
-        values = next(stacked_dft((E,), budget))[1][0]
-    elif method == "direct":
-        values = _dft_direct(E)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SpectralTable(ambient, values)
-
-
-def _dft_direct(E: PointSet, chunk: int = 4096) -> np.ndarray:
-    ambient = E.ambient
-    p = ambient.p
-    roots = np.exp(-2j * np.pi * np.arange(p) / p)
-    pts = E.coordinates()
-    out = np.empty(ambient.point_count, dtype=np.complex128)
-    if pts.shape[0] == 0:
-        out[:] = 0
-        return out
-    freqs = decode_array(ambient, np.arange(ambient.point_count, dtype=np.int64))
-    for start in range(0, ambient.point_count, chunk):
-        block = freqs[start : start + chunk]
-        dots = (block @ pts.T) % p
-        out[start : start + block.shape[0]] = roots[dots].sum(axis=1)
-    return out
+def dft(E: PointSet, budget=DEFAULT_POINT_BUDGET) -> SpectralTable:
+    """Transform of the indicator of E, one axis at a time in O(n p^(n+1)): stacked_dft of one set."""
+    return SpectralTable(E.ambient, next(stacked_dft((E,), budget))[1][0])
 
 
 def spectral_mass(table: SpectralTable) -> float:

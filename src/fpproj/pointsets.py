@@ -218,7 +218,10 @@ def load_point_set(path, ambient: AmbientSpace | None = None) -> PointSet:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        coords = tuple(int(c) for c in line.split(","))
+        try:
+            coords = tuple(int(c) for c in line.split(","))
+        except ValueError as exc:  # not an integer, or past the digit limit of int()
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
         if len(coords) != n:
             raise ValueError(f"line {lineno}: expected {n} coordinates")
         if any(not 0 <= c < p for c in coords):

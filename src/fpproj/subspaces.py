@@ -24,6 +24,9 @@ from .field import (
     AmbientSpace,
     FpMatrix,
     FpVector,
+    _annihilator_rows,
+    _inverse_mod,
+    _rref_stack,
     decode,
     digit_table,
     encode_array,
@@ -43,8 +46,7 @@ class Subspace:
 
     def __post_init__(self):
         M = FpMatrix(self.ambient, self.basis)
-        R, rank, _ = rref(M)
-        if rank != len(self.basis) or R.rows != M.rows:
+        if rref(M)[0].rows != M.rows:  # rref drops dependent rows, so short rank shows too
             raise ValueError("basis must be a reduced-row-echelon matrix of full rank")
 
     @classmethod
@@ -58,19 +60,15 @@ class Subspace:
     @classmethod
     def from_rows(cls, ambient: AmbientSpace, rows) -> "Subspace":
         """Canonicalize arbitrary spanning rows into a Subspace."""
-        R, _, _ = rref(FpMatrix(ambient, tuple(tuple(r) for r in rows)))
-        return cls._canonical(ambient, R.rows)
+        return cls._canonical(ambient, rref(FpMatrix(ambient, tuple(tuple(r) for r in rows)))[0].rows)
 
     @classmethod
     def zero(cls, ambient: AmbientSpace) -> "Subspace":
-        return cls(ambient, ())
+        return first_subspace(ambient, 0)
 
     @classmethod
     def full(cls, ambient: AmbientSpace) -> "Subspace":
-        eye = tuple(
-            tuple(1 if i == j else 0 for j in range(ambient.n)) for i in range(ambient.n)
-        )
-        return cls(ambient, eye)
+        return first_subspace(ambient, ambient.n)
 
     @property
     def dim(self) -> int:
@@ -99,16 +97,18 @@ def csv_subspace_name(W: Subspace) -> str:
 
 def parse_subspace(ambient: AmbientSpace, text: str) -> Subspace:
     """Inverse of serialize_subspace; rows are canonicalized on the way in."""
-    text = text.strip()
-    if not text:
-        return Subspace.zero(ambient)
+    return Subspace.from_rows(ambient, _parse_rows(ambient, text))
+
+
+def _parse_rows(ambient: AmbientSpace, text: str) -> list[tuple[int, ...]]:
+    """The rows of serialized text as given, reduced mod p; blank text has none."""
     rows = []
-    for part in text.split(";"):
-        coords = tuple(int(c) for c in part.split(","))
+    for part in text.split(";") if text.strip() else ():
+        coords = tuple(int(c) % ambient.p for c in part.split(","))
         if len(coords) != ambient.n:
             raise ValueError(f"row '{part}' has {len(coords)} coordinates, expected {ambient.n}")
         rows.append(coords)
-    return Subspace.from_rows(ambient, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +185,9 @@ def perp(W: Subspace) -> Subspace:
     """The annihilator Per(W) = {x : x.w = 0 for all w in W}.
 
     dim W + dim Per(W) = n, but unlike a Euclidean orthogonal
-    complement, W and Per(W) may intersect nontrivially.  Computed on
-    Python integers, so it holds for every ambient space; perp_stack
-    gives the same bases for a whole stack at once.
+    complement, W and Per(W) may intersect nontrivially.  nullspace holds
+    for every ambient space, and perp_stack gives the same bases for a
+    whole stack at once.
     """
     return Subspace._canonical(W.ambient, nullspace(FpMatrix(W.ambient, W.basis)).rows)
 
@@ -367,28 +367,6 @@ def stack_union(stacks) -> tuple[SubspaceStack, np.ndarray, np.ndarray]:
     return every.take(order[first]), members, np.cumsum([0] + [len(s) for s in stacks])
 
 
-def _annihilator_rows(p: int, bases: np.ndarray) -> np.ndarray:
-    """Closed-form bases of Per(W) for a (K, k, n) stack of RREF bases.
-
-    For each free (non-pivot) column f the row is 1 at f and -R[i, f] at
-    pivot column i, the nullspace construction without its final rref.
-    """
-    K, k, n = bases.shape
-    m = n - k
-    out = np.zeros((K, m, n), dtype=np.int64)
-    members = np.arange(K)[:, None]
-    pivots = (bases != 0).argmax(axis=2)  # (K, k): first nonzero entry of each row
-    free_mask = np.ones((K, n), dtype=bool)
-    free_mask[members, pivots] = False
-    free = np.nonzero(free_mask)[1].reshape(K, m)  # (K, m), increasing per member
-    at_free = np.take_along_axis(bases, np.broadcast_to(free[:, None, :], (K, k, m)), axis=2)
-    out[members[:, :, None], np.arange(m)[None, :, None], pivots[:, None, :]] = (
-        -at_free.transpose(0, 2, 1) % p
-    )
-    out[members, np.arange(m)[None, :], free] = 1
-    return out
-
-
 def perp_stack(stack: SubspaceStack) -> SubspaceStack:
     """Per(W) of every member, canonical, as one stack of dimension n - k.
 
@@ -398,50 +376,6 @@ def perp_stack(stack: SubspaceStack) -> SubspaceStack:
     perp(stack.members[i]).
     """
     return SubspaceStack(stack.ambient, _rref_stack(stack.ambient.p, stack.annihilators))
-
-
-def _rref_stack(p: int, rows: np.ndarray) -> np.ndarray:
-    """Reduced row echelon form of each member of a (K, r, n) stack of independent rows.
-
-    Column by column, every member that still has a row with a nonzero
-    entry there at or below its rank swaps the first such row up,
-    scales it to a leading 1 and clears the column in its other rows,
-    as rref does for one matrix.  Products of residues stay below p^2,
-    within the stack's n(p-1)^2 < 2^63.
-    """
-    K, r, n = rows.shape
-    out = rows % p
-    rank = np.zeros(K, dtype=np.intp)
-    for col in range(n):
-        candidates = (out[:, :, col] != 0) & (np.arange(r) >= rank[:, None])
-        has = candidates.any(axis=1)
-        if not has.any():
-            continue
-        who, src, dst = np.flatnonzero(has), candidates[has].argmax(axis=1), rank[has]
-        pivot = out[who, src]
-        out[who, src] = out[who, dst]
-        pivot = pivot * _inverse_mod(pivot[:, col], p)[:, None] % p
-        out[who, dst] = pivot
-        factors = out[who, :, col]
-        factors[np.arange(len(who)), dst] = 0
-        out[who] = (out[who] - factors[:, :, None] * pivot[:, None, :]) % p
-        rank[has] += 1
-    if not np.all(rank == r):
-        raise ValueError("rows of a stack member are linearly dependent")
-    return out
-
-
-def _inverse_mod(values: np.ndarray, p: int) -> np.ndarray:
-    """values^(p-2) mod p elementwise: the inverses of nonzero residues."""
-    out = np.ones_like(values)
-    base = values.copy()
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
 
 
 def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray, lines: bool = False):

@@ -197,9 +197,7 @@ def dft_factored(mask, p, n):
 
 
 def perp_basis(p, n, basis):
-    """Canonical basis of Per(W) for one RREF basis, the closed-form rows reduced by rref."""
-    from fpproj.field import AmbientSpace, FpMatrix, rref
-
+    """Canonical basis of Per(W) for one RREF basis, the closed-form rows reduced by scalar_rref."""
     if not basis:
         return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     pivots = [next(j for j, c in enumerate(row) if c) for row in basis]
@@ -210,9 +208,69 @@ def perp_basis(p, n, basis):
         for row, c in zip(basis, pivots):
             v[c] = -row[f] % p
         rows.append(tuple(v))
-    R, rank, _ = rref(FpMatrix(AmbientSpace(p, n), tuple(rows)))
+    R, rank, _ = scalar_rref(rows, p, n)
     assert rank == len(rows)
-    return R.rows
+    return R
+
+
+# ---------------------------------------------------------------------------
+# the scalar elimination and the direct transform, one item at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_rref(rows, p, n):
+    """(rows, rank, pivots): the reduced row echelon form over F_p, row by row in Python integers.
+
+    Pivot entries are 1, pivot columns are otherwise 0, zero rows are
+    dropped and pivot columns strictly increase.
+    """
+    rows = [[int(c) % p for c in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(n):
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), r, tuple(pivots)
+
+
+def scalar_nullspace(rows, p, n):
+    """RREF-canonical basis of {x : M x^T = 0}: 1 at each free column f, -R[i][f] at pivot i, reduced."""
+    R, _, pivots = scalar_rref(rows, p, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for row, c in zip(R, pivots):
+            v[c] = -row[f] % p
+        basis.append(tuple(v))
+    out, rank, _ = scalar_rref(basis, p, n)
+    assert rank == len(basis)
+    return out
+
+
+def dft_direct(E):
+    """E_hat at every frequency code by one character sum over E each, O(p^n |E|)."""
+    import numpy as np
+
+    p, n = E.ambient.p, E.ambient.n
+    roots = np.exp(-2j * np.pi * np.arange(p) / p)
+    freqs = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)[:, ::-1]
+    pts = E.coordinates()
+    if pts.shape[0] == 0:
+        return np.zeros(p**n, dtype=np.complex128)
+    return roots[freqs @ pts.T % p].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -571,6 +571,29 @@ def test_sweep_parse_error_reports_line(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_sweep_config_integer_past_the_digit_limit_names_the_config(tmp_path, capsys):
+    # json.loads raises Python's digit-limit ValueError here, not a JSONDecodeError
+    cfg = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[1, 2, 4]", "[1, " + "7" * 5001 + "]"))
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {cfg}: Exceeds the limit (4300 digits)")
+    assert captured.err.count("\n") == 1 and not out.exists()
+
+
+def test_bad_coordinates_in_set_and_family_files_name_the_file_and_line(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("p=7,n=3\n0,0,1\nx,1,2\n")
+    assert run("project", "--p", "7", "--n", "3", "--subspace", "1,0,0", "--set", f"file:{pts}") == 2
+    assert capsys.readouterr().err == f"error: {pts}: line 3: invalid literal for int() with base 10: 'x'\n"
+    family = tmp_path / "family.txt"
+    family.write_text("p=7,n=3,m=1\n1,0,0;0,1,0\n1,0,0;0,1,0;0,0,y\n")
+    cfg = write_config(tmp_path, families=[f"file:{family}"])
+    assert run("sweep", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == f"error: {family}: line 3: invalid literal for int() with base 10: 'y'\n"
+
+
 def test_sweep_rejects_bools_and_floats_where_integers_belong(tmp_path, capsys):
     # int() would read 5.9 as 5 and true as 1; the config is refused instead
     out = tmp_path / "report.csv"

@@ -40,6 +40,7 @@ from fpproj.subspaces import (
     contains,
     enumerate_subspaces,
     grassmannian,
+    parse_subspace,
     perp,
     span_of_point,
 )
@@ -542,6 +543,52 @@ def test_family_file_round_trip(tmp_path):
     loaded = load_family(path)
     assert loaded == G
     assert load_family(path, ambient=G.ambient, m=2) == G
+
+
+def test_family_file_equals_its_lines_parsed_one_by_one(tmp_path, monkeypatch):
+    # lines of one to four rows (scaled, dependent, zero), members listed twice, blank lines
+    a = AmbientSpace(5, 4)
+    rng = np.random.default_rng(3)
+    members = grassmannian(a, 2).members[::37]
+    lines = []
+    for W in members + members[::3]:
+        rows = [tuple(int(c) * s % 5 for c in row) for row, s in zip(W.basis, rng.integers(1, 5, 2))]
+        extra = [tuple((3 * x + 2 * y) % 5 for x, y in zip(*rows)), (0,) * 4, tuple(c + 10 for c in rows[1])]
+        rows = rows + extra[: int(rng.integers(0, 3))]
+        lines.append(";".join(",".join(map(str, row)) for row in rng.permutation(rows).tolist()))
+        if rng.random() < 0.1:
+            lines.append("  ")
+    path = tmp_path / "family.txt"
+    path.write_text("p=5,n=4,m=2\n" + "\n".join(lines) + "\n")
+    assert len(set(map(len, (line.split(";") for line in lines if line.strip())))) == 3
+    calls = []
+    eliminate = families._eliminate
+    monkeypatch.setattr(families, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    loaded = load_family(path)
+    assert len(calls) == 1  # one elimination for the whole file
+    assert loaded == Family(a, 2, [parse_subspace(a, line) for line in lines if line.strip()])
+    assert list(loaded) == sorted(members, key=lambda W: W.basis)
+    path.write_text("p=5,n=4,m=2\n\n")
+    assert len(load_family(path)) == 0
+
+
+def test_family_file_errors_name_the_file_and_the_line(tmp_path):
+    path = tmp_path / "family.txt"
+    for line, message in (
+        ("1,0,0,0;x,1,0,0", "invalid literal for int"),
+        ("1,0,0,0;0,1,0," + "1" * 5001, "4300"),
+        ("1,0,0;0,1,0", "row '1,0,0' has 3 coordinates, expected 4"),
+        ("1,0,0,0;2,0,0,0", "rows of rank 1, expected n - m = 2"),
+        ("0,0,0,0", "rows of rank 0, expected n - m = 2"),
+        ("1,0,0,0;0,1,0,0;0,0,1,0", "rows of rank 3, expected n - m = 2"),
+    ):
+        path.write_text(f"p=5,n=4,m=2\n1,0,0,0;0,1,0,0\n\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_family(path)
+        assert str(exc.value).startswith(f"{path}: line 4: ") and message in str(exc.value)
+    path.write_text("p=5,n=4,m=4\n1,0,0,0\n")
+    with pytest.raises(ValueError, match="codimension m = 4 out of range"):
+        load_family(path)
 
 
 def test_family_file_header_checks(tmp_path):

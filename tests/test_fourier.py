@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from fpproj.fourier import (
     coset_energy_spectral,
     dft,
     plancherel_defect,
+    stacked_dft,
     verify_coset_identities,
     verify_coset_identity,
 )
 from fpproj.pointsets import PointSet, affine_flat_set, random_point_set
 from fpproj.subspaces import enumerate_subspaces, perp, span_of_point
-from oracles import all_vectors, direct_dft_value
+from oracles import all_vectors, dft_direct, direct_dft_value
 
 
 def amb(p, n):
@@ -25,11 +28,17 @@ def amb(p, n):
 def test_dft_zero_frequency_is_cardinality():
     a = amb(5, 2)
     E = random_point_set(a, 9, seed=1)
-    for method in ("factored", "direct"):
-        assert abs(dft(E, method=method).values[0] - 9) < 1e-9
-    assert np.array_equal(dft(E).values, dft(E, method="factored").values)
-    with pytest.raises(ValueError, match="unknown method"):
-        dft(E, method="auto")
+    assert abs(dft(E).values[0] - 9) < 1e-9
+    assert abs(dft_direct(E)[0] - 9) < 1e-9
+
+
+def test_dft_is_the_one_transform():
+    # the direct sum is a test oracle now, not a method of dft
+    E = random_point_set(amb(5, 2), 9, seed=1)
+    assert list(inspect.signature(dft).parameters) == ["E", "budget"]
+    with pytest.raises(TypeError):
+        dft(E, method="direct")
+    assert np.array_equal(dft(E).values, next(stacked_dft((E,)))[1][0])
 
 
 def test_dft_full_space_is_delta():
@@ -40,12 +49,13 @@ def test_dft_full_space_is_delta():
 
 
 def test_dft_factored_matches_direct():
-    a = amb(3, 2)
-    for seed in range(6):
-        E = random_point_set(a, 4 + seed, seed=seed)
-        fast = dft(E, method="factored").values
-        slow = dft(E, method="direct").values
-        assert np.max(np.abs(fast - slow)) < 1e-9
+    # the FFT against the oracle's character sums, empty and full sets included
+    for p, n in [(3, 2), (2, 4), (5, 3), (7, 2), (3, 1)]:
+        a = amb(p, n)
+        sets = [PointSet.empty(a), PointSet.full(a)]
+        sets += [random_point_set(a, 1 + seed * (p**n - 1) // 5, seed=seed) for seed in range(6)]
+        for E in sets:
+            assert np.max(np.abs(dft(E).values - dft_direct(E))) < 1e-9
 
 
 def test_dft_matches_definition_oracle():

@@ -344,6 +344,15 @@ def test_load_rejects_out_of_range_coordinate(tmp_path):
         load_point_set(path)
 
 
+def test_load_names_the_file_and_line_of_a_coordinate_that_is_no_integer(tmp_path):
+    path = tmp_path / "pts.txt"
+    for line, message in (("x,1", "invalid literal for int"), ("1," + "2" * 5001, "Exceeds the limit (4300 digits)")):
+        path.write_text(f"p=3,n=2\n0,0\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_point_set(path)
+        assert str(exc.value).startswith(f"{path}: line 3: ") and message in str(exc.value)
+
+
 def test_load_rejects_duplicates(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("p=3,n=2\n1,0\n1,0\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpproj.budgets import BudgetError
-from fpproj.field import AmbientSpace, FpMatrix, FpVector, encode, gaussian_binomial, nullspace
+from fpproj.field import AmbientSpace, FpVector, encode, gaussian_binomial
 from fpproj import field, subspaces
 from fpproj.subspaces import (
     Subspace,
@@ -32,6 +32,7 @@ from oracles import (
     distinct_by_lexsort,
     enumerate_rref_bases,
     min_code_in_coset,
+    scalar_nullspace,
     span_set,
 )
 
@@ -228,13 +229,12 @@ def test_perp_involution_and_rank_nullity(p, n):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_perp_equals_the_nullspace_path(p):
-    # perp reads the pivots off the canonical basis and runs one rref;
-    # nullspace reduces the basis again first
+    # the scalar nullspace of the oracles reduces row by row in Python integers
     for n in range(1, 5):
         a = amb(p, n)
         for k in range(n + 1):
             for W in enumerate_subspaces(a, k):
-                assert perp(W).basis == nullspace(FpMatrix(a, W.basis)).rows
+                assert perp(W).basis == scalar_nullspace(W.basis, p, n)
 
 
 def test_perp_is_bijection_between_grassmannians():
@@ -356,10 +356,12 @@ def test_coset_naming_runs_no_scalar_elimination(monkeypatch):
         perp(W)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("rref called while naming cosets")
+        raise AssertionError("elimination run while naming cosets")
 
-    monkeypatch.setattr(subspaces, "rref", refuse)
-    monkeypatch.setattr(field, "rref", refuse)
+    # rref, nullspace, perp and every stacked form reach field._eliminate
+    monkeypatch.setattr(field, "_eliminate", refuse)
+    with pytest.raises(AssertionError, match="elimination run"):
+        perp(Subspace.from_rows(a, [(1, 1, 1)]))
     pts = np.array(list(all_vectors(3, 3)), dtype=np.int64)
     for W in built:
         span = span_set(W.basis, 3, 3)
