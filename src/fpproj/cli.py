@@ -226,11 +226,13 @@ def cmd_examples(args) -> int:
         G, S = circle_family(args.p), circle_set(args.p)
     else:
         G, S = moment_family(args.p, args.n), moment_curve_set(args.p, args.n)
+        # counted first: its |G(n, n-1)| budget check comes before any line is printed
+        hyper = hyperplane_intersection_max(S, budget=args.subspace_budget)
     print(f"set_size {S.size}")
     print(f"family_size {len(G)}")
     print(f"spread_perp {spread_perp(G, budget=args.point_budget).max_count}")
     if args.which == "moment":
-        print(f"hyperplane_max {hyperplane_intersection_max(S, budget=args.subspace_budget)}")
+        print(f"hyperplane_max {hyper}")
     sets = acceptance.standard_sets(S.ambient, base_seed=args.p, budget=args.point_budget)
     census = acceptance.battery_census(sets, G, 16)
     keys = [(set_id, N) for set_id, _ in sets for N in census.thresholds]

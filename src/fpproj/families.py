@@ -18,7 +18,7 @@ import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, le_affine_pow, le_pow
-from .field import AmbientSpace, FpVector, _eliminate, _rref_stack, decode, gaussian_binomial
+from .field import AmbientSpace, FpVector, _eliminate, _rref_stack, decode, decode_array, gaussian_binomial
 from .pointsets import PointSet, circle_set, moment_curve_set
 from .projection import TABLE_ELEMENTS, family_coset_energy
 from .rng import TWO64, threshold_rows
@@ -27,7 +27,10 @@ from .subspaces import (
     SubspaceStack,
     _line_minima,
     _parse_rows,
+    check_int64_products,
     grassmannian,
+    grassmannian_size,
+    line_codes,
     member_chunks,
     serialize_subspace,
     stacked_span_codes,
@@ -240,7 +243,7 @@ def _spread_tables(stack: SubspaceStack, variant: str, members, edges, families,
     one point per line, kept at the line's smallest code; every other
     entry, 0 included, is 0.  lowest, _line_minima of the ambient
     space, maps a basis point there ('contains'); an annihilator point
-    is there already (see _line_census_stats).  Each member's codes are
+    is there already (stacked_span_codes).  Each member's codes are
     offset by its family's position times p^n, so one bincount per
     chunk of members fills every family's table.
     """
@@ -318,11 +321,8 @@ def theoretical_spread_count(ambient: AmbientSpace, k: int, variant: str) -> int
     """
     if not 1 <= k <= ambient.n - 1:
         raise ValueError(f"k = {k} out of range [1, {ambient.n - 1}]")
-    if variant == "contains":
-        return gaussian_binomial(ambient.n - 1, k - 1, ambient.p)
-    if variant == "perp":
-        return gaussian_binomial(ambient.n - 1, k, ambient.p)
-    raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
+    return gaussian_binomial(ambient.n - 1, k - 1 if variant == "contains" else k, ambient.p)
 
 
 # ---------------------------------------------------------------------------
@@ -350,23 +350,24 @@ def moment_family(p: int, n: int) -> Family:
 
 
 def hyperplane_intersection_max(S: PointSet, budget=DEFAULT_SUBSPACE_BUDGET) -> int:
-    """max over hyperplanes W of |W ∩ S| (full enumeration of G(n, n-1)).
+    """max over hyperplanes W of |W ∩ S|, with |G(n, n-1)| checked against budget.
 
-    x lies in W iff x . a = 0 for the one annihilator row a of W, so a
-    chunk of hyperplanes is counted with one product against their
-    stacked normals.
+    W is Per(l) for a line l through 0, so x lies in W iff x . a = 0 for
+    l's smallest code a (line_codes): no hyperplane is enumerated, and
+    a chunk of lines is counted with one product against S.
     """
-    hyperplanes = grassmannian(S.ambient, S.ambient.n - 1, budget=budget)
+    grassmannian_size(S.ambient, S.ambient.n - 1, budget)
+    check_int64_products(S.ambient)
     if S.size == 0:
         return 0
     p = S.ambient.p
-    normals = hyperplanes.annihilators[:, 0, :]
+    lines = line_codes(p, S.ambient.n)
     pts = S.coordinates()
     best = 0
-    for part in member_chunks(len(normals), S.size):
-        residues = pts @ normals[part].T
+    for part in member_chunks(len(lines), S.size):
+        residues = decode_array(S.ambient, lines[part]) @ pts.T
         residues -= residues // p * p  # mod p, as in the projection kernel
-        hits = np.count_nonzero(residues == 0, axis=0)
+        hits = np.count_nonzero(residues == 0, axis=1)
         best = max(best, int(hits.max()))
     return best
 

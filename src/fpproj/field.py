@@ -101,21 +101,14 @@ class FpVector:
 
     def __add__(self, other: "FpVector") -> "FpVector":
         _same_ambient(self, other)
-        p = self.ambient.p
-        return FpVector(
-            self.ambient, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
-        )
+        return FpVector(self.ambient, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "FpVector") -> "FpVector":
         _same_ambient(self, other)
-        p = self.ambient.p
-        return FpVector(
-            self.ambient, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
-        )
+        return FpVector(self.ambient, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, k: int) -> "FpVector":
-        p = self.ambient.p
-        return FpVector(self.ambient, tuple((k * c) % p for c in self.coords))
+        return FpVector(self.ambient, tuple(k * c for c in self.coords))
 
 
 def _same_ambient(u, v):
@@ -180,15 +173,15 @@ def rref(M: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
 
 
 def nullspace(M: FpMatrix) -> FpMatrix:
-    """RREF-canonical basis of {x : M x^T = 0}; has n - rank(M) rows.
+    """RREF-canonical basis of {x : M x^T = 0}; has n - rank(M) rows: _perp_rows of the RREF of M."""
+    return FpMatrix(M.ambient, _perp_rows(M.ambient, rref(M)[0].rows))
 
-    The closed-form annihilator rows of the RREF of M, themselves
-    brought to reduced row echelon form: perp_stack for one matrix.
-    """
-    p = M.ambient.p
-    reduced = np.array(rref(M)[0].rows, dtype=np.int64).reshape(1, -1, M.ambient.n)
-    rows = _rref_stack(p, _annihilator_rows(p, reduced))[0]
-    return FpMatrix(M.ambient, tuple(map(tuple, rows.tolist())))
+
+def _perp_rows(ambient: AmbientSpace, basis) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of Per(W) for an RREF basis of W: its annihilator rows after one elimination."""
+    bases = np.array(basis, dtype=np.int64).reshape(1, len(basis), ambient.n)
+    rows = _rref_stack(ambient.p, _annihilator_rows(ambient.p, bases))[0]
+    return tuple(map(tuple, rows.tolist()))
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

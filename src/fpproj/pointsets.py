@@ -218,16 +218,16 @@ def load_point_set(path, ambient: AmbientSpace | None = None) -> PointSet:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
+        try:  # int() refuses a non-integer or a number past its digit limit
             coords = tuple(int(c) for c in line.split(","))
-        except ValueError as exc:  # not an integer, or past the digit limit of int()
+            if len(coords) != n:
+                raise ValueError(f"expected {n} coordinates")
+            if any(not 0 <= c < p for c in coords):
+                raise ValueError(f"coordinate out of range [0, {p})")
+            code = encode(FpVector(file_ambient, coords))
+            if code in seen:
+                raise ValueError(f"duplicate point {coords}")
+        except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        if len(coords) != n:
-            raise ValueError(f"line {lineno}: expected {n} coordinates")
-        if any(not 0 <= c < p for c in coords):
-            raise ValueError(f"line {lineno}: coordinate out of range [0, {p})")
-        code = encode(FpVector(file_ambient, coords))
-        if code in seen:
-            raise ValueError(f"line {lineno}: duplicate point {coords}")
         seen.add(code)
     return PointSet(file_ambient, np.array(sorted(seen), dtype=np.int64))

@@ -27,6 +27,7 @@ from .subspaces import (
     Subspace,
     _require_proper,
     grassmannian,
+    line_codes,
     member_chunks,
     member_stack,
     reduce_points,
@@ -348,10 +349,9 @@ def line_energies(sets, ambient: AmbientSpace, budget=DEFAULT_POINT_BUDGET) -> n
     Every other entry, code 0 included, is 0.  p^n is checked against
     budget before anything is allocated.
 
-    A line's smallest code is its point whose top nonzero digit is 1.
-    Read as a lowest digit a below higher digits h, that is code 1
-    (h = 0) or any a below an h that is itself the smallest code of a
-    line of F_p^(n-1).  So the lines come in groups of p that share h,
+    Read as a lowest digit a below higher digits h, a line's smallest
+    code (line_codes) is code 1 (h = 0) or any a below an h in
+    line_codes(p, n - 1).  So the lines come in groups of p that share h,
     and xi . x = a x_0 + h . (x_1, ..., x_(n-1)): one product per group
     of lines, and one table of a x_0 mod p for every a, added to it.
     Both residues are below p, so their sum is binned over 2p values
@@ -370,7 +370,7 @@ def line_energies(sets, ambient: AmbientSpace, budget=DEFAULT_POINT_BUDGET) -> n
     digit = np.arange(p, dtype=np.int64)
     set_bins = np.repeat(np.arange(0, width, 2 * p, dtype=np.int64), [E.size for E in sets])
     low = digit[:, None] * x[:, 0] % p + (digit * width)[:, None] + set_bins  # (p, T)
-    groups = np.concatenate([[0], *(np.arange(p**d, 2 * p**d, dtype=np.int64) for d in range(n - 1))])
+    groups = np.concatenate([[0], line_codes(p, n - 1)])
     out = np.zeros((S, ambient.point_count), dtype=np.int64)
     for part in member_chunks(len(groups), p * len(codes)):
         high = decode_array(ambient, groups[part])[:, : n - 1] @ x[:, 1:].T
@@ -419,12 +419,8 @@ def _line_census_stats(batteries, stack, battery_of, thresholds, budget):
     (p^m - 1)/(p - 1) lines, and Plancherel on Per(W), line by line,
     gives the member's energy in integers:
         p^m energy_W(E) = |E|^2 + sum over lines l of Per(W) of (p E_l - |E|^2).
-    stacked_span_codes(lines=True) lists one point per line of Per(W),
-    with top coefficient digit 1 on the annihilator rows.  Row j is 1
-    at its free column f_j, and above f_j only rows l > j are nonzero,
-    so the point's top nonzero coordinate is 1: it is its line's
-    smallest code (what _line_minima would map it to), the key of
-    line_energies.
+    stacked_span_codes(lines=True) lists each line of Per(W) by its
+    smallest code, the key of line_energies.
 
     Cauchy-Schwarz, |pi_W(E)| energy_W(E) >= |E|^2, means a member with
     an image of at most N* cosets has |E|^2 <= N* energy: only such a

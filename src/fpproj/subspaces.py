@@ -25,13 +25,13 @@ from .field import (
     FpMatrix,
     FpVector,
     _annihilator_rows,
-    _inverse_mod,
+    _perp_rows,
     _rref_stack,
     decode,
+    decode_array,
     digit_table,
     encode_array,
     gaussian_binomial,
-    nullspace,
     power_vector,
     rref,
 )
@@ -48,6 +48,7 @@ class Subspace:
         M = FpMatrix(self.ambient, self.basis)
         if rref(M)[0].rows != M.rows:  # rref drops dependent rows, so short rank shows too
             raise ValueError("basis must be a reduced-row-echelon matrix of full rank")
+        object.__setattr__(self, "basis", M.rows)  # the rows checked: reduced mod p
 
     @classmethod
     def _canonical(cls, ambient: AmbientSpace, basis) -> "Subspace":
@@ -185,11 +186,11 @@ def perp(W: Subspace) -> Subspace:
     """The annihilator Per(W) = {x : x.w = 0 for all w in W}.
 
     dim W + dim Per(W) = n, but unlike a Euclidean orthogonal
-    complement, W and Per(W) may intersect nontrivially.  nullspace holds
-    for every ambient space, and perp_stack gives the same bases for a
-    whole stack at once.
+    complement, W and Per(W) may intersect nontrivially.  _perp_rows
+    runs one elimination, on W's canonical basis as it is, and builds no
+    SubspaceStack, whose int64 bound would refuse a large p.
     """
-    return Subspace._canonical(W.ambient, nullspace(FpMatrix(W.ambient, W.basis)).rows)
+    return Subspace._canonical(W.ambient, _perp_rows(W.ambient, W.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,13 @@ def member_chunks(count: int, per_member: int, cap: int | None = None):
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def check_int64_products(ambient: AmbientSpace):
+    """Refuse an ambient space where a sum of n products of residues, n(p-1)^2, leaves int64."""
+    p, n = ambient.p, ambient.n
+    if n * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"n(p-1)^2 for p={p}, n={n} exceeds the exact int64 range")
+
+
 @dataclass(frozen=True, eq=False)
 class SubspaceStack:
     """K subspaces of one dimension k as int64 arrays.
@@ -261,9 +269,7 @@ class SubspaceStack:
     bases: np.ndarray
 
     def __post_init__(self):
-        p, n = self.ambient.p, self.ambient.n
-        if n * (p - 1) ** 2 >= 2**63:
-            raise ValueError(f"n(p-1)^2 for p={p}, n={n} exceeds the exact int64 range")
+        check_int64_products(self.ambient)
         self.bases.setflags(write=False)
 
     @classmethod
@@ -387,16 +393,13 @@ def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray, lines: bool = Fa
     nonzero coordinate is its free column f_j, where every other row is
     zero, and above f_j only rows l > j are nonzero, so a span point's
     code compares as its coefficients read from the last.  With lines,
-    only the coefficients whose top nonzero digit is 1 are spanned: one
-    point on each of the (p^r - 1)/(p - 1) lines through 0 of a span.
+    only the coefficients line_codes(p, r) are spanned: one point on
+    each of the (p^r - 1)/(p - 1) lines through 0 of a span.  For
+    annihilators, a point whose top coefficient is c_j = 1 is 0 above
+    f_j and 1 at f_j: its line's smallest code already.
     """
     p, r = ambient.p, rows.shape[1]
-    coeffs = digit_table(p, r)
-    if lines:
-        top_one = np.zeros(len(coeffs), dtype=bool)
-        for d in range(r):
-            top_one[p**d : 2 * p**d] = True  # codes with top digit 1 at position d
-        coeffs = coeffs[top_one]
+    coeffs = digit_table(p, r)[line_codes(p, r)] if lines else digit_table(p, r)
     weights = power_vector(p, ambient.n)
     for part in member_chunks(len(rows), len(coeffs) * ambient.n):
         points = coeffs @ rows[part]
@@ -404,24 +407,27 @@ def stacked_span_codes(ambient: AmbientSpace, rows: np.ndarray, lines: bool = Fa
         yield part, points @ weights
 
 
-def _line_minima(ambient: AmbientSpace) -> np.ndarray:
-    """(p^n,) codes: each code's smallest multiple, the point scaled so its top nonzero digit is 1.
+def line_codes(p: int, r: int) -> np.ndarray:
+    """The codes in [p^d, 2p^d) for d < r: each line through 0 of F_p^r by its smallest code.
 
-    lambda x for lambda != 0 runs over the nonzero points of x's line
-    through 0, and a code compares by its top digit first, so this is
-    the smallest code on the line (0 for code 0).  Callers check p^n
-    against their point budget first; the map is built per call and
-    not kept.
+    lambda x for lambda != 0 runs over x's line, and a code compares by
+    its top digit first, so the smallest has top nonzero digit 1.
     """
-    p = ambient.p
-    codes = np.arange(ambient.point_count, dtype=np.int64)
-    lead = codes.copy()  # the top nonzero digit of each code
-    for _ in range(ambient.n - 1):
-        np.floor_divide(lead, p, out=lead, where=lead >= p)
-    scale = _inverse_mod(lead, p)
-    out = np.zeros_like(codes)
-    for weight in power_vector(p, ambient.n).tolist():
-        out += codes // weight % p * scale % p * weight
+    blocks = (np.arange(p**d, 2 * p**d, dtype=np.int64) for d in range(r))
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+
+
+def _line_minima(ambient: AmbientSpace) -> np.ndarray:
+    """(p^n,) codes: each code's line's smallest code (line_codes), 0 for code 0.
+
+    Callers check p^n against their point budget first; the map is
+    built per call and not kept.
+    """
+    lines = line_codes(ambient.p, ambient.n)
+    x = decode_array(ambient, lines)
+    out = np.zeros(ambient.point_count, dtype=np.int64)
+    for scale in range(1, ambient.p):
+        out[encode_array(ambient, x * scale % ambient.p)] = lines
     return out
 
 

@@ -213,6 +213,26 @@ def perp_basis(p, n, basis):
     return R
 
 
+def top_one_codes(p, r):
+    """Codes of F_p^r with top nonzero digit 1, read off a mask set block by block."""
+    import numpy as np
+
+    top_one = np.zeros(p**r, dtype=bool)
+    for d in range(r):
+        top_one[p**d : 2 * p**d] = True  # codes with top digit 1 at position d
+    return np.flatnonzero(top_one)
+
+
+def line_minima_by_top_digit(p, n):
+    """Each code's smallest multiple: the point scaled by the inverse of its top nonzero digit."""
+    out = []
+    for code in range(p**n):
+        digits = [code // p**i % p for i in range(n)]
+        scale = pow(next((d for d in reversed(digits) if d), 1), p - 2, p)
+        out.append(sum(d * scale % p * p**i for i, d in enumerate(digits)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the scalar elimination and the direct transform, one item at a time
 # ---------------------------------------------------------------------------

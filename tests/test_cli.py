@@ -287,6 +287,15 @@ def test_examples_point_budget_checked_before_building(capsys):
     assert captured.out == "" and "28561" in captured.err
 
 
+def test_examples_moment_checks_the_hyperplane_count_before_printing(capsys):
+    # |G(4,3)| over F_13 = 2,380 exceeds a subspace budget of 2,000; 13^4 passes the point budget
+    assert run("examples", "moment", "--p", "13", "--n", "4", "--subspace-budget", "2000") == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "|G(4,3)| over F_13 = 2380 exceeds budget 2000" in captured.err
+    assert run("examples", "moment", "--p", "13", "--n", "4", "--subspace-budget", "2380") == 0
+    assert "hyperplane_max 3" in capsys.readouterr().out
+
+
 def test_examples_point_budget_reaches_battery(capsys):
     # 47^3 = 103,823 points exceed the default point budget of
     # 100,000; a larger --point-budget must reach the battery's random sets

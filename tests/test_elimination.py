@@ -1,7 +1,7 @@
 """The one Gaussian elimination against the scalar oracle.
 
 rref, nullspace, Subspace checking, Subspace.from_rows, perp and the
-stacked forms all run field._eliminate; tests/oracles.py keeps the
+stacked forms all run field._eliminate, perp once per call; tests/oracles.py keeps the
 row-by-row elimination on Python integers as the reference.
 """
 
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpproj import field
 from fpproj.field import AmbientSpace, FpMatrix, _eliminate, _rref_stack, is_prime, nullspace, rref
 from fpproj.subspaces import Subspace, perp
 from oracles import perp_basis, scalar_nullspace, scalar_rref
@@ -46,10 +47,11 @@ def test_every_one_matrix_entry_point_equals_the_oracle(case):
     W = Subspace.from_rows(a, rows)
     assert W.basis == reduced
     assert perp(W).basis == perp_basis(p, n, reduced) == scalar_nullspace(reduced, p, n)
-    # Subspace checks its basis: accepted exactly when it is already its own reduced form
+    # Subspace checks its basis: accepted exactly when it is already its own reduced form,
+    # and kept as the rows it checked, reduced mod p
     given_rows = tuple(tuple(c % p for c in row) for row in rows)
     if given_rows == reduced:
-        assert Subspace(a, rows).basis == tuple(map(tuple, rows))
+        assert Subspace(a, rows).basis == given_rows
     else:
         with pytest.raises(ValueError, match="reduced-row-echelon"):
             Subspace(a, rows)
@@ -122,3 +124,24 @@ def test_the_plane_over_the_largest_prime_with_p_squared_in_int64():
         W = Subspace.from_rows(a, rows)
         assert W.basis == scalar_rref(rows, p, 2)[0]
         assert perp(W).basis == perp_basis(p, 2, W.basis)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (5, 3), (11, 4), (2**61 - 1, 1), (P63, 1), (3_037_000_493, 2)])
+def test_perp_runs_one_elimination_and_equals_the_oracle(p, n, monkeypatch):
+    a = AmbientSpace(p, n)
+    rng = random.Random(p * n)
+    calls = []
+    real = field._eliminate
+
+    def counted(q, rows):
+        calls.append(rows.shape)
+        return real(q, rows)
+
+    monkeypatch.setattr(field, "_eliminate", counted)
+    for _ in range(12):
+        rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randrange(n + 1))]
+        W = Subspace.from_rows(a, rows)
+        calls.clear()
+        assert perp.__wrapped__(W).basis == perp_basis(p, n, W.basis)
+        assert calls == [(1, n - W.dim, n)]  # the annihilator rows alone, not W's basis again
+        assert all(type(c) is int for row in perp.__wrapped__(W).basis for c in row)

@@ -484,6 +484,34 @@ def test_hyperplane_intersection_max_moment():
     assert hyperplane_intersection_max(PointSet.empty(amb(7, 3))) == 0
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (3, 2), (5, 2), (2, 3), (3, 3), (5, 3), (2, 4)])
+def test_hyperplane_intersection_max_builds_no_grassmannian_and_equals_the_brute_count(p, n):
+    from fpproj.subspaces import _grassmannian
+
+    a = amb(p, n)
+    sets = [random_point_set(a, size, seed) for seed, size in enumerate((1, a.point_count // 3, a.point_count))]
+    if p >= 3 and n >= 2:
+        sets.append(moment_curve_set(p, n))
+    misses = _grassmannian.cache_info().misses
+    found = [hyperplane_intersection_max(S) for S in sets]
+    assert _grassmannian.cache_info().misses == misses
+    hyperplanes = oracles.all_subspace_spans(p, n, n - 1)
+    for S, best in zip(sets, found):
+        points = {decode(a, c).coords for c in S.codes.tolist()}
+        assert best == max(len(points & W) for W in hyperplanes)
+
+
+def test_hyperplane_intersection_max_checks_before_counting():
+    empty = PointSet.empty(amb(13, 4))
+    with pytest.raises(BudgetError, match=r"\|G\(4,3\)\| over F_13 = 2380 exceeds budget 2000"):
+        hyperplane_intersection_max(empty, budget=2000)
+    # n(p-1)^2 leaves int64: refused before any product, for an empty set too
+    for p, n, budget in ((2**61 - 1, 1, 1), (3_037_000_493, 2, None)):
+        for codes in ([], [0, 5]):
+            with pytest.raises(ValueError, match="exact int64 range"):
+                hyperplane_intersection_max(PointSet.from_codes(amb(p, n), codes), budget=budget)
+
+
 def test_hyperplane_intersection_containment_case():
     a = amb(3, 3)
     W = enumerate_subspaces(a, 2)[0]

@@ -345,8 +345,17 @@ def test_load_rejects_out_of_range_coordinate(tmp_path):
 
 
 def test_load_names_the_file_and_line_of_a_coordinate_that_is_no_integer(tmp_path):
+    # every per-line error names the file and the line: integers, width, range, duplicates
     path = tmp_path / "pts.txt"
-    for line, message in (("x,1", "invalid literal for int"), ("1," + "2" * 5001, "Exceeds the limit (4300 digits)")):
+    for line, message in (
+        ("x,1", "invalid literal for int"),
+        ("1," + "2" * 5001, "Exceeds the limit (4300 digits)"),
+        ("1", "expected 2 coordinates"),
+        ("1,2,0", "expected 2 coordinates"),
+        ("3,0", "coordinate out of range [0, 3)"),
+        ("0,-1", "coordinate out of range [0, 3)"),
+        ("0,0", "duplicate point (0, 0)"),
+    ):
         path.write_text(f"p=3,n=2\n0,0\n{line}\n")
         with pytest.raises(ValueError) as exc:
             load_point_set(path)

@@ -31,9 +31,11 @@ from oracles import (
     all_vectors,
     distinct_by_lexsort,
     enumerate_rref_bases,
+    line_minima_by_top_digit,
     min_code_in_coset,
     scalar_nullspace,
     span_set,
+    top_one_codes,
 )
 
 
@@ -57,6 +59,32 @@ def test_equality_is_basis_identity():
     a = Subspace.from_rows(amb(3, 2), [(1, 1)])
     b = Subspace.from_rows(amb(3, 2), [(2, 2)])
     assert a == b and hash(a) == hash(b)
+
+
+def test_a_checked_basis_is_kept_reduced_mod_p():
+    a = amb(3, 2)
+    W = Subspace(a, ((4, 5),))
+    assert W.basis == ((1, 2),) and repr(W) == "Subspace(3^2, [1,2])"
+    assert W == Subspace(a, ((1, 2),)) == Subspace.from_rows(a, [(2, 1)])
+    assert hash(W) == hash(Subspace(a, ((1, 2),)))
+    assert Subspace(amb(5, 3), ((1, -5, 7), (5, 6, 3))).basis == ((1, 0, 2), (0, 1, 3))
+
+
+# -- lines through 0 ----------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_line_codes_and_line_minima_equal_the_top_digit_oracles(p):
+    for r in range(5 if p < 7 else 4):
+        codes = subspaces.line_codes(p, r)
+        assert codes.dtype == np.int64 and np.array_equal(codes, top_one_codes(p, r))
+        assert len(codes) == (p**r - 1) // (p - 1)
+        if r == 0:
+            continue
+        minima = line_minima_by_top_digit(p, r)
+        assert codes.tolist() == sorted(set(minima) - {0})  # one smallest code per line
+        line_map = subspaces._line_minima(amb(p, r))
+        assert line_map.dtype == np.int64 and line_map.tolist() == minima
 
 
 # -- enumeration ---------------------------------------------------------
