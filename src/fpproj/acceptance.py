@@ -47,7 +47,7 @@ from .families import (
 from .exact import floor_pow
 from .field import AmbientSpace, decode, gaussian_binomial
 from .fourier import SpectralTable, plancherel_defect, stacked_dft, verify_coset_identities
-from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_sets
+from .pointsets import affine_flat_set, circle_set, moment_curve_set, random_point_sets, write_text
 from .projection import Census, battery_projection_stats, explicit_bound_from_sizes, family_census
 from .subspaces import (
     SubspaceStack,
@@ -761,7 +761,6 @@ def write_artifacts(suite: SuiteResult, out_dir) -> list[str]:
     written = []
     for result in suite.results:
         path = os.path.join(out_dir, result.artifact_name())
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(result.csv)
+        write_text(path, result.csv)
         written.append(path)
     return written

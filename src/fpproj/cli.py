@@ -32,7 +32,7 @@ from .families import (
     spread_perp,
     stacked_spread,
 )
-from .field import AmbientSpace, FpVector, decode, gaussian_binomial
+from .field import AmbientSpace, FpVector, check_range, decode, gaussian_binomial
 from .fourier import dft, plancherel_defect, spectral_mass, verify_coset_identities
 from .pointsets import (
     PointSet,
@@ -41,6 +41,8 @@ from .pointsets import (
     load_point_set,
     moment_curve_set,
     random_point_set,
+    read_text,
+    write_text,
 )
 from .projection import family_census, project
 from .subspaces import (
@@ -75,44 +77,62 @@ def _exponent(value) -> Fraction:
 # spec parsers shared by `project`, `sweep` and `examples`
 # ---------------------------------------------------------------------------
 
+SET_FORMS = ("random:SIZE:SEED", "flat:K:OFFSET", "flat:K", "circle", "moment", "file:PATH")
+FAMILY_FORMS = ("random:ALPHA:SEED", "circle", "moment", "full", "file:PATH")
+FIELD_PARSERS = {"ALPHA": _exponent, "PATH": str, "OFFSET": lambda text: tuple(map(int, text.split(","))) if text else None}
+
+
+def _spec_fields(what: str, spec: str, forms) -> tuple[str, dict]:
+    """(kind, fields by name) of spec by the first of forms with its kind and field count; errors name the spec.
+
+    The last field takes the rest of the spec (a PATH may hold ':'); FIELD_PARSERS reads a field, int the others.
+    """
+    kind, sep, rest = spec.partition(":")
+    shapes = [form.split(":") for form in forms if form.partition(":")[0] == kind]
+    if not shapes:
+        raise ValueError(f"unknown {what} spec {spec!r}")
+    for _, *names in shapes:
+        texts = rest.split(":", len(names) - 1) if sep else []
+        if len(texts) == len(names):
+            try:
+                return kind, {name: FIELD_PARSERS.get(name, int)(text) for name, text in zip(names, texts)}
+            except ValueError as exc:
+                raise ValueError(f"{what} spec {spec!r}: {exc}") from None
+    raise ValueError(f"{what} spec {spec!r} is not {' or '.join(':'.join(shape) for shape in shapes)}")
+
 
 def parse_set_spec(ambient: AmbientSpace, spec: str, point_budget=DEFAULT_POINT_BUDGET) -> PointSet:
-    """random:SIZE:SEED | flat:K:OFFSET | circle | moment | file:PATH."""
+    """One of SET_FORMS; a flat without OFFSET passes through 0."""
     check_budget(ambient.point_count, point_budget, "p^n for point sets")
-    kind, _, rest = spec.partition(":")
+    kind, fields = _spec_fields("set", spec, SET_FORMS)
     if kind == "random":
-        size_s, _, seed_s = rest.partition(":")
-        return random_point_set(ambient, int(size_s), int(seed_s), budget=point_budget)
+        return random_point_set(ambient, fields["SIZE"], fields["SEED"], budget=point_budget)
     if kind == "flat":
-        k_s, _, offset_s = rest.partition(":")
-        k = int(k_s)
-        W = first_subspace(ambient, k)
-        coords = tuple(int(c) for c in offset_s.split(",")) if offset_s else (0,) * ambient.n
-        return affine_flat_set(W, FpVector(ambient, coords))
+        offset = fields.get("OFFSET") or (0,) * ambient.n
+        if len(offset) != ambient.n:
+            raise ValueError(f"set spec {spec!r}: OFFSET has {len(offset)} coordinates, expected {ambient.n}")
+        return affine_flat_set(first_subspace(ambient, fields["K"]), FpVector(ambient, offset))
     if kind == "circle":
         if ambient.n != 3:
             raise ValueError("the circle set lives in n = 3")
         return circle_set(ambient.p)
     if kind == "moment":
         return moment_curve_set(ambient.p, ambient.n)
-    if kind == "file":
-        return load_point_set(rest, ambient=ambient)
-    raise ValueError(f"unknown set spec {spec!r}")
+    return load_point_set(fields["PATH"], ambient=ambient)
 
 
 def parse_family_spec(
     ambient: AmbientSpace, m: int, spec: str, budget=DEFAULT_SUBSPACE_BUDGET
 ) -> tuple[Family, str]:
-    """random:ALPHA:SEED | circle | moment | full | file:PATH.
+    """One of FAMILY_FORMS.
 
     Returns (family, seed_field) where seed_field is the seed for the
     random model and '' otherwise.
     """
-    kind, _, rest = spec.partition(":")
+    kind, fields = _spec_fields("family", spec, FAMILY_FORMS)
     if kind == "random":
-        alpha_s, _, seed_s = rest.partition(":")
-        cfg = RandomFamilyConfig(ambient, m, _exponent(alpha_s), int(seed_s))
-        return sample_random_family(cfg, budget=budget), str(int(seed_s))
+        cfg = RandomFamilyConfig(ambient, m, fields["ALPHA"], fields["SEED"])
+        return sample_random_family(cfg, budget=budget), str(fields["SEED"])
     if kind == "circle":
         if ambient.n != 3 or m != 2:
             raise ValueError("the circle family needs n = 3 and m = 2")
@@ -123,9 +143,7 @@ def parse_family_spec(
         return moment_family(ambient.p, ambient.n), ""
     if kind == "full":
         return full_family(ambient, m, budget=budget), ""
-    if kind == "file":
-        return load_family(rest, ambient=ambient, m=m), ""
-    raise ValueError(f"unknown family spec {spec!r}")
+    return load_family(fields["PATH"], ambient=ambient, m=m), ""
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +154,7 @@ def parse_family_spec(
 def _write(text: str, path) -> None:
     """Write a report to path, or to stdout when no path is given."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -171,8 +188,7 @@ def cmd_project(args) -> int:
 def cmd_identity_check(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
-    if not 1 <= args.m <= args.n - 1:
-        raise ValueError(f"--m must be in [1, {args.n - 1}] for n = {args.n}, got {args.m}")
+    check_range("--m", args.m, 1, args.n - 1)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
     ambient = AmbientSpace(args.p, args.n)
@@ -247,10 +263,18 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _config_int(path, key, value) -> int:
+def _config_value(path, key, parse, *args):
+    """parse(*args), any ValueError naming the config file and the key."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key}: {exc}") from None
+
+
+def _json_int(value) -> int:
     """int(value) of a JSON integer or integer string; int() would truncate a bool or a float."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{path}: {key} must be an integer, got {json.dumps(value)}")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"must be an integer, got {json.dumps(value)}")
     return int(value)
 
 
@@ -262,16 +286,15 @@ def _config_strings(path, key, value) -> list:
 
 
 def _load_sweep_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The sweep's settings, with its thresholds reduced to (N, shown) cutoffs."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer past the digit limit of int()
+    except ValueError as exc:  # text that is not UTF-8, or an integer past the digit limit of int()
         raise ValueError(f"{path}: {exc}") from None
     try:
-        p, n, m = (_config_int(path, key, raw[key]) for key in ("p", "n", "m"))
+        p, n, m = (_config_value(path, key, _json_int, raw[key]) for key in ("p", "n", "m"))
         ambient = AmbientSpace(p, n)
         families = _config_strings(path, "families", raw["families"])
         sets = _config_strings(path, "sets", raw["sets"])
@@ -280,8 +303,7 @@ def _load_sweep_config(path):
         values = thresholds["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed key: {exc}") from None
-    if not 1 <= m <= n - 1:  # an eps cutoff raises p to m before any family checks it
-        raise ValueError(f"codimension m = {m} out of range [1, {n - 1}]")
+    check_range("codimension m", m, 1, n - 1)  # an eps cutoff raises p to m before any family checks it
     if not isinstance(values, list):
         raise ValueError(f"{path}: thresholds.values must be a list, got {json.dumps(values)}")
     if not isinstance(raw.get("output", ""), str):
@@ -292,10 +314,10 @@ def _load_sweep_config(path):
                 raise ValueError(f"{path}: unknown key {where}{key}; allowed: {' '.join(allowed)}")
     if kind not in ("N", "t", "eps"):
         raise ValueError(f"{path}: thresholds.kind must be one of N, t, eps")
-    if kind == "N":
-        values = [_config_int(path, "thresholds.values", value) for value in values]
-    C = parse_fraction(raw.get("C", 16))
-    return ambient, m, families, sets, kind, values, C, raw.get("output")
+    C = _config_value(path, "C", parse_fraction, raw.get("C", 16))
+    # reduced here, so a bad value fails even if every family is skipped
+    cutoffs = [_config_value(path, "thresholds.values", _threshold_to_N, ambient, m, kind, value) for value in values]
+    return ambient, m, families, sets, kind, cutoffs, C, raw.get("output")
 
 
 def _threshold_to_N(ambient, m, kind, value):
@@ -305,7 +327,7 @@ def _threshold_to_N(ambient, m, kind, value):
     size <= eps p^m iff size <= floor(eps p^m); the reduction is exact.
     """
     if kind == "N":
-        n_val = int(value)
+        n_val = _json_int(value)
         if n_val < 0:
             raise ValueError("threshold N must be nonnegative")
         return n_val, str(n_val)
@@ -330,9 +352,7 @@ def _threshold_to_N(ambient, m, kind, value):
 
 
 def cmd_sweep(args) -> int:
-    ambient, m, family_specs, set_specs, kind, values, C, cfg_out = _load_sweep_config(args.config)
-    # (N, shown) per threshold, reduced first so a bad value fails even if every family is skipped
-    cutoffs = [_threshold_to_N(ambient, m, kind, value) for value in values]
+    ambient, m, family_specs, set_specs, kind, cutoffs, C, cfg_out = _load_sweep_config(args.config)
 
     families = []  # (spec, family or None when over the subspace budget, seed field)
     for spec in family_specs:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, le_affine_pow, le_pow
-from .field import AmbientSpace, FpVector, _eliminate, _rref_stack, decode, decode_array, gaussian_binomial
-from .pointsets import PointSet, circle_set, moment_curve_set
+from .field import AmbientSpace, FpVector, _eliminate, _rref_stack, check_range, decode, decode_array, gaussian_binomial
+from .pointsets import PointSet, circle_set, moment_curve_set, read_records, write_text
 from .projection import TABLE_ELEMENTS, family_coset_energy
 from .rng import TWO64, threshold_rows
 from .subspaces import (
@@ -45,12 +45,10 @@ class Family:
     """
 
     def __init__(self, ambient: AmbientSpace, m: int, members):
-        n = ambient.n
-        if not 1 <= m <= n - 1:
-            raise ValueError(f"codimension m = {m} out of range [1, {n - 1}]")
+        check_range("codimension m", m, 1, ambient.n - 1)
         self.ambient = ambient
         self.m = m
-        self.stack = SubspaceStack.of(ambient, n - m, members).distinct()
+        self.stack = SubspaceStack.of(ambient, ambient.n - m, members).distinct()
 
     @property
     def members(self) -> tuple[Subspace, ...]:
@@ -105,8 +103,7 @@ class RandomFamilyConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         n = self.ambient.n
-        if not 1 <= self.m <= n - 1:
-            raise ValueError(f"m = {self.m} out of range [1, {n - 1}]")
+        check_range("codimension m", self.m, 1, n - 1)
         low = min(self.m, n - self.m)
         high = self.m * (n - self.m)
         if not low < self.alpha <= high:
@@ -319,8 +316,7 @@ def theoretical_spread_count(ambient: AmbientSpace, k: int, variant: str) -> int
     Over all of G(n, k): |{W : xi in W}| = |G(n-1, k-1)| and
     |{W : xi in Per(W)}| = |G(n-1, k)|, independent of xi != 0.
     """
-    if not 1 <= k <= ambient.n - 1:
-        raise ValueError(f"k = {k} out of range [1, {ambient.n - 1}]")
+    check_range("k", k, 1, ambient.n - 1)
     _check_variant(variant)
     return gaussian_binomial(ambient.n - 1, k - 1 if variant == "contains" else k, ambient.p)
 
@@ -446,38 +442,23 @@ def audit_family(G: Family, branch: str, beta, C, test_sets=()) -> FamilyAudit:
 def save_family(G: Family, path) -> None:
     lines = [f"p={G.ambient.p},n={G.ambient.n},m={G.m}"]
     lines.extend(serialize_subspace(W) for W in G)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_family(path, ambient: AmbientSpace | None = None, m: int | None = None) -> Family:
     """Read a family file; one elimination reduces the rows of every member line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("empty family file (missing header)")
-    head = lines[0].strip().split(",")
-    try:
-        keys = dict(part.split("=") for part in head)
-        p, n, file_m = int(keys["p"]), int(keys["n"]), int(keys["m"])
-    except (ValueError, KeyError):
-        raise ValueError(f"malformed family header: {lines[0]!r}") from None
-    file_ambient = AmbientSpace(p, n)
-    if ambient is not None and ambient != file_ambient:
-        raise ValueError("family header does not match requested ambient space")
+    file_ambient, (file_m,), lines = read_records(path, ("p", "n", "m"), ambient)
+    p, n = file_ambient.p, file_ambient.n
     if m is not None and m != file_m:
-        raise ValueError(f"family header m={file_m} does not match requested m={m}")
+        raise ValueError(f"{path}: header m = {file_m}, expected m = {m}")
+    check_range(f"{path}: codimension m", file_m, 1, n - 1)
     k = n - file_m
-    if not 0 < k < n:
-        raise ValueError(f"codimension m = {file_m} out of range [1, {n - 1}]")
-    members, linenos = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            try:
-                members.append(_parse_rows(file_ambient, line))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            linenos.append(lineno)
+    members = []
+    for lineno, line in lines:
+        try:
+            members.append(_parse_rows(file_ambient, line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     # zero rows pad each member to one height, k at least, and leave its rank as it was
     rows = np.zeros((len(members), max([k, *map(len, members)]), n), dtype=np.int64)
     for i, member in enumerate(members):
@@ -485,5 +466,5 @@ def load_family(path, ambient: AmbientSpace | None = None, m: int | None = None)
     reduced, rank = _eliminate(p, rows)
     bad = np.flatnonzero(rank != k)
     if len(bad):
-        raise ValueError(f"{path}: line {linenos[bad[0]]}: rows of rank {rank[bad[0]]}, expected n - m = {k}")
+        raise ValueError(f"{path}: line {lines[bad[0]][0]}: rows of rank {rank[bad[0]]}, expected n - m = {k}")
     return Family(file_ambient, file_m, SubspaceStack(file_ambient, reduced[:, :k]))

@@ -100,25 +100,32 @@ class FpVector:
         return all(c == 0 for c in self.coords)
 
     def __add__(self, other: "FpVector") -> "FpVector":
-        _same_ambient(self, other)
+        check_same_ambient(self.ambient, other.ambient)
         return FpVector(self.ambient, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "FpVector") -> "FpVector":
-        _same_ambient(self, other)
+        check_same_ambient(self.ambient, other.ambient)
         return FpVector(self.ambient, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, k: int) -> "FpVector":
         return FpVector(self.ambient, tuple(k * c for c in self.coords))
 
 
-def _same_ambient(u, v):
-    if u.ambient != v.ambient:
-        raise ValueError(f"ambient mismatch: {u.ambient} vs {v.ambient}")
+def check_same_ambient(a: AmbientSpace, b: AmbientSpace) -> None:
+    """The package's one check that two objects share their space F_p^n."""
+    if a != b:
+        raise ValueError(f"ambient mismatch: {a} vs {b}")
+
+
+def check_range(what: str, value: int, lo: int, hi: int) -> None:
+    """The package's one check of a dimension or codimension: lo <= value <= hi."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} = {value} out of range [{lo}, {hi}]")
 
 
 def dot(u: FpVector, v: FpVector) -> int:
     """The bilinear form u.v = sum_i u_i v_i mod p."""
-    _same_ambient(u, v)
+    check_same_ambient(u.ambient, v.ambient)
     return sum(a * b for a, b in zip(u.coords, v.coords)) % u.ambient.p
 
 
@@ -192,8 +199,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k = {k} out of range [0, {n}]")
+    check_range("k", k, 0, n)
     num = 1
     den = 1
     for i in range(k):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET, check_budget
-from .field import AmbientSpace
+from .field import AmbientSpace, check_same_ambient
 from .pointsets import PointSet
 from .projection import battery_projection_stats
 from .subspaces import (
@@ -70,8 +70,7 @@ def stacked_dft(sets, budget=DEFAULT_POINT_BUDGET):
         return iter(())
     ambient = sets[0].ambient
     for E in sets:
-        if E.ambient != ambient:
-            raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
+        check_same_ambient(ambient, E.ambient)
     check_budget(ambient.point_count, budget, "p^n for the transform")
     return _dft_chunks(sets, ambient)
 
@@ -117,6 +116,7 @@ def coset_energy_spectral(
     the transform this costs O(p^m), not O(p^n).  This is the one-member
     reference for the batched spectral side of verify_coset_identities.
     """
+    check_same_ambient(E.ambient, W.ambient)
     _require_proper(W)
     if table is None:
         table = dft(E)

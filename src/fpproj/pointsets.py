@@ -8,10 +8,12 @@ mask is built only when asked for.  Sets are immutable.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET
-from .field import AmbientSpace, FpVector, decode, decode_array, encode, encode_array
+from .field import AmbientSpace, FpVector, check_same_ambient, decode, decode_array, encode, encode_array
 from .rng import choose_rows
 from .subspaces import Subspace, flat_codes
 
@@ -106,8 +108,7 @@ class PointSet:
     __hash__ = None
 
     def union(self, other: "PointSet") -> "PointSet":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
+        check_same_ambient(self.ambient, other.ambient)
         return PointSet.from_codes(self.ambient, np.concatenate((self.codes, other.codes)))
 
     def __repr__(self):
@@ -143,8 +144,7 @@ def random_point_set(
 
 def affine_flat_set(W: Subspace, offset: FpVector) -> PointSet:
     """The plane offset+W as a point set; cardinality p^dim(W)."""
-    if W.ambient != offset.ambient:
-        raise ValueError("ambient mismatch")
+    check_same_ambient(W.ambient, offset.ambient)
     return PointSet(W.ambient, np.sort(flat_codes(W, offset.coords)))  # p^dim distinct codes
 
 
@@ -179,45 +179,59 @@ def moment_curve_set(p: int, n: int) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# file format: header "p=<p>,n=<n>", then one point per line as "c0,c1,..."
+# text files: the package's one writer and one reader, and the point-set
+# format: header "p=<p>,n=<n>", then one point per line as "c0,c1,..."
 # ---------------------------------------------------------------------------
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 with '\\n' line ends: every file the package writes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of path: every file the package reads."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def read_records(path, keys: tuple[str, ...], ambient: AmbientSpace | None = None):
+    """(space, further header values, numbered nonblank lines) of a point-set or family file.
+
+    The first line must be exactly key=<int> for each of keys, in order,
+    joined by ','; keys start with p and n, the file's space, which must
+    be ambient when one is given.  Every error names the path.
+    """
+    try:
+        lines = read_text(path).splitlines() or [""]  # an empty file has the header ''
+        header = re.fullmatch(",".join(f"{key}=([+-]?[0-9]+)" for key in keys), lines[0].strip())
+        if header is None:
+            form = ",".join(f"{key}=<int>" for key in keys)
+            raise ValueError(f"line 1: header {lines[0]!r} is not {form}")
+        values = [int(value) for value in header.groups()]
+        file_ambient = AmbientSpace(*values[:2])
+        if ambient is not None:
+            check_same_ambient(ambient, file_ambient)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    return file_ambient, values[2:], numbered
 
 
 def save_point_set(E: PointSet, path) -> None:
     lines = [f"p={E.ambient.p},n={E.ambient.n}"]
     for pt in E.coordinates():
         lines.append(",".join(str(int(c)) for c in pt))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_header(line: str) -> tuple[int, int]:
-    try:
-        left, right = line.strip().split(",")
-        if not (left.startswith("p=") and right.startswith("n=")):
-            raise ValueError
-        return int(left[2:]), int(right[2:])
-    except ValueError:
-        raise ValueError(f"malformed point-set header: {line!r}") from None
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_point_set(path, ambient: AmbientSpace | None = None) -> PointSet:
     """Read a point-set file; duplicates and range errors are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("empty point-set file (missing header)")
-    p, n = _parse_header(lines[0])
-    file_ambient = AmbientSpace(p, n)
-    if ambient is not None and ambient != file_ambient:
-        raise ValueError(
-            f"header (p={p}, n={n}) does not match requested "
-            f"(p={ambient.p}, n={ambient.n})"
-        )
+    file_ambient, _, lines = read_records(path, ("p", "n"), ambient)
+    p, n = file_ambient.p, file_ambient.n
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         try:  # int() refuses a non-integer or a number past its digit limit
             coords = tuple(int(c) for c in line.split(","))
             if len(coords) != n:

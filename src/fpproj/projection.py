@@ -20,7 +20,7 @@ import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_pow, le_pow
-from .field import AmbientSpace, decode_array, power_vector
+from .field import AmbientSpace, check_range, check_same_ambient, decode_array, power_vector
 from .pointsets import PointSet
 from .subspaces import (
     CosetLabel,
@@ -47,40 +47,26 @@ class ProjectionImage:
         return len(self.labels)
 
 
-def _check_pair(E: PointSet, W: Subspace):
-    if E.ambient != W.ambient:
-        raise ValueError(f"ambient mismatch: {E.ambient} vs {W.ambient}")
-    _require_proper(W)
-
-
 def image_codes(E: PointSet, W: Subspace) -> np.ndarray:
     """Coset representative of each member of E (not deduplicated)."""
-    _check_pair(E, W)
+    check_same_ambient(E.ambient, W.ambient)
+    _require_proper(W)
     return reduce_points(W, E.coordinates())
 
 
-def _fibers(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct codes, how often each occurs), sorted: one sort, then a neighbour comparison.
-
-    np.unique would do the same, but without a return_* flag it imports
-    numpy.ma to rule out a masked array.
-    """
-    codes = np.sort(codes)
-    new_run = np.ones(codes.size, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    return codes[starts], np.diff(starts, append=codes.size)
-
-
 def project(E: PointSet, W: Subspace) -> ProjectionImage:
-    """The projection of E along W: every coset of W meeting E."""
-    reps, _ = _fibers(image_codes(E, W))
+    """The projection of E along W: every coset of W meeting E.
+
+    np.unique here and below always asks for counts: without a
+    return_* flag it imports numpy.ma to rule out a masked array.
+    """
+    reps, _ = np.unique(image_codes(E, W), return_counts=True)
     return ProjectionImage(W, frozenset(CosetLabel(W, int(r)) for r in reps))
 
 
 def fiber_counts(E: PointSet, W: Subspace) -> np.ndarray:
     """|E ∩ coset| for every coset of W that meets E (sorted by label)."""
-    _, counts = _fibers(image_codes(E, W))
+    _, counts = np.unique(image_codes(E, W), return_counts=True)
     return counts
 
 
@@ -93,7 +79,7 @@ def energy(E: PointSet, planes: Iterable[CosetLabel]) -> int:
     total = 0
     for W, reps in by_subspace.items():
         codes = image_codes(E, W) if E.size else np.empty(0, dtype=np.int64)
-        hit, counts = _fibers(codes)
+        hit, counts = np.unique(codes, return_counts=True)
         lookup = dict(zip(hit.tolist(), counts.tolist()))
         for rep in reps:
             c = lookup.get(rep, 0)
@@ -278,8 +264,7 @@ def _battery_args(batteries, G, battery_of):
     ambient = batteries[0][0].ambient
     for sets in batteries:
         for E in sets:
-            if E.ambient != ambient:
-                raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
+            check_same_ambient(ambient, E.ambient)
     stack = member_stack(ambient, G)
     K = len(stack)
     battery_of = np.asarray(battery_of)
@@ -360,8 +345,7 @@ def line_energies(sets, ambient: AmbientSpace, budget=DEFAULT_POINT_BUDGET) -> n
     """
     sets = tuple(sets)
     for E in sets:
-        if E.ambient != ambient:
-            raise ValueError(f"ambient mismatch: {ambient} vs {E.ambient}")
+        check_same_ambient(ambient, E.ambient)
     check_budget(ambient.point_count, budget, "p^n for the line energies")
     p, n, S = ambient.p, ambient.n, len(sets)
     codes = np.concatenate([np.empty(0, dtype=np.int64), *(E.codes for E in sets)])
@@ -677,8 +661,7 @@ def exceptional_bound_check(
     if E.size == 0:
         raise ValueError("the census needs a nonempty set")
     n = E.ambient.n
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"m = {m} out of range [1, {n - 1}]")
+    check_range("codimension m", m, 1, n - 1)
     G = grassmannian(E.ambient, n - m, budget=budget)
     return explicit_bound_from_sizes(E, m, family_projection_stats(E, G)[0], t)
 

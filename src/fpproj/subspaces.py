@@ -27,6 +27,8 @@ from .field import (
     _annihilator_rows,
     _perp_rows,
     _rref_stack,
+    check_range,
+    check_same_ambient,
     decode,
     decode_array,
     digit_table,
@@ -131,8 +133,7 @@ def grassmannian(ambient: AmbientSpace, k: int, budget=DEFAULT_SUBSPACE_BUDGET) 
 
 def grassmannian_size(ambient: AmbientSpace, k: int, budget=DEFAULT_SUBSPACE_BUDGET) -> int:
     """|G(n, k)|, checked against budget as grassmannian checks it, with nothing enumerated."""
-    if not 0 <= k <= ambient.n:
-        raise ValueError(f"k = {k} out of range [0, {ambient.n}]")
+    check_range("k", k, 0, ambient.n)
     total = gaussian_binomial(ambient.n, k, ambient.p)
     check_budget(total, budget, f"|G({ambient.n},{k})| over F_{ambient.p}")
     return total
@@ -168,8 +169,7 @@ def enumerate_subspaces(
 def first_subspace(ambient: AmbientSpace, k: int) -> Subspace:
     """span(e_(n-k), ..., e_(n-1)): element [0] of enumerate_subspaces(ambient, k)."""
     n = ambient.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k = {k} out of range [0, {n}]")
+    check_range("k", k, 0, n)
     basis = tuple(tuple(1 if j == n - k + i else 0 for j in range(n)) for i in range(k))
     return Subspace._canonical(ambient, basis)
 
@@ -200,8 +200,7 @@ def perp(W: Subspace) -> Subspace:
 
 def contains(W: Subspace, v: FpVector) -> bool:
     """True iff v lies in W: the coset v+W has minimum 0."""
-    if W.ambient != v.ambient:
-        raise ValueError(f"ambient mismatch: {W.ambient} vs {v.ambient}")
+    check_same_ambient(W.ambient, v.ambient)
     return bool(contains_codes(W, np.array([v.coords], dtype=np.int64))[0])
 
 
@@ -276,16 +275,13 @@ class SubspaceStack:
     def of(cls, ambient: AmbientSpace, dim: int, members) -> "SubspaceStack":
         """The stack of dim-dimensional subspaces of ambient: members itself if a stack."""
         if isinstance(members, cls):
-            if (members.ambient, members.dim) != (ambient, dim):
-                raise ValueError(
-                    f"stack of dimension {members.dim} in {members.ambient}, "
-                    f"expected dimension {dim} in {ambient}"
-                )
+            check_same_ambient(ambient, members.ambient)
+            if members.dim != dim:
+                raise ValueError(f"stack of dimension {members.dim}, expected dimension {dim}")
             return members
         members = tuple(members)
         for W in members:
-            if W.ambient != ambient:
-                raise ValueError(f"ambient mismatch: {ambient} vs {W.ambient}")
+            check_same_ambient(ambient, W.ambient)
             if W.dim != dim:
                 raise ValueError(f"member of dimension {W.dim} in a stack of dimension {dim}")
         bases = np.array([W.basis for W in members], dtype=np.int64)
@@ -489,8 +485,7 @@ def reduce_points(W: Subspace, points: np.ndarray) -> np.ndarray:
 def coset_label(W: Subspace, x: FpVector) -> CosetLabel:
     """Label of the coset x+W; two points get equal labels iff x-y in W."""
     _require_proper(W)
-    if W.ambient != x.ambient:
-        raise ValueError(f"ambient mismatch: {W.ambient} vs {x.ambient}")
+    check_same_ambient(W.ambient, x.ambient)
     pts = np.array([x.coords], dtype=np.int64)
     return CosetLabel(W, int(reduce_points(W, pts)[0]))
 

@@ -222,15 +222,16 @@ def test_zero_denominators_are_usage_errors(tmp_path, capsys):
     assert run("random-family", "--p", "7", "--n", "3", "--m", "1", "--alpha", "1/0", "--seed", "1") == 2
     assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
     out = tmp_path / "report.csv"
-    for overrides in (
-        dict(C="1/0"),
-        dict(thresholds={"kind": "t", "values": [1, "1/0"]}),
-        dict(thresholds={"kind": "eps", "values": ["1/0"]}),
-        dict(families=["random:1/0:1"]),
+    cfg = tmp_path / "cfg.json"
+    for overrides, where in (
+        (dict(C="1/0"), f"{cfg}: C"),
+        (dict(thresholds={"kind": "t", "values": [1, "1/0"]}), f"{cfg}: thresholds.values"),
+        (dict(thresholds={"kind": "eps", "values": ["1/0"]}), f"{cfg}: thresholds.values"),
+        (dict(families=["random:1/0:1"]), "family spec 'random:1/0:1'"),
     ):
-        cfg = write_config(tmp_path, **overrides)
+        assert write_config(tmp_path, **overrides) == cfg
         assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
-        assert capsys.readouterr().err == "error: '1/0' has a zero denominator\n"
+        assert capsys.readouterr().err == f"error: {where}: '1/0' has a zero denominator\n"
         assert not out.exists()
 
 
@@ -239,7 +240,7 @@ def test_a_t_denominator_too_long_to_print_is_refused_by_its_text(tmp_path, caps
     cfg = write_config(tmp_path, thresholds={"kind": "t", "values": [1, "1e-4300"]})
     out = tmp_path / "report.csv"
     assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
-    assert capsys.readouterr().err == "error: exponent 1e-4300 has denominator > 12\n"
+    assert capsys.readouterr().err == f"error: {cfg}: thresholds.values: exponent 1e-4300 has denominator > 12\n"
     assert not out.exists()
 
 
@@ -591,6 +592,85 @@ def test_sweep_config_integer_past_the_digit_limit_names_the_config(tmp_path, ca
     assert captured.err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("random:10", "set spec 'random:10' is not random:SIZE:SEED"),
+        ("random:10:1:5", "set spec 'random:10:1:5': invalid literal for int()"),
+        ("random:a:1", "set spec 'random:a:1': invalid literal for int()"),
+        ("flat:x", "set spec 'flat:x': invalid literal for int()"),
+        ("flat:1:0,y,1", "set spec 'flat:1:0,y,1': invalid literal for int()"),
+        ("flat:1:0,1", "set spec 'flat:1:0,1': OFFSET has 2 coordinates, expected 3"),
+        ("circle:z", "set spec 'circle:z' is not circle"),
+        ("moment:w", "set spec 'moment:w' is not moment"),
+        ("circle:", "set spec 'circle:' is not circle"),
+    ],
+)
+def test_set_specs_refuse_fields_they_do_not_take_and_name_a_malformed_one(spec, message, capsys):
+    # "moment:w" loaded the moment curve, and "random:10" failed with int()'s own message
+    assert run("project", "--p", "5", "--n", "3", "--subspace", "1,0,0", "--set", spec) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("full:x", "family spec 'full:x' is not full"),
+        ("moment:w", "family spec 'moment:w' is not moment"),
+        ("circle:z", "family spec 'circle:z' is not circle"),
+        ("random:3/2", "family spec 'random:3/2' is not random:ALPHA:SEED"),
+        ("random:x:1", "family spec 'random:x:1': Invalid literal for Fraction: 'x'"),
+        ("random:3/2:", "family spec 'random:3/2:': invalid literal for int()"),
+    ],
+)
+def test_family_specs_refuse_fields_they_do_not_take_and_name_a_malformed_one(tmp_path, spec, message, capsys):
+    # "full:x" ran the full family and wrote "full:x" as its family_id
+    cfg = write_config(tmp_path, p=5, n=3, m=2, families=["full", spec])
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_family_spec_over_the_budget_still_skips_its_rows(tmp_path):
+    # parsing a spec's fields wraps no BudgetError, so the family is skipped (exit 3)
+    with pytest.raises(BudgetError):
+        cli.parse_family_spec(AmbientSpace(5, 3), 1, "full", budget=30)
+    cfg = write_config(tmp_path, p=5, n=3, m=1, families=["full", "random:3/2:1"])
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", str(cfg), "--out", str(out), "--subspace-budget", "30") == 3
+    assert [line.split(",")[-1] for line in out.read_text().splitlines()[1:]] == ["skipped"] * 6
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("thresholds.values", dict(thresholds={"kind": "N", "values": [[1]]})),
+        ("thresholds.values", dict(thresholds={"kind": "N", "values": [None]})),
+        ("thresholds.values", dict(thresholds={"kind": "N", "values": [{}]})),
+        ("thresholds.values", dict(thresholds={"kind": "N", "values": ["two"]})),
+        ("thresholds.values", dict(thresholds={"kind": "t", "values": [[1]]})),
+        ("thresholds.values", dict(thresholds={"kind": "t", "values": ["one"]})),
+        ("thresholds.values", dict(thresholds={"kind": "eps", "values": [None]})),
+        ("C", dict(C=[1])),
+        ("C", dict(C=None)),
+        ("C", dict(C="sixteen")),
+    ],
+    ids=("N-list", "N-null", "N-object", "N-word", "t-list", "t-word", "eps-null", "C-list", "C-null", "C-word"),
+)
+def test_sweep_threshold_and_C_values_that_are_no_numbers_name_the_config_and_key(tmp_path, key, overrides, capsys):
+    # an N value of [1], null or {} raised a TypeError traceback (exit 1), and a
+    # t, eps or C that is no number printed "Invalid literal for Fraction" alone
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {cfg}: {key}: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bad_coordinates_in_set_and_family_files_name_the_file_and_line(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("p=7,n=3\n0,0,1\nx,1,2\n")
@@ -620,7 +700,7 @@ def test_sweep_rejects_bools_and_floats_where_integers_belong(tmp_path, capsys):
     for key, overrides in cases:
         cfg = write_config(tmp_path, **overrides)
         assert run("sweep", "--config", str(cfg), "--out", str(out), "--subspace-budget", "10") == 2
-        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert f"{key}: must be an integer" in capsys.readouterr().err
         assert not out.exists()
     # C and the t / eps values are rationals; Fraction(True) would run them as 1
     for overrides, budget in (

@@ -31,6 +31,7 @@ from fpproj.field import AmbientSpace, FpVector, decode, encode
 from fpproj.pointsets import (
     PointSet,
     circle_set,
+    load_point_set,
     moment_curve_set,
     random_point_set,
 )
@@ -617,6 +618,36 @@ def test_family_file_errors_name_the_file_and_the_line(tmp_path):
     path.write_text("p=5,n=4,m=4\n1,0,0,0\n")
     with pytest.raises(ValueError, match="codimension m = 4 out of range"):
         load_family(path)
+
+
+@pytest.mark.parametrize(
+    "text, load, message",
+    [
+        ("", "family", "line 1: header '' is not p=<int>,n=<int>,m=<int>"),
+        ("", "points", "line 1: header '' is not p=<int>,n=<int>"),
+        ("p=3,n=2,m=1,q=9\n", "family", "line 1: header 'p=3,n=2,m=1,q=9' is not p=<int>,n=<int>,m=<int>"),
+        ("m=1,p=3,n=2\n", "family", "line 1: header 'm=1,p=3,n=2' is not p=<int>,n=<int>,m=<int>"),
+        ("p=3,n=2\n", "family", "line 1: header 'p=3,n=2' is not p=<int>,n=<int>,m=<int>"),
+        ("n=2,p=3\n", "points", "line 1: header 'n=2,p=3' is not p=<int>,n=<int>"),
+        ("p=3,n=x\n", "points", "line 1: header 'p=3,n=x' is not p=<int>,n=<int>"),
+        ("p=4,n=2\n", "points", "p must be prime, got 4"),
+        ("p=3,n=3,m=1\n", "family", "ambient mismatch: AmbientSpace(p=5, n=3) vs AmbientSpace(p=3, n=3)"),
+        ("p=3,n=3\n", "points", "ambient mismatch: AmbientSpace(p=5, n=3) vs AmbientSpace(p=3, n=3)"),
+        ("p=5,n=3,m=2\n", "family", "header m = 2, expected m = 1"),
+        ("p=5,n=3,m=0\n", "family", "codimension m = 0 out of range [1, 2]"),
+    ],
+)
+def test_every_load_error_names_the_file(tmp_path, text, load, message):
+    # a family header took its keys in any order and ignored extra ones, and no header error named the file
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    space = AmbientSpace(5, 3) if "mismatch" in message else None
+    with pytest.raises(ValueError) as exc:
+        if load == "family":
+            load_family(path, ambient=space, m=1 if "expected m" in message else None)
+        else:
+            load_point_set(path, ambient=space)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_family_file_header_checks(tmp_path):

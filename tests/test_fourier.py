@@ -117,6 +117,14 @@ def test_coset_energy_spectral_empty():
     assert coset_energy_spectral(PointSet.empty(a), W) < 1e-12
 
 
+def test_coset_energy_spectral_refuses_a_subspace_of_another_space():
+    # a line of F_3^2 read the transform of a set in F_5^2 at its codes and returned 12.4
+    E = random_point_set(amb(5, 2), 7, seed=1)
+    W = span_of_point(FpVector(amb(3, 2), (0, 1)))
+    with pytest.raises(ValueError, match=r"ambient mismatch: AmbientSpace\(p=5, n=2\) vs AmbientSpace\(p=3, n=2\)"):
+        coset_energy_spectral(E, W)
+
+
 def test_coset_energy_full_space():
     a = amb(3, 3)
     for m in (1, 2):

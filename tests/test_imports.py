@@ -6,11 +6,14 @@ imports are the package's re-exports, and so is ``from __future__``.
 ``python -O`` strips assert statements, so a check the package relies
 on must raise explicitly.  And __init__.py loads numpy with one BLAS
 thread before anything else can load it, an order that an import sorter
-would undo.
+would undo.  Three rules have one owner each: only pointsets.py opens a
+file, and only field.py compares two ambient spaces or a dimension k or
+codimension m against its range, each with one raise.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -88,3 +91,57 @@ def test_an_import_before_the_blas_default_is_found():
     assert _imports_before_blas_default(tree) == [2, 3]
     assert _imports_before_blas_default(ast.parse("import os, sys\n" + default + "from . import cli\n")) == []
     assert _imports_before_blas_default(ast.parse("import os\nfrom . import cli\n")) == [2]
+
+
+OWNERS = {"open": "pointsets.py", "ambient": "field.py", "range": "field.py"}
+FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+RANGE_MESSAGE = re.compile(r"(\b[km]|\{what\}) = \{[^}]*\} out of range|--m must be")
+
+
+def _named(node, names) -> bool:
+    return getattr(node, "id", None) in names or getattr(node, "attr", None) in names
+
+
+def _owned_rules(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(rule, node) of each file access, ambient comparison or mismatch raise, and k/m range comparison or raise."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) in FILE_METHODS
+        ):
+            found.append(("open", node))
+        elif isinstance(node, ast.Raise) and "ambient mismatch" in ast.unparse(node):
+            found.append(("ambient", node))
+        elif isinstance(node, ast.Raise) and RANGE_MESSAGE.search(ast.unparse(node)):
+            found.append(("range", node))
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.NotEq):
+            if any(_named(operand, {"ambient"}) for operand in (node.left, *node.comparators)):
+                found.append(("ambient", node))
+        elif isinstance(node, ast.Compare) and len(node.ops) == 2 and _named(node.comparators[0], {"k", "m", "file_m"}):
+            found.append(("range", node))
+    return found
+
+
+def test_each_rule_has_one_owner():
+    found = {path.name: _owned_rules(ast.parse(path.read_text(encoding="utf-8"))) for path in PACKAGE}
+    strays = [(name, rule, node.lineno) for name, rules in found.items() for rule, node in rules if OWNERS[rule] != name]
+    assert strays == []
+    raises = sorted(rule for rule, node in found["field.py"] if isinstance(node, ast.Raise))
+    assert raises == ["ambient", "range"]
+
+
+def test_a_rule_outside_its_owner_is_found():
+    source = (
+        "def f(path, E, W, m, n):\n"
+        "    with open(path) as fh:\n"
+        "        text = fh.read() + path.read_text()\n"
+        "    if E.ambient != W.ambient:\n"
+        "        raise ValueError('ambient mismatch')\n"
+        "    if not 1 <= m <= n - 1:\n"
+        "        raise ValueError(f'codimension m = {m} out of range [1, {n - 1}]')\n"
+        "    if 0 <= n < 10:\n"
+        "        raise ValueError(f'rows of rank {n}, expected n - m = {m}')\n"
+        "    return read_text(path), text\n"
+    )
+    found = [(rule, node.lineno) for rule, node in _owned_rules(ast.parse(source))]
+    assert sorted(found) == [("ambient", 4), ("ambient", 5), ("open", 2), ("open", 3), ("range", 6), ("range", 7)]

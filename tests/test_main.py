@@ -143,7 +143,7 @@ def test_budget_failure_exits_3():
 
 def test_project_leaves_numpy_ma_unloaded():
     # np.unique without a return_* flag imports numpy.ma to rule out a
-    # masked array; counting fibers by one sort needs no such import
+    # masked array; with return_counts, as project asks, it needs no such import
     done = python("-c", """if True:
         import sys
         from fpproj import cli
@@ -248,5 +248,5 @@ def test_identity_check_refuses_an_m_or_tol_out_of_range(tmp_path, flag, value):
     given = {"--m": "1", "--tol": "1e-6", flag: value}
     argv = [item for pair in given.items() for item in pair]
     done = fpproj("identity-check", "--p", "3", "--n", "3", "--trials", "1", "--out", str(out), *argv)
-    assert_one_error_line(done, f"{flag} must be")
+    assert_one_error_line(done, f"--m = {value} out of range [1, 2]" if flag == "--m" else f"{flag} must be")
     assert not out.exists()

@@ -1,15 +1,11 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fpproj.families import Family, full_family
 from fpproj.field import AmbientSpace, FpVector, encode
 from fpproj.pointsets import PointSet, affine_flat_set, random_point_set
 from fpproj.projection import (
-    _fibers,
     cauchy_schwarz_gap,
     energy,
     exceptional_bound_check,
@@ -92,17 +88,6 @@ def test_lagrange_bound_and_monotonicity():
             small = project(E, W)
             assert small.size <= min(E.size, 3**m)
             assert small.labels <= project(F, W).labels
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 30), max_size=60))
-def test_fibers_equal_np_unique(codes):
-    # project, fiber_counts and energy group coset names with one sort, in place of np.unique
-    codes = np.array(codes, dtype=np.int64)
-    reps, counts = _fibers(codes)
-    ref_reps, ref_counts = np.unique(codes, return_counts=True)
-    assert reps.dtype == ref_reps.dtype and counts.dtype == ref_counts.dtype
-    assert reps.tolist() == ref_reps.tolist() and counts.tolist() == ref_counts.tolist()
 
 
 # -- energy ------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_stack_union_checks_its_stacks():
         stack_union([])
     with pytest.raises(ValueError, match="dimension"):
         stack_union([grassmannian(a, 1), grassmannian(a, 2)])
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="ambient mismatch"):
         stack_union([grassmannian(a, 1), grassmannian(amb(5, 3), 1)])
 
 
