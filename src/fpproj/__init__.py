@@ -30,9 +30,11 @@ from .field import (
     decode,
     dot,
     encode,
+    format_point,
     gaussian_binomial,
     is_prime,
     nullspace,
+    parse_point,
     rref,
 )
 from .subspaces import (

@@ -32,7 +32,7 @@ from .families import (
     spread_perp,
     stacked_spread,
 )
-from .field import AmbientSpace, FpVector, check_range, decode, gaussian_binomial
+from .field import AmbientSpace, FpVector, check_range, decode, format_point, gaussian_binomial, parse_point
 from .fourier import dft, plancherel_defect, spectral_mass, verify_coset_identities
 from .pointsets import (
     PointSet,
@@ -42,6 +42,7 @@ from .pointsets import (
     moment_curve_set,
     random_point_set,
     read_text,
+    with_context,
     write_text,
 )
 from .projection import family_census, project
@@ -79,13 +80,12 @@ def _exponent(value) -> Fraction:
 
 SET_FORMS = ("random:SIZE:SEED", "flat:K:OFFSET", "flat:K", "circle", "moment", "file:PATH")
 FAMILY_FORMS = ("random:ALPHA:SEED", "circle", "moment", "full", "file:PATH")
-FIELD_PARSERS = {"ALPHA": _exponent, "PATH": str, "OFFSET": lambda text: tuple(map(int, text.split(","))) if text else None}
 
 
-def _spec_fields(what: str, spec: str, forms) -> tuple[str, dict]:
+def _spec_fields(what: str, spec: str, forms, parsers) -> tuple[str, dict]:
     """(kind, fields by name) of spec by the first of forms with its kind and field count; errors name the spec.
 
-    The last field takes the rest of the spec (a PATH may hold ':'); FIELD_PARSERS reads a field, int the others.
+    The last field takes the rest of the spec (a PATH may hold ':'); parsers read the fields they name, int the others.
     """
     kind, sep, rest = spec.partition(":")
     shapes = [form.split(":") for form in forms if form.partition(":")[0] == kind]
@@ -94,24 +94,20 @@ def _spec_fields(what: str, spec: str, forms) -> tuple[str, dict]:
     for _, *names in shapes:
         texts = rest.split(":", len(names) - 1) if sep else []
         if len(texts) == len(names):
-            try:
-                return kind, {name: FIELD_PARSERS.get(name, int)(text) for name, text in zip(names, texts)}
-            except ValueError as exc:
-                raise ValueError(f"{what} spec {spec!r}: {exc}") from None
+            fields = ((name, parsers.get(name, int)(text)) for name, text in zip(names, texts))
+            return kind, with_context(f"{what} spec {spec!r}", dict, fields)  # dict runs each parser
     raise ValueError(f"{what} spec {spec!r} is not {' or '.join(':'.join(shape) for shape in shapes)}")
 
 
 def parse_set_spec(ambient: AmbientSpace, spec: str, point_budget=DEFAULT_POINT_BUDGET) -> PointSet:
     """One of SET_FORMS; a flat without OFFSET passes through 0."""
     check_budget(ambient.point_count, point_budget, "p^n for point sets")
-    kind, fields = _spec_fields("set", spec, SET_FORMS)
+    parsers = {"OFFSET": lambda text: parse_point(ambient, text), "PATH": str}
+    kind, fields = _spec_fields("set", spec, SET_FORMS, parsers)
     if kind == "random":
         return random_point_set(ambient, fields["SIZE"], fields["SEED"], budget=point_budget)
     if kind == "flat":
-        offset = fields.get("OFFSET") or (0,) * ambient.n
-        if len(offset) != ambient.n:
-            raise ValueError(f"set spec {spec!r}: OFFSET has {len(offset)} coordinates, expected {ambient.n}")
-        return affine_flat_set(first_subspace(ambient, fields["K"]), FpVector(ambient, offset))
+        return affine_flat_set(first_subspace(ambient, fields["K"]), fields.get("OFFSET", FpVector.zero(ambient)))
     if kind == "circle":
         if ambient.n != 3:
             raise ValueError("the circle set lives in n = 3")
@@ -129,7 +125,7 @@ def parse_family_spec(
     Returns (family, seed_field) where seed_field is the seed for the
     random model and '' otherwise.
     """
-    kind, fields = _spec_fields("family", spec, FAMILY_FORMS)
+    kind, fields = _spec_fields("family", spec, FAMILY_FORMS, {"ALPHA": _exponent, "PATH": str})
     if kind == "random":
         cfg = RandomFamilyConfig(ambient, m, fields["ALPHA"], fields["SEED"])
         return sample_random_family(cfg, budget=budget), str(fields["SEED"])
@@ -173,7 +169,7 @@ def cmd_count(args) -> int:
 
 def cmd_project(args) -> int:
     ambient = AmbientSpace(args.p, args.n)
-    W = parse_subspace(ambient, args.subspace)
+    W = with_context(f"--subspace {args.subspace!r}", parse_subspace, ambient, args.subspace)
     E = parse_set_spec(ambient, args.set, point_budget=args.point_budget)
     image = project(E, W)
     reps = sorted(l.representative for l in image.labels)
@@ -181,7 +177,7 @@ def cmd_project(args) -> int:
     print(f"subspace {serialize_subspace(W)}")
     print(f"image_size {image.size}")
     for rep in reps:
-        print("coset " + ",".join(str(c) for c in decode(ambient, rep).coords))
+        print("coset " + format_point(decode(ambient, rep).coords))
     return 0
 
 
@@ -263,14 +259,6 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _config_value(path, key, parse, *args):
-    """parse(*args), any ValueError naming the config file and the key."""
-    try:
-        return parse(*args)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {key}: {exc}") from None
-
-
 def _json_int(value) -> int:
     """int(value) of a JSON integer or integer string; int() would truncate a bool or a float."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -294,7 +282,7 @@ def _load_sweep_config(path):
     except ValueError as exc:  # text that is not UTF-8, or an integer past the digit limit of int()
         raise ValueError(f"{path}: {exc}") from None
     try:
-        p, n, m = (_config_value(path, key, _json_int, raw[key]) for key in ("p", "n", "m"))
+        p, n, m = (with_context(f"{path}: {key}", _json_int, raw[key]) for key in ("p", "n", "m"))
         ambient = AmbientSpace(p, n)
         families = _config_strings(path, "families", raw["families"])
         sets = _config_strings(path, "sets", raw["sets"])
@@ -314,9 +302,10 @@ def _load_sweep_config(path):
                 raise ValueError(f"{path}: unknown key {where}{key}; allowed: {' '.join(allowed)}")
     if kind not in ("N", "t", "eps"):
         raise ValueError(f"{path}: thresholds.kind must be one of N, t, eps")
-    C = _config_value(path, "C", parse_fraction, raw.get("C", 16))
+    C = with_context(f"{path}: C", parse_fraction, raw.get("C", 16))
     # reduced here, so a bad value fails even if every family is skipped
-    cutoffs = [_config_value(path, "thresholds.values", _threshold_to_N, ambient, m, kind, value) for value in values]
+    key = f"{path}: thresholds.values"
+    cutoffs = [with_context(key, _threshold_to_N, ambient, m, kind, value) for value in values]
     return ambient, m, families, sets, kind, cutoffs, C, raw.get("output")
 
 

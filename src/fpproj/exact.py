@@ -9,6 +9,8 @@ pass/fail.
 
 from __future__ import annotations
 
+import json
+import numbers
 from fractions import Fraction
 
 
@@ -92,8 +94,8 @@ def parse_fraction(text) -> Fraction:
     Floats go through their shortest decimal repr, so the JSON literal
     1.3 becomes 13/10 rather than its binary expansion.  A bool is an
     int to Python but no rational to a config, so it is refused, and
-    so are a zero denominator and a decimal exponent beyond
-    MAX_DECIMAL_EXPONENT.
+    so are a value that is neither a number nor a string, a zero
+    denominator and a decimal exponent beyond MAX_DECIMAL_EXPONENT.
     """
     if isinstance(text, bool):
         raise ValueError(f"expected a rational number, got the bool {text}")
@@ -103,6 +105,8 @@ def parse_fraction(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         return Fraction(repr(text))
+    if not isinstance(text, (numbers.Number, str)):  # a JSON null, list or object, in the config's spelling
+        raise ValueError(f"expected a rational number, got {json.dumps(text, default=repr)}")
     text = str(text).strip()
     _, e, exponent = text.lower().partition("e")
     digits = exponent.lstrip("+-").replace("_", "").lstrip("0")

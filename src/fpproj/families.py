@@ -19,7 +19,7 @@ import numpy as np
 from .budgets import DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import floor_mul_pow, le_affine_pow, le_pow
 from .field import AmbientSpace, FpVector, _eliminate, _rref_stack, check_range, decode, decode_array, gaussian_binomial
-from .pointsets import PointSet, circle_set, moment_curve_set, read_records, write_text
+from .pointsets import PointSet, circle_set, moment_curve_set, read_records, with_context, write_text
 from .projection import TABLE_ELEMENTS, family_coset_energy
 from .rng import TWO64, threshold_rows
 from .subspaces import (
@@ -453,12 +453,7 @@ def load_family(path, ambient: AmbientSpace | None = None, m: int | None = None)
         raise ValueError(f"{path}: header m = {file_m}, expected m = {m}")
     check_range(f"{path}: codimension m", file_m, 1, n - 1)
     k = n - file_m
-    members = []
-    for lineno, line in lines:
-        try:
-            members.append(_parse_rows(file_ambient, line))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    members = [with_context(f"{path}: line {lineno}", _parse_rows, file_ambient, line) for lineno, line in lines]
     # zero rows pad each member to one height, k at least, and leave its rank as it was
     rows = np.zeros((len(members), max([k, *map(len, members)]), n), dtype=np.int64)
     for i, member in enumerate(members):

@@ -111,16 +111,32 @@ class FpVector:
         return FpVector(self.ambient, tuple(k * c for c in self.coords))
 
 
-def check_same_ambient(a: AmbientSpace, b: AmbientSpace) -> None:
-    """The package's one check that two objects share their space F_p^n."""
+def check_same_ambient(a: AmbientSpace, b: AmbientSpace, message: str | None = None) -> None:
+    """The package's one check that two objects share their space F_p^n; message replaces the default error."""
     if a != b:
-        raise ValueError(f"ambient mismatch: {a} vs {b}")
+        raise ValueError(message or f"ambient mismatch: {a} vs {b}")
 
 
 def check_range(what: str, value: int, lo: int, hi: int) -> None:
-    """The package's one check of a dimension or codimension: lo <= value <= hi."""
+    """The package's one range check, of a dimension, codimension or coordinate: lo <= value <= hi."""
     if not lo <= value <= hi:
         raise ValueError(f"{what} = {value} out of range [{lo}, {hi}]")
+
+
+def parse_point(ambient: AmbientSpace, text: str) -> FpVector:
+    """The package's one reading of a point from text: n integers joined by ',', each in [0, p), none reduced.
+
+    int() reads each one, so its digit limit holds; FpVector checks the count.
+    """
+    coords = tuple(int(c) for c in text.split(","))
+    for c in coords:
+        check_range("coordinate", c, 0, ambient.p - 1)
+    return FpVector(ambient, coords)
+
+
+def format_point(coords) -> str:
+    """The text that parse_point reads back as the point with these coordinates: e.g. '1,0,2'."""
+    return ",".join(map(str, coords))
 
 
 def dot(u: FpVector, v: FpVector) -> int:
@@ -138,15 +154,9 @@ def encode(v: FpVector) -> int:
 
 
 def decode(ambient: AmbientSpace, code: int) -> FpVector:
-    """Inverse of encode; rejects out-of-range codes."""
-    if not 0 <= code < ambient.point_count:
-        raise ValueError(f"code {code} out of range [0, {ambient.point_count})")
-    coords = []
-    for _ in range(ambient.n):
-        code, r = divmod(code, ambient.p)
-        coords.append(r)
-    # least-significant digit first = coordinate 0
-    return FpVector(ambient, tuple(coords))
+    """Inverse of encode: coordinate i is base-p digit i of code; rejects out-of-range codes."""
+    check_range("code", code, 0, ambient.point_count - 1)
+    return FpVector(ambient, tuple(code // ambient.p**i % ambient.p for i in range(ambient.n)))
 
 
 @dataclass(frozen=True)
@@ -156,14 +166,8 @@ class FpMatrix:
     ambient: AmbientSpace
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        p, n = self.ambient.p, self.ambient.n
-        norm = []
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError(f"row length {len(row)} != ambient n = {n}")
-            norm.append(tuple(int(c) % p for c in row))
-        object.__setattr__(self, "rows", tuple(norm))
+    def __post_init__(self):  # each row checked and reduced as an FpVector
+        object.__setattr__(self, "rows", tuple(FpVector(self.ambient, row).coords for row in self.rows))
 
 
 def rref(M: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:

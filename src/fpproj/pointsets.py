@@ -13,7 +13,17 @@ import re
 import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET
-from .field import AmbientSpace, FpVector, check_same_ambient, decode, decode_array, encode, encode_array
+from .field import (
+    AmbientSpace,
+    FpVector,
+    check_same_ambient,
+    decode,
+    decode_array,
+    encode,
+    encode_array,
+    format_point,
+    parse_point,
+)
 from .rng import choose_rows
 from .subspaces import Subspace, flat_codes
 
@@ -196,6 +206,14 @@ def read_text(path) -> str:
         return fh.read()
 
 
+def with_context(context: str, parse, *args):
+    """parse(*args), any ValueError starting with context: a file and line, a spec, a flag or a config key."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from None
+
+
 def read_records(path, keys: tuple[str, ...], ambient: AmbientSpace | None = None):
     """(space, further header values, numbered nonblank lines) of a point-set or family file.
 
@@ -212,7 +230,8 @@ def read_records(path, keys: tuple[str, ...], ambient: AmbientSpace | None = Non
         values = [int(value) for value in header.groups()]
         file_ambient = AmbientSpace(*values[:2])
         if ambient is not None:
-            check_same_ambient(ambient, file_ambient)
+            asked = f"the requested space p={ambient.p},n={ambient.n}"
+            check_same_ambient(ambient, file_ambient, f"header p={values[0]},n={values[1]} does not match {asked}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
@@ -220,28 +239,18 @@ def read_records(path, keys: tuple[str, ...], ambient: AmbientSpace | None = Non
 
 
 def save_point_set(E: PointSet, path) -> None:
-    lines = [f"p={E.ambient.p},n={E.ambient.n}"]
-    for pt in E.coordinates():
-        lines.append(",".join(str(int(c)) for c in pt))
+    lines = [f"p={E.ambient.p},n={E.ambient.n}", *map(format_point, E.coordinates().tolist())]
     write_text(path, "\n".join(lines) + "\n")
 
 
 def load_point_set(path, ambient: AmbientSpace | None = None) -> PointSet:
-    """Read a point-set file; duplicates and range errors are rejected."""
+    """Read a point-set file; each line is read by parse_point, and duplicates are rejected."""
     file_ambient, _, lines = read_records(path, ("p", "n"), ambient)
-    p, n = file_ambient.p, file_ambient.n
     seen = set()
     for lineno, line in lines:
-        try:  # int() refuses a non-integer or a number past its digit limit
-            coords = tuple(int(c) for c in line.split(","))
-            if len(coords) != n:
-                raise ValueError(f"expected {n} coordinates")
-            if any(not 0 <= c < p for c in coords):
-                raise ValueError(f"coordinate out of range [0, {p})")
-            code = encode(FpVector(file_ambient, coords))
-            if code in seen:
-                raise ValueError(f"duplicate point {coords}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        point = with_context(f"{path}: line {lineno}", parse_point, file_ambient, line)
+        code = encode(point)
+        if code in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate point {point.coords}")
         seen.add(code)
     return PointSet(file_ambient, np.array(sorted(seen), dtype=np.int64))

@@ -33,7 +33,9 @@ from .field import (
     decode_array,
     digit_table,
     encode_array,
+    format_point,
     gaussian_binomial,
+    parse_point,
     power_vector,
     rref,
 )
@@ -89,8 +91,8 @@ class Subspace:
 
 
 def serialize_subspace(W: Subspace) -> str:
-    """Rows joined by ';', coordinates by ',': e.g. '1,0,2;0,1,1'."""
-    return ";".join(",".join(str(c) for c in row) for row in W.basis)
+    """Rows joined by ';', each in format_point: e.g. '1,0,2;0,1,1'."""
+    return ";".join(map(format_point, W.basis))
 
 
 def csv_subspace_name(W: Subspace) -> str:
@@ -104,14 +106,8 @@ def parse_subspace(ambient: AmbientSpace, text: str) -> Subspace:
 
 
 def _parse_rows(ambient: AmbientSpace, text: str) -> list[tuple[int, ...]]:
-    """The rows of serialized text as given, reduced mod p; blank text has none."""
-    rows = []
-    for part in text.split(";") if text.strip() else ():
-        coords = tuple(int(c) % ambient.p for c in part.split(","))
-        if len(coords) != ambient.n:
-            raise ValueError(f"row '{part}' has {len(coords)} coordinates, expected {ambient.n}")
-        rows.append(coords)
-    return rows
+    """The rows of serialized text as given, each read by parse_point; blank text has none."""
+    return [parse_point(ambient, row).coords for row in text.split(";")] if text.strip() else []
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ def grassmannian_size(ambient: AmbientSpace, k: int, budget=DEFAULT_SUBSPACE_BUD
     return total
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)  # one acceptance pass asks for 48 distinct (ambient, k)
 def _grassmannian(ambient: AmbientSpace, k: int) -> SubspaceStack:
     # One block per pivot pattern: 1 at each pivot, every free entry (right
     # of its row's pivot, outside the pivot columns) running over F_p.

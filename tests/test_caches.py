@@ -50,3 +50,20 @@ def test_line_map_is_built_once_per_ambient_in_a_sweep(tmp_path, monkeypatch):
     assert builds == [] and counts[0] > 0
     families.stacked_spread(stack, "contains", members, [0, len(members)])
     assert builds == [AmbientSpace(3, 4)]
+
+
+def test_one_acceptance_pass_builds_each_grassmannian_once(monkeypatch):
+    # criteria 1-3 walk one grid of 42 cells in one order: a pass asks for 124
+    # Grassmannians over 48 (ambient, k) keys, and a 32-entry cache missed 87 times
+    from fpproj import acceptance, subspaces
+
+    cached = subspaces._grassmannian
+    asked = []
+    acceptance.clear_caches()
+    monkeypatch.setattr(subspaces, "_grassmannian", lambda ambient, k: asked.append((ambient, k)) or cached(ambient, k))
+    for criterion in acceptance.CRITERIA:
+        criterion()
+    assert (len(asked), len(set(asked))) == (124, 48)
+    assert cached.cache_info().misses == 48
+    acceptance.clear_caches()
+    cached.cache_clear()

@@ -600,10 +600,11 @@ def test_sweep_config_integer_past_the_digit_limit_names_the_config(tmp_path, ca
         ("random:a:1", "set spec 'random:a:1': invalid literal for int()"),
         ("flat:x", "set spec 'flat:x': invalid literal for int()"),
         ("flat:1:0,y,1", "set spec 'flat:1:0,y,1': invalid literal for int()"),
-        ("flat:1:0,1", "set spec 'flat:1:0,1': OFFSET has 2 coordinates, expected 3"),
+        ("flat:1:0,1", "set spec 'flat:1:0,1': expected 3 coordinates, got 2"),
         ("circle:z", "set spec 'circle:z' is not circle"),
         ("moment:w", "set spec 'moment:w' is not moment"),
         ("circle:", "set spec 'circle:' is not circle"),
+        ("flat:1:", "set spec 'flat:1:': invalid literal for int() with base 10: ''"),
     ],
 )
 def test_set_specs_refuse_fields_they_do_not_take_and_name_a_malformed_one(spec, message, capsys):
@@ -681,6 +682,58 @@ def test_bad_coordinates_in_set_and_family_files_name_the_file_and_line(tmp_path
     cfg = write_config(tmp_path, families=[f"file:{family}"])
     assert run("sweep", "--config", str(cfg)) == 2
     assert capsys.readouterr().err == f"error: {family}: line 3: invalid literal for int() with base 10: 'y'\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,1", "expected 3 coordinates, got 2"),
+        ("0,y,1", "invalid literal for int() with base 10: 'y'"),
+        ("6,0,0", "coordinate = 6 out of range [0, 4]"),
+        ("0,-4,0", "coordinate = -4 out of range [0, 4]"),
+    ],
+    ids=("count", "integer", "above", "below"),
+)
+@pytest.mark.parametrize("source", ["family-file", "point-file", "subspace-flag", "flat-offset"])
+def test_every_coordinate_source_refuses_a_bad_row_and_names_itself(tmp_path, capsys, source, row, message):
+    # family lines, --subspace and flat:K:OFFSET reduced 6 and -4 mod 5; all four now read text one way
+    def project(subspace="1,0,0", set_spec="moment"):
+        return run("project", "--p", "5", "--n", "3", "--subspace", subspace, "--set", set_spec)
+
+    path = tmp_path / "input.txt"
+    if source == "family-file":
+        path.write_text(f"p=5,n=3,m=1\n1,0,0;0,1,0\n0,0,1;{row}\n")
+        config = write_config(tmp_path, p=5, families=[f"file:{path}"])
+        code, context = run("sweep", "--config", str(config)), f"{path}: line 3"
+    elif source == "point-file":
+        path.write_text(f"p=5,n=3\n0,0,1\n{row}\n")
+        code, context = project(set_spec=f"file:{path}"), f"{path}: line 3"
+    elif source == "subspace-flag":
+        code, context = project(subspace=f"1,0,0;{row}"), f"--subspace '1,0,0;{row}'"
+    else:
+        code, context = project(set_spec=f"flat:1:{row}"), f"set spec 'flat:1:{row}'"
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {context}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "overrides, key, spelled",
+    [
+        (dict(C=None), "C", "null"),
+        (dict(C=[1]), "C", "[1]"),
+        (dict(C={"a": 1}), "C", '{"a": 1}'),
+        (dict(thresholds={"kind": "t", "values": [None]}), "thresholds.values", "null"),
+        (dict(thresholds={"kind": "t", "values": [[1, 2]]}), "thresholds.values", "[1, 2]"),
+        (dict(thresholds={"kind": "eps", "values": [{"a": 1}]}), "thresholds.values", '{"a": 1}'),
+    ],
+    ids=("C-null", "C-list", "C-object", "t-null", "t-list", "eps-object"),
+)
+def test_a_rational_of_another_json_type_is_refused_in_the_configs_spelling(tmp_path, capsys, overrides, key, spelled):
+    # null was reported as Invalid literal for Fraction: 'None', and {"a": 1} as "{'a': 1}"
+    cfg = write_config(tmp_path, **overrides)
+    assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {key}: expected a rational number, got {spelled}\n"
 
 
 def test_sweep_rejects_bools_and_floats_where_integers_belong(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,9 @@ def test_parse_fraction_forms():
     for flag in (True, False):
         with pytest.raises(ValueError, match="bool"):
             parse_fraction(flag)
+    for value, spelled in ((None, "null"), ([1], "[1]"), ({"a": 1}, '{"a": 1}')):
+        with pytest.raises(ValueError, match=f"^expected a rational number, got {re.escape(spelled)}$"):
+            parse_fraction(value)
     for text in ("1/0", " 3/0 ", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_fraction(text)

@@ -575,21 +575,21 @@ def test_family_file_round_trip(tmp_path):
 
 
 def test_family_file_equals_its_lines_parsed_one_by_one(tmp_path, monkeypatch):
-    # lines of one to four rows (scaled, dependent, zero), members listed twice, blank lines
+    # lines of two to five rows (scaled, dependent, zero), members listed twice, blank lines
     a = AmbientSpace(5, 4)
     rng = np.random.default_rng(3)
     members = grassmannian(a, 2).members[::37]
     lines = []
     for W in members + members[::3]:
         rows = [tuple(int(c) * s % 5 for c in row) for row, s in zip(W.basis, rng.integers(1, 5, 2))]
-        extra = [tuple((3 * x + 2 * y) % 5 for x, y in zip(*rows)), (0,) * 4, tuple(c + 10 for c in rows[1])]
-        rows = rows + extra[: int(rng.integers(0, 3))]
+        extra = [tuple((3 * x + 2 * y) % 5 for x, y in zip(*rows)), (0,) * 4, tuple(2 * c % 5 for c in rows[1])]
+        rows = rows + extra[: int(rng.integers(0, 4))]
         lines.append(";".join(",".join(map(str, row)) for row in rng.permutation(rows).tolist()))
         if rng.random() < 0.1:
             lines.append("  ")
     path = tmp_path / "family.txt"
     path.write_text("p=5,n=4,m=2\n" + "\n".join(lines) + "\n")
-    assert len(set(map(len, (line.split(";") for line in lines if line.strip())))) == 3
+    assert set(map(len, (line.split(";") for line in lines if line.strip()))) == {2, 3, 4, 5}
     calls = []
     eliminate = families._eliminate
     monkeypatch.setattr(families, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
@@ -606,7 +606,7 @@ def test_family_file_errors_name_the_file_and_the_line(tmp_path):
     for line, message in (
         ("1,0,0,0;x,1,0,0", "invalid literal for int"),
         ("1,0,0,0;0,1,0," + "1" * 5001, "4300"),
-        ("1,0,0;0,1,0", "row '1,0,0' has 3 coordinates, expected 4"),
+        ("1,0,0;0,1,0", "expected 4 coordinates, got 3"),
         ("1,0,0,0;2,0,0,0", "rows of rank 1, expected n - m = 2"),
         ("0,0,0,0", "rows of rank 0, expected n - m = 2"),
         ("1,0,0,0;0,1,0,0;0,0,1,0", "rows of rank 3, expected n - m = 2"),
@@ -631,8 +631,8 @@ def test_family_file_errors_name_the_file_and_the_line(tmp_path):
         ("n=2,p=3\n", "points", "line 1: header 'n=2,p=3' is not p=<int>,n=<int>"),
         ("p=3,n=x\n", "points", "line 1: header 'p=3,n=x' is not p=<int>,n=<int>"),
         ("p=4,n=2\n", "points", "p must be prime, got 4"),
-        ("p=3,n=3,m=1\n", "family", "ambient mismatch: AmbientSpace(p=5, n=3) vs AmbientSpace(p=3, n=3)"),
-        ("p=3,n=3\n", "points", "ambient mismatch: AmbientSpace(p=5, n=3) vs AmbientSpace(p=3, n=3)"),
+        ("p=3,n=3,m=1\n", "family", "header p=3,n=3 does not match the requested space p=5,n=3"),
+        ("p=3,n=3\n", "points", "header p=3,n=3 does not match the requested space p=5,n=3"),
         ("p=5,n=3,m=2\n", "family", "header m = 2, expected m = 1"),
         ("p=5,n=3,m=0\n", "family", "codimension m = 0 out of range [1, 2]"),
     ],
@@ -641,7 +641,7 @@ def test_every_load_error_names_the_file(tmp_path, text, load, message):
     # a family header took its keys in any order and ignored extra ones, and no header error named the file
     path = tmp_path / "input.txt"
     path.write_text(text)
-    space = AmbientSpace(5, 3) if "mismatch" in message else None
+    space = AmbientSpace(5, 3) if "requested space" in message else None
     with pytest.raises(ValueError) as exc:
         if load == "family":
             load_family(path, ambient=space, m=1 if "expected m" in message else None)

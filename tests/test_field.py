@@ -9,11 +9,14 @@ from fpproj.field import (
     decode,
     dot,
     encode,
+    format_point,
     gaussian_binomial,
     is_prime,
     nullspace,
+    parse_point,
     rref,
 )
+from fpproj.subspaces import Subspace, parse_subspace, serialize_subspace
 from oracles import brute_gaussian_count, brute_nullspace_set, span_set
 
 
@@ -251,3 +254,70 @@ def test_vector_coords_reduced(coords):
     v = vec(5, 3, coords)
     assert all(0 <= c < 5 for c in v.coords)
     assert v.coords == tuple(c % 5 for c in coords)
+
+
+# -- the coordinate grammar ----------------------------------------------
+
+
+spaces = st.sampled_from([(2, 1), (2, 5), (3, 3), (5, 4), (7, 2), (13, 3)])
+
+
+@given(spaces, st.data())
+def test_a_point_read_back_from_its_text_is_the_point(space, data):
+    p, n = space
+    a = AmbientSpace(p, n)
+    coords = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    text = format_point(coords)
+    assert parse_point(a, text) == FpVector(a, coords)
+    assert format_point(parse_point(a, text).coords) == text
+
+
+@given(spaces, st.data())
+def test_a_subspace_read_back_from_its_text_is_the_subspace(space, data):
+    p, n = space
+    a = AmbientSpace(p, n)
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    W = Subspace.from_rows(a, data.draw(st.lists(row, max_size=n + 1)))
+    text = serialize_subspace(W)
+    assert parse_subspace(a, text) == W
+    assert serialize_subspace(parse_subspace(a, text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,0", "expected 3 coordinates, got 2"),
+        ("1,0,0,0", "expected 3 coordinates, got 4"),
+        ("1,x,0", "invalid literal for int()"),
+        ("1.0,0,0", "invalid literal for int()"),
+        ("1,0," + "1" * 5001, "Exceeds the limit (4300 digits)"),
+        ("6,0,0", "coordinate = 6 out of range [0, 4]"),
+        ("5,0,0", "coordinate = 5 out of range [0, 4]"),
+        ("0,-4,0", "coordinate = -4 out of range [0, 4]"),
+    ],
+)
+def test_text_is_read_strictly(text, message):
+    # a family line, --subspace and a flat's OFFSET reduced 6 to 1 and -4 to 1 over F_5
+    a = AmbientSpace(5, 3)
+    for parse in (parse_point, parse_subspace):
+        with pytest.raises(ValueError) as exc:
+            parse(a, text)
+        assert str(exc.value).startswith(message)
+
+
+def test_text_allows_what_int_allows_around_each_coordinate():
+    a = AmbientSpace(5, 3)
+    assert parse_point(a, " 1, +2 ,-0") == FpVector(a, (1, 2, 0))
+    assert parse_subspace(a, "0,2,0; 1,0,0") == Subspace(a, ((1, 0, 0), (0, 1, 0)))
+    assert parse_subspace(a, " ") == Subspace.zero(a)  # blank text is the zero subspace, but no point
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        parse_point(a, "")
+
+
+def test_integer_constructors_still_reduce_mod_p():
+    a = AmbientSpace(5, 3)
+    assert FpVector(a, (6, -4, 0)).coords == (1, 1, 0)
+    assert FpMatrix(a, ((6, -4, 0),)).rows == ((1, 1, 0),)
+    assert Subspace.from_rows(a, [(6, 0, 0), (0, -4, 0)]) == Subspace(a, ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        FpMatrix(a, ((1, 0, 0), (1, 0)))

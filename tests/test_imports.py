@@ -6,9 +6,11 @@ imports are the package's re-exports, and so is ``from __future__``.
 ``python -O`` strips assert statements, so a check the package relies
 on must raise explicitly.  And __init__.py loads numpy with one BLAS
 thread before anything else can load it, an order that an import sorter
-would undo.  Three rules have one owner each: only pointsets.py opens a
+would undo.  Four rules have one owner each: only pointsets.py opens a
 file, and only field.py compares two ambient spaces or a dimension k or
-codimension m against its range, each with one raise.
+codimension m against its range, each with one raise, and splits a row of
+text into coordinates, in one place.  Every functools cache is an
+lru_cache with an explicit maxsize other than None.
 """
 
 import ast
@@ -93,7 +95,7 @@ def test_an_import_before_the_blas_default_is_found():
     assert _imports_before_blas_default(ast.parse("import os\nfrom . import cli\n")) == [2]
 
 
-OWNERS = {"open": "pointsets.py", "ambient": "field.py", "range": "field.py"}
+OWNERS = {"open": "pointsets.py", "ambient": "field.py", "range": "field.py", "coordinates": "field.py"}
 FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 RANGE_MESSAGE = re.compile(r"(\b[km]|\{what\}) = \{[^}]*\} out of range|--m must be")
 
@@ -103,13 +105,17 @@ def _named(node, names) -> bool:
 
 
 def _owned_rules(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """(rule, node) of each file access, ambient comparison or mismatch raise, and k/m range comparison or raise."""
+    """(rule, node) of each file access, ambient comparison or mismatch raise, k/m range comparison or raise,
+    and split of a text (not a string literal) at ','."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and (
             getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) in FILE_METHODS
         ):
             found.append(("open", node))
+        elif isinstance(node, ast.Call) and ast.unparse(node).endswith(".split(',')"):
+            if not isinstance(node.func.value, ast.Constant):
+                found.append(("coordinates", node))
         elif isinstance(node, ast.Raise) and "ambient mismatch" in ast.unparse(node):
             found.append(("ambient", node))
         elif isinstance(node, ast.Raise) and RANGE_MESSAGE.search(ast.unparse(node)):
@@ -128,6 +134,7 @@ def test_each_rule_has_one_owner():
     assert strays == []
     raises = sorted(rule for rule, node in found["field.py"] if isinstance(node, ast.Raise))
     assert raises == ["ambient", "range"]
+    assert [rule for rule, _ in found["field.py"]].count("coordinates") == 1
 
 
 def test_a_rule_outside_its_owner_is_found():
@@ -141,7 +148,61 @@ def test_a_rule_outside_its_owner_is_found():
         "        raise ValueError(f'codimension m = {m} out of range [1, {n - 1}]')\n"
         "    if 0 <= n < 10:\n"
         "        raise ValueError(f'rows of rank {n}, expected n - m = {m}')\n"
-        "    return read_text(path), text\n"
+        "    coords = [int(c) % n for c in text.split(',')] + 'p,n'.split(',') + text.split(';')\n"
+        "    return read_text(path), coords\n"
     )
     found = [(rule, node.lineno) for rule, node in _owned_rules(ast.parse(source))]
-    assert sorted(found) == [("ambient", 4), ("ambient", 5), ("open", 2), ("open", 3), ("range", 6), ("range", 7)]
+    assert sorted(found) == [
+        ("ambient", 4), ("ambient", 5), ("coordinates", 10), ("open", 2), ("open", 3), ("range", 6), ("range", 7)
+    ]
+
+
+def _unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines of each functools cache that is not lru_cache(maxsize=...) with a maxsize other than None."""
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+
+    def kind(node):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            return node.attr
+        return imported.get(getattr(node, "id", None))
+
+    bounded = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and kind(node.func) == "lru_cache"
+        for keyword in node.keywords
+        if keyword.arg == "maxsize" and not (isinstance(keyword.value, ast.Constant) and keyword.value.value is None)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree) if kind(node) in ("lru_cache", "cache") and id(node) not in bounded
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_lru_cache_has_an_explicit_bound(path):
+    assert _unbounded_caches(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_an_unbounded_cache_is_found():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache as memo\n"
+        "@memo\n"
+        "def a(): pass\n"
+        "@memo()\n"
+        "def b(): pass\n"
+        "@memo(maxsize=None)\n"
+        "def c(): pass\n"
+        "@functools.lru_cache(64)\n"
+        "def d(): pass\n"
+        "@cache\n"
+        "def e(): pass\n"
+        "@memo(maxsize=SIZE)\n"
+        "def f(cache): return functools.lru_cache(maxsize=8)(f)\n"
+    )
+    assert _unbounded_caches(ast.parse(source)) == [3, 5, 7, 9, 11]

@@ -352,8 +352,8 @@ def test_load_names_the_file_and_line_of_a_coordinate_that_is_no_integer(tmp_pat
         ("1," + "2" * 5001, "Exceeds the limit (4300 digits)"),
         ("1", "expected 2 coordinates"),
         ("1,2,0", "expected 2 coordinates"),
-        ("3,0", "coordinate out of range [0, 3)"),
-        ("0,-1", "coordinate out of range [0, 3)"),
+        ("3,0", "coordinate = 3 out of range [0, 2]"),
+        ("0,-1", "coordinate = -1 out of range [0, 2]"),
         ("0,0", "duplicate point (0, 0)"),
     ):
         path.write_text(f"p=3,n=2\n0,0\n{line}\n")
