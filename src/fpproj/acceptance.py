@@ -13,18 +13,29 @@ its ratio rows and criterion 6 masks them for violations.  Criterion
 8's spreadness is one stacked_spread call per (p, m, alpha) row over
 the same union stack.  The four (p, m) groups are kept in a bounded
 cache; a criterion called alone builds the groups it misses, so its
-output does not depend on what ran before it.  ``run_suite`` clears
-every cache of the package before each pass, so the two passes that
-criterion 12 compares byte for byte are two independent computations.
+output does not depend on what ran before it.
+
+Criterion 12 compares the artifacts of two passes byte for byte.  Each
+pass (run_pass) clears every cache of the package and then runs
+criteria 1..11; pass 1 runs them in order and pass 2 from 11 down to
+1, so each criterion is checked to build what it needs after the
+others and before them.  Pass 2 runs in a forked child pinned to other
+CPUs than pass 1 when the process can fork safely (see
+_second_pass_cpus), and in-process after pass 1 otherwise.  The
+artifacts are always pass 1's.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -328,7 +339,7 @@ def package_caches() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every cache of the package; run_suite does so before each pass."""
+    """Empty every cache of the package; run_pass does so first."""
     for cache in package_caches().values():
         cache.cache_clear()
 
@@ -729,14 +740,98 @@ class SuiteResult:
         return all(r.passed for r in self.results)
 
 
+def run_pass(order) -> list[CriterionResult]:
+    """clear_caches(), then each criterion of order; the results in criterion order."""
+    clear_caches()  # each pass computes everything afresh
+    return sorted((fn() for fn in order), key=attrgetter("index"))
+
+
+def _second_pass() -> list[str]:
+    """Pass 2's CSV texts, in criterion order; it runs the criteria from 11 down to 1."""
+    return [result.csv for result in run_pass(CRITERIA[::-1])]
+
+
+def _second_pass_cpus():
+    """The affinity set when pass 2 can run in a forked child, else None.
+
+    That needs os.fork and os.sched_setaffinity, two CPUs to pin the
+    passes apart, and one thread: a fork copies only the calling thread,
+    so a lock another thread holds would stay held in the child.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return None
+    cpus = os.sched_getaffinity(0)
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # the count is unknown, so the fork is not safe
+        return None
+    return cpus if len(cpus) >= 2 and threads == 1 else None
+
+
+def _forked_passes(cpus) -> tuple[list[CriterionResult], list[str]]:
+    """Pass 1 here, pinned to min(cpus), and pass 2 in a forked child on the rest.
+
+    The child sends its CSV texts, NUL-joined, through a pipe, or its
+    traceback with exit status 1, which is raised here.  The child is
+    always reaped, and killed first if this process raises.
+    """
+    own = min(cpus)
+    read_end, write_end = os.pipe()
+    try:
+        try:
+            os.sched_setaffinity(0, {own})
+            pid = os.fork()
+            if pid == 0:
+                _second_pass_child(read_end, write_end, cpus - {own})
+        finally:
+            os.close(write_end)  # the child holds the only write end: reads end when it exits
+        try:
+            first = run_pass(CRITERIA)
+            chunks = []
+            while chunk := os.read(read_end, 1 << 16):
+                chunks.append(chunk)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    finally:
+        os.close(read_end)
+        os.sched_setaffinity(0, cpus)
+    payload = b"".join(chunks).decode()
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"criterion 12's second pass failed in its forked process (exit {code}):\n{payload}")
+    return first, payload.split("\0")
+
+
+def _second_pass_child(read_end, write_end, cpus) -> None:
+    """The forked child: pass 2 on cpus, its CSV texts or traceback into the pipe; ends with os._exit."""
+    code = 1
+    try:
+        os.close(read_end)  # so a write fails, and does not block, if the parent has gone
+        try:
+            os.sched_setaffinity(0, cpus)
+            payload = "\0".join(_second_pass())
+            code = 0
+        except BaseException:
+            payload = traceback.format_exc()
+        data = memoryview(payload.encode())
+        while data:
+            data = data[os.write(write_end, data) :]
+    finally:
+        os._exit(code)  # no atexit handler and no flush of the parent's buffers
+
+
 def run_suite() -> SuiteResult:
     """Run criteria 1..11 twice; criterion 12 is byte-equality of the artifacts."""
-    passes = []
-    for _ in range(2):
-        clear_caches()  # each pass computes everything afresh
-        passes.append([fn() for fn in CRITERIA])
-    first, second = passes
-    mismatches = [a.artifact_name() for a, b in zip(first, second) if a.csv != b.csv]
+    cpus = _second_pass_cpus()
+    if cpus is None:
+        first = run_pass(CRITERIA)
+        second = _second_pass()
+    else:
+        first, second = _forked_passes(cpus)
+    mismatches = [a.artifact_name() for a, b in zip(first, second, strict=True) if a.csv != b]
     rows = tuple(
         (r.artifact_name(), "identical" if r.artifact_name() not in mismatches else "MISMATCH")
         for r in first
@@ -755,8 +850,6 @@ def run_suite() -> SuiteResult:
 
 
 def write_artifacts(suite: SuiteResult, out_dir) -> list[str]:
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for result in suite.results:

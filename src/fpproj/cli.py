@@ -266,10 +266,10 @@ def _json_int(value) -> int:
     return int(value)
 
 
-def _config_strings(path, key, value) -> list:
+def _config_strings(value) -> list:
     """A JSON list of strings; list() would split a string into characters or read a dict's keys."""
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ValueError(f"{path}: {key} must be a list of strings, got {json.dumps(value)}")
+        raise ValueError(f"must be a list of strings, got {json.dumps(value)}")
     return value
 
 
@@ -284,8 +284,7 @@ def _load_sweep_config(path):
     try:
         p, n, m = (with_context(f"{path}: {key}", _json_int, raw[key]) for key in ("p", "n", "m"))
         ambient = AmbientSpace(p, n)
-        families = _config_strings(path, "families", raw["families"])
-        sets = _config_strings(path, "sets", raw["sets"])
+        families, sets = (with_context(f"{path}: {key}", _config_strings, raw[key]) for key in ("families", "sets"))
         thresholds = raw["thresholds"]
         kind = thresholds["kind"]
         values = thresholds["values"]
@@ -293,15 +292,15 @@ def _load_sweep_config(path):
         raise ValueError(f"{path}: missing or malformed key: {exc}") from None
     check_range("codimension m", m, 1, n - 1)  # an eps cutoff raises p to m before any family checks it
     if not isinstance(values, list):
-        raise ValueError(f"{path}: thresholds.values must be a list, got {json.dumps(values)}")
+        raise ValueError(f"{path}: thresholds.values: must be a list, got {json.dumps(values)}")
     if not isinstance(raw.get("output", ""), str):
-        raise ValueError(f"{path}: output must be a string, got {json.dumps(raw['output'])}")
+        raise ValueError(f"{path}: output: must be a string, got {json.dumps(raw['output'])}")
     for where, given, allowed in (("", raw, CONFIG_KEYS), ("thresholds.", thresholds, THRESHOLD_KEYS)):
         for key in given:
             if key not in allowed:
                 raise ValueError(f"{path}: unknown key {where}{key}; allowed: {' '.join(allowed)}")
     if kind not in ("N", "t", "eps"):
-        raise ValueError(f"{path}: thresholds.kind must be one of N, t, eps")
+        raise ValueError(f"{path}: thresholds.kind: must be one of N, t, eps, got {json.dumps(kind)}")
     C = with_context(f"{path}: C", parse_fraction, raw.get("C", 16))
     # reduced here, so a bad value fails even if every family is skipped
     key = f"{path}: thresholds.values"

@@ -13,6 +13,7 @@ of a vector is digit i of its code, so (2, 1) over F_3 has code
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,6 +21,10 @@ import numpy as np
 
 # Point codes live in int64 arrays; spaces with more points are rejected.
 MAX_POINT_COUNT = 2**63 - 1
+
+# An integer in text (file headers and coordinates): ASCII digits with an
+# optional sign.  int() alone would also read '1_0' and non-ASCII digits.
+INTEGER = "[+-]?[0-9]+"
 
 
 # Miller-Rabin with every prime base up to 37 decides primality exactly below 3.18 * 10^23.
@@ -126,12 +131,19 @@ def check_range(what: str, value: int, lo: int, hi: int) -> None:
 def parse_point(ambient: AmbientSpace, text: str) -> FpVector:
     """The package's one reading of a point from text: n integers joined by ',', each in [0, p), none reduced.
 
-    int() reads each one, so its digit limit holds; FpVector checks the count.
+    Each integer matches INTEGER, whitespace around it allowed, and int()
+    reads it, so its digit limit holds; FpVector checks the count.
     """
-    coords = tuple(int(c) for c in text.split(","))
+    coords = tuple(map(_parse_integer, text.split(",")))
     for c in coords:
         check_range("coordinate", c, 0, ambient.p - 1)
     return FpVector(ambient, coords)
+
+
+def _parse_integer(text: str) -> int:
+    if re.fullmatch(INTEGER, text.strip()) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def format_point(coords) -> str:

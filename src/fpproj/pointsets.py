@@ -14,6 +14,7 @@ import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET
 from .field import (
+    INTEGER,
     AmbientSpace,
     FpVector,
     check_same_ambient,
@@ -218,12 +219,13 @@ def read_records(path, keys: tuple[str, ...], ambient: AmbientSpace | None = Non
     """(space, further header values, numbered nonblank lines) of a point-set or family file.
 
     The first line must be exactly key=<int> for each of keys, in order,
-    joined by ','; keys start with p and n, the file's space, which must
-    be ambient when one is given.  Every error names the path.
+    joined by ',', each <int> matching field.INTEGER; keys start with p
+    and n, the file's space, which must be ambient when one is given.
+    Every error names the path.
     """
     try:
         lines = read_text(path).splitlines() or [""]  # an empty file has the header ''
-        header = re.fullmatch(",".join(f"{key}=([+-]?[0-9]+)" for key in keys), lines[0].strip())
+        header = re.fullmatch(",".join(f"{key}=({INTEGER})" for key in keys), lines[0].strip())
         if header is None:
             form = ",".join(f"{key}=<int>" for key in keys)
             raise ValueError(f"line 1: header {lines[0]!r} is not {form}")

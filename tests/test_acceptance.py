@@ -3,13 +3,16 @@
 The whole suite is computed once per test session (criteria 1..11 run
 twice so the determinism criterion can compare artifact bytes); each
 test prints its criterion's pass/fail line and asserts it.  That run
-also logs, per pass, which random-model cells were sampled and how
-full every cache of the package was when the pass began.
+also logs, per pass and in whichever process ran the pass, the order
+of its criteria, which random-model cells were sampled and how full
+every cache of the package was when the pass began.
 """
 
 import hashlib
 import json
+import os
 import pathlib
+import time
 from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpproj.projection
-from fpproj import acceptance
+from fpproj import acceptance, cli
 from fpproj.families import RandomFamilyConfig, sample_random_family, spread_containing, spread_perp
 from fpproj.field import AmbientSpace, decode, encode
 from fpproj.projection import battery_projection_stats, stacked_census
@@ -29,47 +32,80 @@ import oracles
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
-@pytest.fixture(scope="module")
-def logged_suite():
-    """run_suite() with the random-model grid's stacked draws and stats calls logged per pass.
+# run_suite's own condition for forking pass 2: a BLAS thread count set in
+# the environment leaves this process a second thread, and then the fork
+# tests are skipped, not failed
+FORKS = acceptance._second_pass_cpus() is not None
 
-    Per pass, draws counts each acceptance.sample_random_families call
-    by (p, m, alpha, seeds), and kernel lists the (p, m, member count)
-    of each fpproj.projection.census_stats call (the one family_census
-    makes) over more than one battery, which only the grid makes
-    (battery_census passes one).  Also returns, per pass, the size of
-    every package cache when the pass began.
+
+@pytest.fixture(scope="module")
+def logged_suite(tmp_path_factory):
+    """run_suite() with its criteria, stacked draws and grid stats calls logged per pass.
+
+    Every record is one line of JSON that the process making it appends
+    to one file, with its pid, so a pass run by a forked child is logged
+    too.  A pass is one process's run of all the criteria.  Per pass,
+    order lists the criteria in the order they ran, caches the size of
+    every package cache when its first criterion began (the criteria run
+    once before the suite, and filled holds the sizes they left), draws counts
+    each acceptance.sample_random_families call by (p, m, alpha, seeds),
+    and kernel lists the (p, m, member count) of each
+    fpproj.projection.census_stats call (the one family_census makes)
+    over more than one battery, which only the grid makes
+    (battery_census passes one).
     """
-    passes = []
-    cache_sizes = []
-    first, *rest = acceptance.CRITERIA
+    log = tmp_path_factory.mktemp("suite") / "log.jsonl"
+    caches = acceptance.package_caches()
     draw = acceptance.sample_random_families
     stats = fpproj.projection.census_stats
-    caches = acceptance.package_caches()
 
-    def start_pass():
-        passes.append({"draws": Counter(), "kernel": []})
-        cache_sizes.append({name: cache.cache_info().currsize for name, cache in caches.items()})
-        return first()
+    def record(**entry):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"pid": os.getpid(), **entry}) + "\n")
+
+    def logged(index, criterion):
+        def run():
+            record(criterion=index, caches={name: cache.cache_info().currsize for name, cache in caches.items()})
+            return criterion()
+
+        return run
 
     def counted_draw(cfgs, *args, **kwargs):
         cfgs = tuple(cfgs)
-        key = (cfgs[0].ambient.p, cfgs[0].m, cfgs[0].alpha, tuple(cfg.seed for cfg in cfgs))
-        passes[-1]["draws"][key] += 1
+        record(draw=[cfgs[0].ambient.p, cfgs[0].m, str(cfgs[0].alpha), [cfg.seed for cfg in cfgs]])
         return draw(cfgs, *args, **kwargs)
 
     def counted_stats(batteries, G, battery_of, thresholds, *args):
         batteries = tuple(batteries)
         if len(batteries) > 1:
-            passes[-1]["kernel"].append((G.ambient.p, G.codim, len(G)))
+            record(kernel=[G.ambient.p, G.codim, len(G)])
         return stats(batteries, G, battery_of, thresholds, *args)
 
+    criteria = acceptance.CRITERIA
+    for criterion in criteria:  # fill the caches a pass uses, so that only run_pass can empty them
+        criterion()
+    filled = {name: cache.cache_info().currsize for name, cache in caches.items()}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(acceptance, "CRITERIA", (start_pass, *rest))
+        mp.setattr(acceptance, "CRITERIA", tuple(logged(i, fn) for i, fn in enumerate(criteria, 1)))
         mp.setattr(acceptance, "sample_random_families", counted_draw)
         mp.setattr(fpproj.projection, "census_stats", counted_stats)
         suite = acceptance.run_suite()
-    return suite, passes, cache_sizes
+    current, passes = {}, []
+    for entry in map(json.loads, log.read_text(encoding="utf-8").splitlines()):
+        pid = entry["pid"]
+        if "criterion" in entry and (pid not in current or len(current[pid]["order"]) == len(criteria)):
+            current[pid] = {"pid": pid, "order": [], "caches": entry["caches"], "draws": Counter(), "kernel": []}
+            passes.append(current[pid])
+        logged_pass = current[pid]
+        if "criterion" in entry:
+            logged_pass["order"].append(entry["criterion"])
+        elif "draw" in entry:
+            p, m, alpha, seeds = entry["draw"]
+            logged_pass["draws"][(p, m, Fraction(alpha), tuple(seeds))] += 1
+        else:
+            logged_pass["kernel"].append(tuple(entry["kernel"]))
+    passes.sort(key=lambda logged: logged["pid"] != os.getpid())  # a child may log first; its pass is pass 2
+    return suite, passes, filled
 
 
 @pytest.fixture(scope="module")
@@ -273,9 +309,15 @@ def test_stacked_standard_sets_equal_one_battery_per_seed():
 
 def test_every_cache_is_empty_when_a_pass_starts(logged_suite):
     # criterion 12 compares two independent computations: no pass may
-    # read a value cached by the one before it
-    _, _, cache_sizes = logged_suite
+    # read a value cached by the one before it, or by a run before the suite
+    _, passes, filled = logged_suite
     names = set(acceptance.package_caches())
+    assert {name for name, size in filled.items() if size} >= {
+        "fpproj.acceptance._random_model_group",
+        "fpproj.field.digit_table",
+        "fpproj.field.power_vector",
+        "fpproj.subspaces._grassmannian",
+    }
     assert names >= {
         "fpproj.acceptance._random_model_group",
         "fpproj.field.digit_table",
@@ -284,17 +326,107 @@ def test_every_cache_is_empty_when_a_pass_starts(logged_suite):
         "fpproj.subspaces.perp",
         "fpproj.subspaces.span_codes",
     }
-    assert len(cache_sizes) == 2
-    for sizes in cache_sizes:
-        assert sizes == dict.fromkeys(names, 0)
+    assert len(passes) == 2
+    for logged in passes:
+        assert logged["caches"] == dict.fromkeys(names, 0)
 
 
-@pytest.mark.parametrize("criterion", [acceptance.criterion6, acceptance.criterion8])
+def test_pass_two_runs_in_reverse_order_in_another_process(logged_suite):
+    # each criterion builds what it needs both after the others and before
+    # them; where it can fork, pass 2 runs in a forked child, whose pass is logged
+    _, passes, _ = logged_suite
+    assert [logged["order"] for logged in passes] == [list(range(1, 12)), list(range(11, 0, -1))]
+    pids = [logged["pid"] for logged in passes]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == (2 if FORKS else 1)
+
+
+@pytest.mark.parametrize("criterion", acceptance.CRITERIA)
 def test_random_model_criterion_alone_matches_suite(suite, criterion):
+    # any criterion, run alone in this process after the suite: output that
+    # depends on state an earlier run left (a module-level counter, a cache
+    # clear_caches does not reach, id() order) differs from the suite's,
+    # which two passes forked from one clean state would not show
     acceptance.clear_caches()
     result = criterion()
     assert result.csv == suite.results[result.index - 1].csv
     acceptance.clear_caches()
+
+
+def _fake_criterion(index, value):
+    """A criterion with one cell, value(), computed when it runs."""
+
+    def criterion():
+        return acceptance.CriterionResult(index, f"fake{index}", True, "fake", ("value",), ((value(),),))
+
+    return criterion
+
+
+def _no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.skipif(not FORKS, reason="pass 2 runs in a forked child only with two CPUs and one thread")
+def test_a_criterion_whose_csv_embeds_its_pid_fails_accept(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA", (_fake_criterion(1, lambda: 7), _fake_criterion(2, os.getpid)))
+    assert cli.main(["accept", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "[criterion  1] PASS" in out
+    assert "[criterion 12] FAIL  determinism: mismatched artifacts: ['c02_fake2.csv']" in out
+    rows = (tmp_path / "c12_determinism.csv").read_text(encoding="utf-8")
+    assert rows == "artifact,status\nc01_fake1.csv,identical\nc02_fake2.csv,MISMATCH\n"
+    assert (tmp_path / "c02_fake2.csv").read_text(encoding="utf-8") == f"value\n{os.getpid()}\n"
+    assert _no_process_left()
+
+
+@pytest.mark.skipif(not FORKS, reason="pass 2 runs in a forked child only with two CPUs and one thread")
+def test_a_criterion_failing_in_the_child_raises_and_leaves_no_process(monkeypatch):
+    parent, affinity = os.getpid(), os.sched_getaffinity(0)
+
+    def fails_in_the_child():
+        if os.getpid() != parent:
+            raise ZeroDivisionError("raised in the child")
+        return 0
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (_fake_criterion(1, lambda: 7), _fake_criterion(2, fails_in_the_child)))
+    with pytest.raises(RuntimeError, match="(?s)exit 1.*ZeroDivisionError: raised in the child"):
+        acceptance.run_suite()
+    assert _no_process_left()
+    assert os.sched_getaffinity(0) == affinity
+
+
+@pytest.mark.skipif(not FORKS, reason="pass 2 runs in a forked child only with two CPUs and one thread")
+def test_an_interrupt_in_the_parent_kills_the_child_and_reaps_it(monkeypatch):
+    parent, affinity = os.getpid(), os.sched_getaffinity(0)
+
+    def interrupted_or_stuck():
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # only the parent's kill ends the child in time
+        return 0
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (_fake_criterion(1, interrupted_or_stuck),))
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        acceptance.run_suite()
+    assert time.monotonic() - began < 30
+    assert _no_process_left()
+    assert os.sched_getaffinity(0) == affinity
+
+
+def test_one_cpu_runs_both_passes_here_with_identical_artifacts(suite, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with one CPU")
+
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    in_process = acceptance.run_suite()
+    assert [r.artifact_name() for r in in_process.results] == [r.artifact_name() for r in suite.results]
+    assert [r.csv for r in in_process.results] == [r.csv for r in suite.results]
+    assert [r.line() for r in in_process.results] == [r.line() for r in suite.results]
 
 
 # -- CSV cell rendering ----------------------------------------------------------------

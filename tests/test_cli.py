@@ -691,22 +691,25 @@ def test_bad_coordinates_in_set_and_family_files_name_the_file_and_line(tmp_path
         ("0,y,1", "invalid literal for int() with base 10: 'y'"),
         ("6,0,0", "coordinate = 6 out of range [0, 4]"),
         ("0,-4,0", "coordinate = -4 out of range [0, 4]"),
+        ("0,0_1,1", "invalid literal for int() with base 10: '0_1'"),
+        ("0,\u0663,1", "invalid literal for int() with base 10: '\u0663'"),
     ],
-    ids=("count", "integer", "above", "below"),
+    ids=("count", "integer", "above", "below", "underscore", "non-ascii-digit"),
 )
 @pytest.mark.parametrize("source", ["family-file", "point-file", "subspace-flag", "flat-offset"])
 def test_every_coordinate_source_refuses_a_bad_row_and_names_itself(tmp_path, capsys, source, row, message):
-    # family lines, --subspace and flat:K:OFFSET reduced 6 and -4 mod 5; all four now read text one way
+    # family lines, --subspace and flat:K:OFFSET reduced 6 and -4 mod 5; all four now read text one way.
+    # int() read 0_1 as 1 and the Arabic-Indic digit three as 3, which no file header accepts
     def project(subspace="1,0,0", set_spec="moment"):
         return run("project", "--p", "5", "--n", "3", "--subspace", subspace, "--set", set_spec)
 
     path = tmp_path / "input.txt"
     if source == "family-file":
-        path.write_text(f"p=5,n=3,m=1\n1,0,0;0,1,0\n0,0,1;{row}\n")
+        path.write_text(f"p=5,n=3,m=1\n1,0,0;0,1,0\n0,0,1;{row}\n", encoding="utf-8")
         config = write_config(tmp_path, p=5, families=[f"file:{path}"])
         code, context = run("sweep", "--config", str(config)), f"{path}: line 3"
     elif source == "point-file":
-        path.write_text(f"p=5,n=3\n0,0,1\n{row}\n")
+        path.write_text(f"p=5,n=3\n0,0,1\n{row}\n", encoding="utf-8")
         code, context = project(set_spec=f"file:{path}"), f"{path}: line 3"
     elif source == "subspace-flag":
         code, context = project(subspace=f"1,0,0;{row}"), f"--subspace '1,0,0;{row}'"
@@ -734,6 +737,28 @@ def test_a_rational_of_another_json_type_is_refused_in_the_configs_spelling(tmp_
     cfg = write_config(tmp_path, **overrides)
     assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")) == 2
     assert capsys.readouterr().err == f"error: {cfg}: {key}: expected a rational number, got {spelled}\n"
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("p", dict(p=1.5)),
+        ("families", dict(families="full")),
+        ("sets", dict(sets={"random:20:7": 1})),
+        ("thresholds.kind", dict(thresholds={"kind": "k", "values": [1]})),
+        ("thresholds.values", dict(thresholds={"kind": "N", "values": 4})),
+        ("thresholds.values", dict(thresholds={"kind": "N", "values": [-1]})),
+        ("output", dict(output=3)),
+        ("C", dict(C=None)),
+    ],
+    ids=("p", "families", "sets", "kind", "values-type", "values-value", "output", "C"),
+)
+def test_every_config_value_error_is_spelled_config_colon_key(tmp_path, capsys, key, overrides):
+    # type errors said "CONFIG: KEY must be ..." and value errors "CONFIG: KEY: ..."
+    cfg = write_config(tmp_path, **overrides)
+    assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {key}: ") and err.count("\n") == 1
 
 
 def test_sweep_rejects_bools_and_floats_where_integers_belong(tmp_path, capsys):

@@ -294,6 +294,10 @@ def test_a_subspace_read_back_from_its_text_is_the_subspace(space, data):
         ("6,0,0", "coordinate = 6 out of range [0, 4]"),
         ("5,0,0", "coordinate = 5 out of range [0, 4]"),
         ("0,-4,0", "coordinate = -4 out of range [0, 4]"),
+        ("1_0,0,0", "invalid literal for int() with base 10: '1_0'"),
+        ("0,0_1,0", "invalid literal for int() with base 10: '0_1'"),
+        ("1,\u0663,0", "invalid literal for int() with base 10: '\u0663'"),
+        ("1,\uff11,0", "invalid literal for int() with base 10: '\uff11'"),
     ],
 )
 def test_text_is_read_strictly(text, message):
@@ -312,6 +316,15 @@ def test_text_allows_what_int_allows_around_each_coordinate():
     assert parse_subspace(a, " ") == Subspace.zero(a)  # blank text is the zero subspace, but no point
     with pytest.raises(ValueError, match="invalid literal for int"):
         parse_point(a, "")
+
+
+def test_a_coordinate_is_ascii_digits_as_in_a_file_header():
+    # int() read "1_0,\u0663" over F_11 as the point (10, 3)
+    a = AmbientSpace(11, 2)
+    assert parse_point(a, "10,3") == FpVector(a, (10, 3))
+    for text in ("1_0,\u0663", "1_0,3", "10,\u0663"):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_point(a, text)
 
 
 def test_integer_constructors_still_reduce_mod_p():

@@ -115,21 +115,22 @@ def test_sweep_refuses_a_t_whose_power_is_too_long_to_print(tmp_path, t):
 @pytest.mark.parametrize(
     "key, overrides",
     [
-        ("thresholds.values must be a list", dict(thresholds={"kind": "N", "values": "12"})),
-        ("families must be a list of strings", dict(families={"full": 1})),
-        ("families must be a list of strings", dict(families=["full", 3])),
-        ("sets must be a list of strings", dict(sets=["random:20:7", 5])),
-        ("output must be a string", dict(output=2)),
-        ("output must be a string", dict(output=True)),
-        ("output must be a string", dict(output=["report.csv"])),
+        ("thresholds.values: must be a list", dict(thresholds={"kind": "N", "values": "12"})),
+        ("families: must be a list of strings", dict(families={"full": 1})),
+        ("families: must be a list of strings", dict(families=["full", 3])),
+        ("sets: must be a list of strings", dict(sets=["random:20:7", 5])),
+        ("output: must be a string", dict(output=2)),
+        ("output: must be a string", dict(output=True)),
+        ("output: must be a string", dict(output=["report.csv"])),
     ],
     ids=("values-string", "families-dict", "families-number", "sets-number", "output-2", "output-true", "output-list"),
 )
 def test_sweep_config_values_of_the_wrong_json_type_exit_2(tmp_path, key, overrides):
     # a string was split into characters, a dict read by its keys, and an
     # integer output opened as a file descriptor and closed after writing
-    done = python("-m", "fpproj", "sweep", "--config", str(sweep_config(tmp_path, **overrides)), timeout=15)
-    assert_one_error_line(done, key)
+    config = sweep_config(tmp_path, **overrides)
+    done = python("-m", "fpproj", "sweep", "--config", str(config), timeout=15)
+    assert_one_error_line(done, f"error: {config}: {key}")
     assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
