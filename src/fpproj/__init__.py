@@ -40,6 +40,7 @@ from .field import (
 from .subspaces import (
     CosetLabel,
     Subspace,
+    SubspaceStack,
     contains,
     coset_label,
     coset_points,
@@ -80,11 +81,11 @@ from .fourier import (
 )
 from .families import (
     ConcentrationReport,
-    Family,
     FamilyAudit,
     RandomFamilyConfig,
     audit_family,
     circle_family,
+    family,
     family_from_directions,
     full_family,
     hyperplane_intersection_max,

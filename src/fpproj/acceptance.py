@@ -42,7 +42,6 @@ import numpy as np
 
 from .budgets import DEFAULT_POINT_BUDGET
 from .families import (
-    Family,
     RandomFamilyConfig,
     circle_family,
     full_family,
@@ -189,18 +188,18 @@ _RATIO_NS = (1, 2, 4, 8)
 _RATIO_C = Fraction(16)  # the report constant of every ratio audit
 
 
-def battery_stats(sets, G: Family):
+def battery_stats(sets, G: SubspaceStack):
     """(S, K) image sizes and energies of a battery of (set_id, E) pairs."""
     return battery_projection_stats([E for _, E in sets], G)
 
 
-def battery_census(sets, G: Family, C: Fraction = _RATIO_C) -> Census:
+def battery_census(sets, G: SubspaceStack, C: Fraction = _RATIO_C) -> Census:
     """The (S, 4) census of a battery of (set_id, E) pairs at the thresholds N in (1, 2, 4, 8)."""
     points = [E for _, E in sets]
-    return family_census((points,), G.stack, np.arange(len(G)), (0, len(G)), (0,), _RATIO_NS, C)[0]
+    return family_census((points,), G, np.arange(len(G)), (0, len(G)), (0,), _RATIO_NS, C)[0]
 
 
-def ratio_rows(tag: str, G: Family, family_id: str, sets, census: Census, seed_field):
+def ratio_rows(tag: str, G: SubspaceStack, family_id: str, sets, census: Census, seed_field):
     """Exceptional-ratio rows for one family over one set battery.
 
     `census` is battery_census(sets, G, C).  Returns (rows, all_ok); a
@@ -211,7 +210,7 @@ def ratio_rows(tag: str, G: Family, family_id: str, sets, census: Census, seed_f
     p, n = G.ambient.p, G.ambient.n
     rows = list(
         zip(
-            *map(repeat, (tag, p, n, G.m, family_id, len(G), seed_field)),
+            *map(repeat, (tag, p, n, G.codim, family_id, len(G), seed_field)),
             [set_id for set_id, _ in sets for _ in range(T)],
             [E.size for _, E in sets for _ in range(T)],
             census.thresholds * len(sets),
@@ -308,7 +307,7 @@ def _random_model_group(p: int, m: int) -> _Group:
     alphas = [alpha for row_p, row_m, alpha in random_model_grid() if (row_p, row_m) == (p, m)]
     cfgs = [[RandomFamilyConfig(ambient, m, alpha, seed) for seed in seeds] for alpha in alphas]
     families = [G for row in cfgs for G in sample_random_families(row)]  # alpha-major
-    union, members, edges = stack_union(G.stack for G in families)
+    union, members, edges = stack_union(families)
     batteries = [tuple(sets) for sets in stacked_standard_sets(ambient, [seed * 100 + m for seed in seeds])]
     points = [[E for _, E in sets] for sets in batteries]
     census = family_census(points, union, members, edges, np.tile(seeds, len(alphas)), _RATIO_NS, _RATIO_C)

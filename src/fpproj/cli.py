@@ -20,7 +20,6 @@ from . import acceptance
 from .budgets import BudgetError, DEFAULT_POINT_BUDGET, DEFAULT_SUBSPACE_BUDGET, check_budget
 from .exact import MAX_DECIMAL_EXPONENT, MAX_POWER_BITS, floor_mul_pow, floor_pow, parse_fraction
 from .families import (
-    Family,
     RandomFamilyConfig,
     circle_family,
     full_family,
@@ -47,6 +46,7 @@ from .pointsets import (
 )
 from .projection import family_census, project
 from .subspaces import (
+    SubspaceStack,
     csv_subspace_name,
     first_subspace,
     grassmannian,
@@ -119,7 +119,7 @@ def parse_set_spec(ambient: AmbientSpace, spec: str, point_budget=DEFAULT_POINT_
 
 def parse_family_spec(
     ambient: AmbientSpace, m: int, spec: str, budget=DEFAULT_SUBSPACE_BUDGET
-) -> tuple[Family, str]:
+) -> tuple[SubspaceStack, str]:
     """One of FAMILY_FORMS.
 
     Returns (family, seed_field) where seed_field is the seed for the
@@ -365,7 +365,7 @@ def cmd_sweep(args) -> int:
     kept = [G for _, G, _ in families if G is not None]
     results = iter(())  # per kept family: its (S, T) census, spread_containing, spread_perp
     if sets and kept:  # a battery needs at least one set
-        union, at, edges = stack_union(G.stack for G in kept)
+        union, at, edges = stack_union(kept)
         spreads = [stacked_spread(union, variant, at, edges, args.point_budget)[0].tolist()
                    for variant in ("contains", "perp")]  # fmt: skip
         census = family_census((points,), union, at, edges, np.zeros(len(kept), dtype=np.int64),

@@ -1,11 +1,13 @@
 """Restricted families G of (n-m)-dimensional subspaces.
 
-Three sources: the seeded Bernoulli model (each subspace of the full
-Grassmannian kept independently with probability delta = p^alpha/|G|),
-and the two explicit direction families built from the circle and the
-moment curve.  Spreadness auditors measure how many members contain (or
-annihilate) a fixed nonzero frequency, the hypothesis feeding the
-energy bounds.
+A family is a SubspaceStack of distinct members sorted by basis
+(G.distinct() is G; family() makes one), and G.codim is its m.  Beside
+files and the whole Grassmannian there are three sources: the seeded
+Bernoulli model (each subspace of the full Grassmannian kept
+independently with probability delta = p^alpha/|G|), and the two
+explicit direction families built from the circle and the moment curve.
+Spreadness auditors measure how many members contain (or annihilate) a
+fixed nonzero frequency, the hypothesis feeding the energy bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .pointsets import PointSet, circle_set, moment_curve_set, read_records, wit
 from .projection import TABLE_ELEMENTS, family_coset_energy
 from .rng import TWO64, threshold_rows
 from .subspaces import (
-    Subspace,
     SubspaceStack,
     _line_minima,
     _parse_rows,
@@ -37,46 +38,18 @@ from .subspaces import (
 )
 
 
-class Family:
-    """A deduplicated set of subspaces of one codimension m.
+def family(ambient: AmbientSpace, m: int, members) -> SubspaceStack:
+    """The distinct members, sorted by basis, as a family of codimension m: a stack G with G.distinct() is G.
 
-    members is any iterable of Subspaces or a SubspaceStack; the family
-    holds their distinct bases, sorted, as one stack.
+    members is any iterable of Subspaces or a SubspaceStack, of ambient and dimension n - m.
     """
-
-    def __init__(self, ambient: AmbientSpace, m: int, members):
-        check_range("codimension m", m, 1, ambient.n - 1)
-        self.ambient = ambient
-        self.m = m
-        self.stack = SubspaceStack.of(ambient, ambient.n - m, members).distinct()
-
-    @property
-    def members(self) -> tuple[Subspace, ...]:
-        return self.stack.members
-
-    def __iter__(self):
-        return iter(self.stack.members)
-
-    def __len__(self):
-        return len(self.stack)
-
-    def __eq__(self, other):
-        if not isinstance(other, Family):
-            return NotImplemented
-        return (self.ambient, self.m) == (other.ambient, other.m) and np.array_equal(
-            self.stack.bases, other.stack.bases
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.m, self.stack.bases.tobytes()))
-
-    def __repr__(self):
-        return f"Family(p={self.ambient.p}, n={self.ambient.n}, m={self.m}, size={len(self)})"
+    check_range("codimension m", m, 1, ambient.n - 1)
+    return SubspaceStack.of(ambient, ambient.n - m, members).distinct()
 
 
-def full_family(ambient: AmbientSpace, m: int, budget=DEFAULT_SUBSPACE_BUDGET) -> Family:
-    """The whole Grassmannian of codimension m as a Family."""
-    return Family(ambient, m, grassmannian(ambient, ambient.n - m, budget=budget))
+def full_family(ambient: AmbientSpace, m: int, budget=DEFAULT_SUBSPACE_BUDGET) -> SubspaceStack:
+    """The whole Grassmannian of codimension m as a family."""
+    return family(ambient, m, grassmannian(ambient, ambient.n - m, budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +112,21 @@ def inclusion_masks(cfgs) -> np.ndarray:
     return np.concatenate([masks for _, masks in rows])
 
 
-def sample_random_families(cfgs, budget=DEFAULT_SUBSPACE_BUDGET) -> tuple[Family, ...]:
+def sample_random_families(cfgs, budget=DEFAULT_SUBSPACE_BUDGET) -> tuple[SubspaceStack, ...]:
     """The family of each config, for configs differing in seed only: one inclusion_masks draw.
 
-    |G(n, n-m)| is checked against budget before any key is drawn.
+    |G(n, n-m)| is checked against budget before any key is drawn.  A
+    mask of the Grassmannian is a family as it is: sorted and distinct.
     """
     cfgs = tuple(cfgs)
     if not cfgs:
         raise ValueError("no configs to draw")
     ambient, m = cfgs[0].ambient, cfgs[0].m
     G = grassmannian(ambient, ambient.n - m, budget=budget)
-    return tuple(Family(ambient, m, G.take(mask)) for mask in inclusion_masks(cfgs))
+    return tuple(G.take(mask) for mask in inclusion_masks(cfgs))
 
 
-def sample_random_family(cfg: RandomFamilyConfig, budget=DEFAULT_SUBSPACE_BUDGET) -> Family:
+def sample_random_family(cfg: RandomFamilyConfig, budget=DEFAULT_SUBSPACE_BUDGET) -> SubspaceStack:
     """Draw the family for this config; same config, same members, always.
 
     The one-config case of sample_random_families.
@@ -213,8 +187,8 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}")
 
 
-def spread_profile(G: Family, variant: str, budget=DEFAULT_POINT_BUDGET) -> np.ndarray:
-    """For every frequency code, how many members contain it.
+def spread_profile(G: SubspaceStack, variant: str, budget=DEFAULT_POINT_BUDGET) -> np.ndarray:
+    """For every frequency code, how many distinct members of G contain it.
 
     variant 'contains' counts xi in W; 'perp' counts xi in Per(W).
     Entry 0 (the zero frequency) is |G| by definition.  The table has
@@ -224,8 +198,9 @@ def spread_profile(G: Family, variant: str, budget=DEFAULT_POINT_BUDGET) -> np.n
     """
     _check_variant(variant)
     check_budget(G.ambient.point_count, budget, "p^n for the spread profile")
+    G = G.distinct()
     lowest = _line_minima(G.ambient)
-    table = _spread_tables(G.stack, variant, np.arange(len(G)), np.array([0, len(G)]), np.array([0]), lowest)
+    table = _spread_tables(G, variant, np.arange(len(G)), np.array([0, len(G)]), np.array([0]), lowest)
     profile = table[0, lowest]
     profile[0] = len(G)
     return profile
@@ -294,18 +269,19 @@ def stacked_spread(stack: SubspaceStack, variant: str, members, edges, budget=DE
     return counts, codes
 
 
-def _spread_max(G: Family, variant: str, budget) -> SpreadResult:
-    """The one-family case of stacked_spread."""
-    (count,), (code,) = stacked_spread(G.stack, variant, np.arange(len(G)), (0, len(G)), budget)
+def _spread_max(G: SubspaceStack, variant: str, budget) -> SpreadResult:
+    """The one-family case of stacked_spread, over G's distinct members."""
+    G = G.distinct()
+    (count,), (code,) = stacked_spread(G, variant, np.arange(len(G)), (0, len(G)), budget)
     return SpreadResult(int(count), decode(G.ambient, int(code)) if len(G) else None)
 
 
-def spread_containing(G: Family, budget=DEFAULT_POINT_BUDGET) -> SpreadResult:
+def spread_containing(G: SubspaceStack, budget=DEFAULT_POINT_BUDGET) -> SpreadResult:
     """max over xi != 0 of |{W in G : xi in W}|, with a smallest witness."""
     return _spread_max(G, "contains", budget)
 
 
-def spread_perp(G: Family, budget=DEFAULT_POINT_BUDGET) -> SpreadResult:
+def spread_perp(G: SubspaceStack, budget=DEFAULT_POINT_BUDGET) -> SpreadResult:
     """max over xi != 0 of |{W in G : xi in Per(W)}|, with a smallest witness."""
     return _spread_max(G, "perp", budget)
 
@@ -326,21 +302,21 @@ def theoretical_spread_count(ambient: AmbientSpace, k: int, variant: str) -> int
 # ---------------------------------------------------------------------------
 
 
-def family_from_directions(D: PointSet) -> Family:
+def family_from_directions(D: PointSet) -> SubspaceStack:
     """The lines {k*x : x in D}, deduplicated; codimension n-1."""
     if D.contains_code(0):
         raise ValueError("direction sets must not contain the zero vector")
     # one elimination scales each direction to its line's canonical basis
     lines = _rref_stack(D.ambient.p, D.coordinates()[:, None, :])
-    return Family(D.ambient, D.ambient.n - 1, SubspaceStack(D.ambient, lines))
+    return family(D.ambient, D.ambient.n - 1, SubspaceStack(D.ambient, lines))
 
 
-def circle_family(p: int) -> Family:
+def circle_family(p: int) -> SubspaceStack:
     """Lines through the circle {(x1, x2, 1) : x1^2 + x2^2 = 1} in F_p^3."""
     return family_from_directions(circle_set(p))
 
 
-def moment_family(p: int, n: int) -> Family:
+def moment_family(p: int, n: int) -> SubspaceStack:
     """Lines through the moment curve; exactly p-1 members."""
     return family_from_directions(moment_curve_set(p, n))
 
@@ -396,17 +372,19 @@ class FamilyAudit:
         return self.spread_ok and all(c.passed for c in self.energy_checks)
 
 
-def audit_family(G: Family, branch: str, beta, C, test_sets=()) -> FamilyAudit:
+def audit_family(G: SubspaceStack, branch: str, beta, C, test_sets=()) -> FamilyAudit:
     """Check the spreadness hypothesis and, per test set, its energy bound.
 
     branch 'contains' requires spread_containing <= C |G| p^-beta and,
     for each E, energy(E over all cosets of G) <= C(|E||G| + |E|^2|G|p^-beta).
     branch 'perp' requires spread_perp <= C |G| p^-beta and
     energy <= C p^-m |G| (|E|^2 + |E| p^(n-beta)).  All comparisons are
-    exact; floats in the result are display-only.
+    exact; floats in the result are display-only.  G counts its
+    distinct members.
     """
     if branch not in ("contains", "perp"):
         raise ValueError(f"unknown branch {branch!r}")
+    G = G.distinct()
     beta = Fraction(beta)
     C = Fraction(C)
     p, n = G.ambient.p, G.ambient.n
@@ -425,8 +403,8 @@ def audit_family(G: Family, branch: str, beta, C, test_sets=()) -> FamilyAudit:
             coeff = C * e * e * size
             expo = -beta
         else:
-            const = C * e * e * size * Fraction(1, p**G.m)
-            coeff = C * e * size * Fraction(1, p**G.m)
+            const = C * e * e * size * Fraction(1, p**G.codim)
+            coeff = C * e * size * Fraction(1, p**G.codim)
             expo = Fraction(n) - beta
         ok = le_affine_pow(lhs, const, coeff, p, expo)
         rhs_float = float(const) + float(coeff) * float(p) ** float(expo)
@@ -439,13 +417,15 @@ def audit_family(G: Family, branch: str, beta, C, test_sets=()) -> FamilyAudit:
 # ---------------------------------------------------------------------------
 
 
-def save_family(G: Family, path) -> None:
-    lines = [f"p={G.ambient.p},n={G.ambient.n},m={G.m}"]
+def save_family(G: SubspaceStack, path) -> None:
+    """Write G's distinct members, sorted, under its header."""
+    G = G.distinct()
+    lines = [f"p={G.ambient.p},n={G.ambient.n},m={G.codim}"]
     lines.extend(serialize_subspace(W) for W in G)
     write_text(path, "\n".join(lines) + "\n")
 
 
-def load_family(path, ambient: AmbientSpace | None = None, m: int | None = None) -> Family:
+def load_family(path, ambient: AmbientSpace | None = None, m: int | None = None) -> SubspaceStack:
     """Read a family file; one elimination reduces the rows of every member line."""
     file_ambient, (file_m,), lines = read_records(path, ("p", "n", "m"), ambient)
     p, n = file_ambient.p, file_ambient.n
@@ -462,4 +442,4 @@ def load_family(path, ambient: AmbientSpace | None = None, m: int | None = None)
     bad = np.flatnonzero(rank != k)
     if len(bad):
         raise ValueError(f"{path}: line {lines[bad[0]][0]}: rows of rank {rank[bad[0]]}, expected n - m = {k}")
-    return Family(file_ambient, file_m, SubspaceStack(file_ambient, reduced[:, :k]))
+    return family(file_ambient, file_m, SubspaceStack(file_ambient, reduced[:, :k]))

@@ -13,6 +13,7 @@ of a vector is digit i of its code, so (2, 1) over F_3 has code
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,7 +90,11 @@ class FpVector:
                 f"expected {self.ambient.n} coordinates, got {len(self.coords)}"
             )
         p = self.ambient.p
-        object.__setattr__(self, "coords", tuple(int(c) % p for c in self.coords))
+        try:  # operator.index takes ints and numpy integers, and refuses 1.7 rather than truncate it
+            coords = tuple(operator.index(c) % p for c in self.coords)
+        except TypeError:
+            raise ValueError(f"coordinates must be integers, got {self.coords!r}") from None
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def zero(cls, ambient: AmbientSpace) -> "FpVector":
@@ -97,6 +102,7 @@ class FpVector:
 
     @classmethod
     def unit(cls, ambient: AmbientSpace, i: int) -> "FpVector":
+        check_range("unit vector index i", i, 0, ambient.n - 1)
         coords = [0] * ambient.n
         coords[i] = 1
         return cls(ambient, tuple(coords))

@@ -32,9 +32,9 @@ from .pointsets import PointSet
 from .projection import battery_projection_stats
 from .subspaces import (
     Subspace,
+    SubspaceStack,
     _require_proper,
     member_chunks,
-    member_stack,
     perp,
     span_codes,
     stacked_span_codes,
@@ -101,9 +101,10 @@ def spectral_mass(table: SpectralTable) -> float:
 
 
 def plancherel_defect(E: PointSet, table: SpectralTable | None = None) -> float:
-    """| sum |E_hat|^2 - p^n |E| |; small iff the transform is healthy."""
+    """| sum |E_hat|^2 - p^n |E| |; small iff the transform is healthy.  A table must be of E's space."""
     if table is None:
         table = dft(E)
+    check_same_ambient(E.ambient, table.ambient)
     return abs(spectral_mass(table) - E.ambient.point_count * E.size)
 
 
@@ -120,6 +121,7 @@ def coset_energy_spectral(
     _require_proper(W)
     if table is None:
         table = dft(E)
+    check_same_ambient(E.ambient, table.ambient)
     m = W.codim
     freqs = span_codes(perp(W))
     mass = float(np.sum(np.abs(table.values[freqs]) ** 2))
@@ -154,23 +156,25 @@ def verify_coset_identities(
     |spatial - spectral| <= tol * max(1, spatial).
 
     Without tables the transforms come from stacked_dft, which checks
-    p^n against budget before anything is allocated; given tables are
-    used as they are.  tol must be finite and nonnegative.
+    p^n against budget before anything is allocated; given tables, of
+    the sets' space, are used as they are.  tol must be finite and nonnegative.
     """
     if not (math.isfinite(tol) and tol >= 0):  # a nan or negative tol fails every pair, inf passes it
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     sets = tuple(sets)
     if not sets:
         raise ValueError("a battery needs at least one point set")
+    ambient = sets[0].ambient
     if tables is None:
         blocks = stacked_dft(sets, budget)
     else:
         tables = tuple(tables)
         if len(tables) != len(sets):
             raise ValueError(f"{len(tables)} spectral tables for {len(sets)} sets")
+        for table in tables:
+            check_same_ambient(ambient, table.ambient)
         blocks = ((slice(s, s + 1), table.values[None]) for s, table in enumerate(tables))
-    ambient = sets[0].ambient
-    stack = member_stack(ambient, G)
+    stack = SubspaceStack.of(ambient, None, G)
     _, spatial = battery_projection_stats(sets, stack)
     spectral = np.zeros(spatial.shape)
     scale = ambient.p**stack.codim

@@ -78,6 +78,9 @@ class PointSet:
 
     @classmethod
     def from_vectors(cls, ambient: AmbientSpace, vectors) -> "PointSet":
+        vectors = tuple(vectors)
+        for v in vectors:  # a point of another space is refused, not re-encoded
+            check_same_ambient(ambient, v.ambient)
         return cls.from_codes(ambient, [encode(v) for v in vectors])
 
     # -- queries ------------------------------------------------------
@@ -94,6 +97,7 @@ class PointSet:
         return self.size
 
     def __contains__(self, v: FpVector) -> bool:
+        check_same_ambient(self.ambient, v.ambient)
         return self.contains_code(encode(v))
 
     def contains_code(self, code: int) -> bool:

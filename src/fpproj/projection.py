@@ -25,11 +25,11 @@ from .pointsets import PointSet
 from .subspaces import (
     CosetLabel,
     Subspace,
+    SubspaceStack,
     _require_proper,
     grassmannian,
     line_codes,
     member_chunks,
-    member_stack,
     reduce_points,
     stacked_span_codes,
 )
@@ -117,10 +117,10 @@ def cauchy_schwarz_gap(E: PointSet, W: Subspace) -> tuple[int, int]:
 def family_projection_stats(E: PointSet, G) -> tuple[np.ndarray, np.ndarray]:
     """Per-member image sizes and coset energies, in family order.
 
-    G is a Family (its cached stack is used) or any sequence of
-    subspaces of one dimension.  One pass over the family feeds every
-    threshold query; the sweep runner uses this to evaluate several N
-    against the same family.  This is the one-set case of
+    G is a SubspaceStack (its cached annihilators are used) or any
+    sequence of subspaces of one dimension.  One pass over the family
+    feeds every threshold query; the sweep runner uses this to evaluate
+    several N against the same family.  This is the one-set case of
     battery_projection_stats.
     """
     sizes, energies = battery_projection_stats((E,), G)
@@ -141,12 +141,12 @@ def battery_projection_stats(sets, G) -> tuple[np.ndarray, np.ndarray]:
     """Image sizes and coset energies of every set against every member.
 
     sets is a sequence of S point sets of one ambient space and G a
-    Family or a sequence of subspaces of one dimension, as for
+    SubspaceStack or a sequence of subspaces of one dimension, as for
     family_projection_stats; both results have shape (S, |G|).  This is
     the one-battery case of stacked_projection_stats.
     """
     sets = tuple(sets)
-    stack = member_stack(sets[0].ambient, G) if sets else ()
+    stack = SubspaceStack.of(sets[0].ambient, None, G) if sets else ()
     return stacked_projection_stats((sets,), stack, np.broadcast_to(np.int64(0), (len(stack),)))
 
 
@@ -154,8 +154,8 @@ def stacked_projection_stats(batteries, G, battery_of) -> tuple[np.ndarray, np.n
     """Image sizes and coset energies of each member against its own battery.
 
     batteries holds B batteries of S point sets each, all of one
-    ambient space; G is a Family or a sequence of subspaces of one
-    dimension, and battery_of gives each member's battery.  Both
+    ambient space; G is a SubspaceStack or a sequence of subspaces of
+    one dimension, and battery_of gives each member's battery.  Both
     results have shape (S, |G|): column k is member k against
     batteries[battery_of[k]].
 
@@ -265,7 +265,7 @@ def _battery_args(batteries, G, battery_of):
     for sets in batteries:
         for E in sets:
             check_same_ambient(ambient, E.ambient)
-    stack = member_stack(ambient, G)
+    stack = SubspaceStack.of(ambient, None, G)
     K = len(stack)
     battery_of = np.asarray(battery_of)
     if battery_of.shape != (K,):
@@ -622,7 +622,7 @@ def exceptional_report_from_stats(
 
 def exceptional_count(E: PointSet, G, thresholds) -> Census:
     """The (1, T) census of E against the members of G, at every threshold."""
-    stack = member_stack(E.ambient, G)
+    stack = SubspaceStack.of(E.ambient, None, G)
     K = len(stack)
     if not K:
         raise ValueError("empty family")

@@ -268,14 +268,19 @@ class SubspaceStack:
         self.bases.setflags(write=False)
 
     @classmethod
-    def of(cls, ambient: AmbientSpace, dim: int, members) -> "SubspaceStack":
-        """The stack of dim-dimensional subspaces of ambient: members itself if a stack."""
+    def of(cls, ambient: AmbientSpace, dim: int | None, members) -> "SubspaceStack":
+        """The stack of dim-dimensional subspaces of ambient: members itself if a stack.
+
+        The package's one conversion of Subspaces to a stack.  dim None
+        takes the members' own dimension: the first Subspace's, 0 for none.
+        """
         if isinstance(members, cls):
             check_same_ambient(ambient, members.ambient)
-            if members.dim != dim:
+            if dim is not None and members.dim != dim:
                 raise ValueError(f"stack of dimension {members.dim}, expected dimension {dim}")
             return members
         members = tuple(members)
+        dim = (members[0].dim if members else 0) if dim is None else dim
         for W in members:
             check_same_ambient(ambient, W.ambient)
             if W.dim != dim:
@@ -285,6 +290,9 @@ class SubspaceStack:
 
     def __len__(self) -> int:
         return self.bases.shape[0]
+
+    def __iter__(self):
+        return iter(self.members)
 
     @property
     def dim(self) -> int:
@@ -316,9 +324,13 @@ class SubspaceStack:
             out.annihilators.setflags(write=False)
         return out
 
+    @cached_property
+    def _sorted_distinct(self) -> bool:
+        return _strictly_increasing(_row_keys(self))
+
     def distinct(self) -> "SubspaceStack":
-        """The distinct members sorted by basis read row by row (self if already so)."""
-        return self if _strictly_increasing(_row_keys(self)) else stack_union((self,))[0]
+        """The distinct members sorted by basis read row by row (self if already so, as checked once per stack)."""
+        return self if self._sorted_distinct else stack_union((self,))[0]
 
 
 def _row_keys(stack: SubspaceStack) -> np.ndarray:
@@ -421,16 +433,6 @@ def _line_minima(ambient: AmbientSpace) -> np.ndarray:
     for scale in range(1, ambient.p):
         out[encode_array(ambient, x * scale % ambient.p)] = lines
     return out
-
-
-def member_stack(ambient: AmbientSpace, G) -> SubspaceStack:
-    """The stack of a family: G itself, a Family's stack, or built from an iterable."""
-    stack = getattr(G, "stack", G)
-    if isinstance(stack, SubspaceStack):
-        return SubspaceStack.of(ambient, stack.dim, stack)
-    members = tuple(G)
-    dim = members[0].dim if members else 0
-    return SubspaceStack.of(ambient, dim, members)
 
 
 # ---------------------------------------------------------------------------

@@ -448,7 +448,7 @@ def unpruned_census(sets, G, thresholds, C=None):
     kernel on every (set, member) pair, with nothing pruned.
     """
     from fpproj.projection import battery_projection_stats, stacked_census
-    from fpproj.subspaces import member_stack
+    from fpproj.subspaces import SubspaceStack
 
-    m = member_stack(sets[0].ambient, G).codim
+    m = SubspaceStack.of(sets[0].ambient, None, G).codim
     return stacked_census((sets,), None, m, *battery_projection_stats(sets, G), thresholds, C)[0]

@@ -24,8 +24,8 @@ import oracles
 from fpproj import acceptance
 from fpproj.budgets import BudgetError
 from fpproj.families import (
-    Family,
     RandomFamilyConfig,
+    family,
     hyperplane_intersection_max,
     size_concentration_report,
     spread_containing,
@@ -153,8 +153,8 @@ def test_concentration_and_spread_budgets_are_checked_before_any_key_or_table(mo
     # |G(18, 1)| over F_2 = 2^18 - 1 keys per seed exceed the subspace budget of 200,000
     cfg = RandomFamilyConfig(AmbientSpace(2, 18), 17, Fraction(2), 0)
     # p^n = 2^17 exceeds the point budget of 100,000; G is one line
-    G = Family(AmbientSpace(2, 17), 16, [first_subspace(AmbientSpace(2, 17), 1)])
-    G.stack.annihilators  # built before the check, as every spread reads it
+    G = family(AmbientSpace(2, 17), 16, [first_subspace(AmbientSpace(2, 17), 1)])
+    G.annihilators  # built before the check, as every spread reads it
     monkeypatch.setattr(fpproj.families, "threshold_rows", no_alloc)
     monkeypatch.setattr(fpproj.families, "stacked_span_codes", no_alloc)
     monkeypatch.setattr(fpproj.families.np, "zeros", no_alloc)

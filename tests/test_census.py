@@ -419,12 +419,12 @@ def reference_ratio_rows(tag, G, family_id, sets, C, seed_field):
     for (set_id, E), row_sizes, row_energies in zip(sets, sizes.tolist(), energies.tolist()):
         for N in (1, 2, 4, 8):
             count, _, bound, ratio, pairs_ok = oracles.exceptional_report_from_stats(
-                E.size, G.ambient.p, G.m, row_sizes, row_energies, N
+                E.size, G.ambient.p, G.codim, row_sizes, row_energies, N
             )
             ok = ratio <= C
             all_ok = all_ok and ok and pairs_ok
             rows.append(
-                (tag, G.ambient.p, G.ambient.n, G.m, family_id, len(G), seed_field, set_id,
+                (tag, G.ambient.p, G.ambient.n, G.codim, family_id, len(G), seed_field, set_id,
                  E.size, N, count, f"{bound.numerator}/{bound.denominator}", float(ratio), pairs_ok, ok)
             )  # fmt: skip
     return rows, all_ok

@@ -22,7 +22,7 @@ from fpproj.field import AmbientSpace
 from fpproj.fourier import coset_energy_spectral, dft, plancherel_defect
 from fpproj.pointsets import random_point_set, save_point_set
 from fpproj.projection import battery_projection_stats, family_projection_stats, fiber_counts
-from fpproj.subspaces import enumerate_subspaces, serialize_subspace
+from fpproj.subspaces import SubspaceStack, enumerate_subspaces, serialize_subspace
 from fractions import Fraction
 import oracles
 
@@ -208,7 +208,7 @@ def test_random_family_saves_loadable_file(tmp_path, capsys):
                "--alpha", "3/2", "--seed", "42", "--out", str(out)) == 0
     G = load_family(out)
     cfg = RandomFamilyConfig(AmbientSpace(7, 3), 1, Fraction(3, 2), 42)
-    assert G == sample_random_family(cfg)
+    assert np.array_equal(G.bases, sample_random_family(cfg).bases) and G.codim == 1
 
 
 def test_random_family_rejects_coarse_alpha(capsys):
@@ -317,7 +317,7 @@ def test_examples_ratio_lines_equal_per_row_reference(which, p, n, capsys):
     for (set_id, E), row_sizes, row_energies in zip(sets, sizes.tolist(), energies.tolist()):
         for N in (1, 2, 4, 8):
             count, _, _, ratio, _ = oracles.exceptional_report_from_stats(
-                E.size, p, G.m, row_sizes, row_energies, N
+                E.size, p, G.codim, row_sizes, row_energies, N
             )
             ok = ratio <= 16
             failed = failed or not ok
@@ -633,6 +633,19 @@ def test_family_specs_refuse_fields_they_do_not_take_and_name_a_malformed_one(tm
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_every_family_spec_returns_a_sorted_stack_of_distinct_members(tmp_path):
+    a = AmbientSpace(5, 3)
+    path = tmp_path / "family.txt"  # unsorted, with a repeated line
+    path.write_text("p=5,n=3,m=2\n1,2,3\n0,0,1\n2,4,1\n1,0,0\n")
+    specs = ["random:3/2:1", "circle", "moment", "full", f"file:{path}"]
+    assert {spec.partition(":")[0] for spec in specs} == {form.partition(":")[0] for form in cli.FAMILY_FORMS}
+    for spec in specs:
+        G, _ = cli.parse_family_spec(a, 2, spec)
+        members = sorted(set(G.members), key=lambda W: W.basis)
+        assert isinstance(G, SubspaceStack) and G.distinct() is G and list(G) == members, spec
+        assert G.codim == 2
 
 
 def test_a_family_spec_over_the_budget_still_skips_its_rows(tmp_path):

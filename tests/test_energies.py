@@ -38,7 +38,6 @@ from fpproj.subspaces import (
     enumerate_subspaces,
     first_subspace,
     grassmannian,
-    member_stack,
     stacked_span_codes,
 )
 import oracles
@@ -51,7 +50,7 @@ def zeros(G):
 def line_route(batteries, G, battery_of, thresholds=()):
     """The line route of census_stats, whatever the sizes say."""
     batteries = tuple(map(tuple, batteries))
-    stack = member_stack(batteries[0][0].ambient, G)
+    stack = SubspaceStack.of(batteries[0][0].ambient, None, G)
     return _line_census_stats(batteries, stack, np.asarray(battery_of), thresholds, None)
 
 
@@ -383,7 +382,7 @@ def test_line_route_checks_the_budget_and_the_int64_range():
     a = AmbientSpace(3, 4)
     G = full_family(a, 2)
     E = random_point_set(a, 5, 1)
-    stack = member_stack(a, G)
+    stack = SubspaceStack.of(a, None, G)
     with pytest.raises(BudgetError, match="line energies"):
         _line_census_stats(((E,),), stack, zeros(G), [1], 80)
     sizes, _ = _line_census_stats(((E,),), stack, zeros(G), [1], 81)

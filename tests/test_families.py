@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from fpproj import families
 from fpproj.budgets import BudgetError
 from fpproj.families import (
-    Family,
     RandomFamilyConfig,
     audit_family,
     circle_family,
+    family,
     family_from_directions,
     full_family,
     hyperplane_intersection_max,
     inclusion_masks,
     load_family,
     moment_family,
+    sample_random_families,
     sample_random_family,
     save_family,
     size_concentration_report,
@@ -43,6 +44,7 @@ from fpproj.subspaces import (
     grassmannian,
     parse_subspace,
     perp,
+    serialize_subspace,
     span_of_point,
 )
 import oracles
@@ -52,45 +54,52 @@ def amb(p, n):
     return AmbientSpace(p, n)
 
 
-# -- Family type ----------------------------------------------------------
+def same_bases(F, G) -> bool:
+    """Whether two stacks hold one ambient space and equal bases, member by member."""
+    return F.ambient == G.ambient and np.array_equal(F.bases, G.bases)
+
+
+# -- families: sorted stacks of distinct members ------------------------------
 
 
 def test_family_dedups_and_sorts():
     a = amb(3, 2)
     W = span_of_point(FpVector(a, (1, 1)))
     V = span_of_point(FpVector(a, (2, 2)))  # same line
-    G = Family(a, 1, (W, V))
-    assert len(G) == 1
+    G = family(a, 1, (W, V))
+    assert len(G) == 1 and G.distinct() is G
+    assert G.bases.tolist() == [[[1, 1]]]
 
 
 def test_family_rejects_mixed_dimension():
     a = amb(3, 3)
     with pytest.raises(ValueError):
-        Family(a, 1, (enumerate_subspaces(a, 1)[0],))
+        family(a, 1, (enumerate_subspaces(a, 1)[0],))
 
 
 def test_family_rejects_bad_codimension():
-    with pytest.raises(ValueError):
-        Family(amb(3, 3), 3, ())
+    with pytest.raises(ValueError, match=r"codimension m = 3 out of range \[1, 2\]"):
+        family(amb(3, 3), 3, ())
 
 
 def test_family_rejects_stack_of_other_shape():
     a = amb(3, 3)
     with pytest.raises(ValueError):
-        Family(a, 1, grassmannian(a, 1))
+        family(a, 1, grassmannian(a, 1))
     with pytest.raises(ValueError):
-        Family(a, 1, grassmannian(amb(5, 3), 2))
+        family(a, 1, grassmannian(amb(5, 3), 2))
 
 
 def test_membership_by_iteration():
     a = amb(3, 3)
     planes = enumerate_subspaces(a, 2)
-    G = Family(a, 1, planes[::2])
+    G = family(a, 1, planes[::2])
+    assert list(G) == list(planes[::2])
     assert planes[0] in G
     assert planes[1] not in G  # same dimension, not a member
     assert enumerate_subspaces(a, 1)[0] not in G  # another dimension
     assert enumerate_subspaces(amb(5, 3), 2)[0] not in G  # another ambient space
-    assert planes[1] not in Family(a, 1, ())
+    assert planes[1] not in family(a, 1, ())
 
 
 @st.composite
@@ -109,10 +118,12 @@ def test_family_of_shuffled_members_with_repeats(case, data):
     a, m, G = case
     index = st.integers(0, len(G) - 1)
     ms = [G.members[i] for i in data.draw(st.lists(index, max_size=30))]
-    F = Family(a, m, ms)
+    F = family(a, m, ms)
+    assert F.distinct() is F and F.codim == m
     assert F.members == tuple(sorted(set(ms), key=lambda W: W.basis))
     assert len(F) == len(set(ms)) and list(F) == list(F.members)
-    assert F == Family(a, m, reversed(ms)) and hash(F) == hash(Family(a, m, set(ms)))
+    # the order and repeats of the members given do not show in the bases
+    assert same_bases(F, family(a, m, reversed(ms))) and same_bases(F, family(a, m, set(ms)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,14 +131,65 @@ def test_family_of_shuffled_members_with_repeats(case, data):
 def test_family_of_a_grassmannian_subset(case, data):
     a, m, G = case
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(G), max_size=len(G))))
-    F = Family(a, m, G.take(mask))
+    F = family(a, m, G.take(mask))
+    assert F.distinct() is F
     kept = [W for W, keep in zip(G.members, mask) if keep]
-    assert F == Family(a, m, kept)
+    assert same_bases(F, family(a, m, kept))
     assert F.members == tuple(kept)
-    assert Family(a, m, G.take(np.flatnonzero(mask)[::-1])) == F
+    assert same_bases(family(a, m, G.take(np.flatnonzero(mask)[::-1])), F)
     dropped = [W for W, keep in zip(G.members, mask) if not keep]
-    if kept and dropped:  # one member swapped: same size, not equal
-        assert Family(a, m, kept[1:] + dropped[:1]) != F
+    if kept and dropped:  # one member swapped: same size, not the same bases
+        assert not same_bases(family(a, m, kept[1:] + dropped[:1]), F)
+
+
+def is_family(G) -> bool:
+    """Whether G is a stack of distinct members sorted by basis, which distinct() returns as it is."""
+    members = sorted(set(G.members), key=lambda W: W.basis)
+    return isinstance(G, SubspaceStack) and G.distinct() is G and list(G) == members
+
+
+def test_every_family_source_returns_a_sorted_stack_of_distinct_members(tmp_path):
+    a = amb(5, 3)
+    lines = [span_of_point(FpVector(a, c)) for c in ((1, 2, 3), (0, 0, 1), (2, 4, 1), (1, 0, 0))]
+    path = tmp_path / "family.txt"  # unsorted, with a repeated line
+    path.write_text("p=5,n=3,m=2\n" + "\n".join(serialize_subspace(W) for W in lines) + "\n")
+    cfgs = [RandomFamilyConfig(a, 1, Fraction(3, 2), seed) for seed in range(3)]
+    D = PointSet.from_vectors(a, [FpVector(a, c) for c in ((3, 1, 4), (0, 1, 1), (1, 2, 3), (4, 0, 0), (1, 0, 0))])
+    sources = {
+        "full": full_family(a, 1),
+        "family": family(a, 2, lines),
+        "random": sample_random_family(cfgs[0]),
+        **{f"random seed {c.seed}": G for c, G in zip(cfgs, sample_random_families(cfgs))},
+        "directions": family_from_directions(D),
+        "circle": circle_family(5),
+        "moment": moment_family(5, 3),
+        "file": load_family(path),
+    }
+    for name, G in sources.items():
+        assert is_family(G), name
+    assert len(sources["file"]) == len(sources["directions"]) == 3 and sources["full"].codim == 1
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 3, 1), (3, 3, 2), (5, 3, 1), (2, 4, 2), (3, 4, 1)])
+def test_a_stack_with_a_repeated_member_counts_as_its_distinct_members(tmp_path, p, n, m):
+    # G(n, n-m) less its first member, with its last member twice: as wide as
+    # the Grassmannian, it must not take the whole-Grassmannian spread shortcut
+    a = amb(p, n)
+    full = full_family(a, m)
+    stack = full.take(np.r_[1 : len(full), len(full) - 1])
+    G = stack.distinct()
+    assert len(stack) == len(full) and len(G) == len(full) - 1
+    assert is_family(G) and not is_family(stack)
+    sets = [random_point_set(a, size, seed=size) for size in (3, 10)]
+    for spread in (spread_containing, spread_perp):
+        assert spread(stack) == spread(G)
+    for variant in ("contains", "perp"):
+        assert np.array_equal(spread_profile(stack, variant), spread_profile(G, variant))
+    for branch in ("contains", "perp"):
+        assert audit_family(stack, branch, 1, 2, sets) == audit_family(G, branch, 1, 2, sets)
+    save_family(stack, tmp_path / "stack.txt")
+    save_family(G, tmp_path / "family.txt")
+    assert (tmp_path / "stack.txt").read_text() == (tmp_path / "family.txt").read_text()
 
 
 # -- random model -----------------------------------------------------------
@@ -216,7 +278,7 @@ def test_concentration_with_delta_one():
 
 def test_spread_empty_family():
     a = amb(3, 3)
-    G = Family(a, 1, ())
+    G = family(a, 1, ())
     assert spread_containing(G).max_count == 0
     assert spread_perp(G).max_count == 0
 
@@ -257,7 +319,7 @@ def test_spread_shortcut_matches_profile_on_full_grassmannians(p, monkeypatch):
             # one member fewer is no longer the Grassmannian, and is counted
             mask = np.ones(len(G), dtype=bool)
             mask[len(G) // 2] = False
-            H = Family(a, m, G.stack.take(mask))
+            H = family(a, m, G.take(mask))
             for variant, spread in (("contains", spread_containing), ("perp", spread_perp)):
                 counts = spread_profile(H, variant)
                 counts[0] = -1
@@ -275,12 +337,12 @@ def stacked_spread_cases():
         alpha = Fraction(min(m, n - m) + m * (n - m), 2)  # inside the legal range
         yield a, m, [
             full,
-            Family(a, m, ()),
-            Family(a, m, full.stack.take(mask)),
+            family(a, m, ()),
+            family(a, m, full.take(mask)),
             *(sample_random_family(RandomFamilyConfig(a, m, alpha, seed)) for seed in range(4)),
-            Family(a, m, ()),
+            family(a, m, ()),
             full,
-            Family(a, m, full.stack.take(slice(0, 1))),
+            family(a, m, full.take(slice(0, 1))),
         ]
 
 
@@ -292,7 +354,7 @@ def test_stacked_spread_equals_one_family_at_a_time(monkeypatch, table_elements)
     monkeypatch.setattr(families, "TABLE_ELEMENTS", table_elements)
     rng = np.random.default_rng(table_elements)
     for a, m, fams in stacked_spread_cases():
-        bases = np.concatenate([G.stack.bases for G in fams])
+        bases = np.concatenate([G.bases for G in fams])
         order = rng.permutation(len(bases))
         stack = SubspaceStack(a, bases[order])
         members = np.argsort(order)  # stack.bases[members] == bases
@@ -302,7 +364,7 @@ def test_stacked_spread_equals_one_family_at_a_time(monkeypatch, table_elements)
             assert counts.dtype == codes.dtype == np.int64
             for G, count, code in zip(fams, counts.tolist(), codes.tolist()):
                 max_count, witness = spread(G)
-                rows = G.stack.bases if variant == "contains" else G.stack.annihilators
+                rows = G.bases if variant == "contains" else G.annihilators
                 ref_count, ref_code = oracles.spread_by_span_points(a.p, a.n, rows)
                 assert count == max_count == ref_count
                 assert code == (encode(witness) if len(G) else 0)
@@ -311,8 +373,7 @@ def test_stacked_spread_equals_one_family_at_a_time(monkeypatch, table_elements)
 
 def test_stacked_spread_counts_no_whole_grassmannian_and_checks_the_budget(monkeypatch):
     a = amb(5, 3)
-    full = full_family(a, 1)
-    stack = full.stack
+    full = stack = full_family(a, 1)
     with monkeypatch.context() as mp:
         mp.setattr(families, "_spread_tables", None)  # whole Grassmannians and empties are not counted
         counts, codes = stacked_spread(stack, "perp", np.arange(len(full)), [0, 0, len(full), len(full)], budget=1)
@@ -323,7 +384,7 @@ def test_stacked_spread_counts_no_whole_grassmannian_and_checks_the_budget(monke
     with pytest.raises(ValueError, match="variant"):
         stacked_spread(stack, "both", [0, 1, 2], [0, 3])
     # families may share members of the stack
-    three = spread_containing(Family(a, 1, stack.take(slice(0, 3))))
+    three = spread_containing(family(a, 1, stack.take(slice(0, 3))))
     counts, _ = stacked_spread(stack, "contains", [0, 1, 2, 2, 1, 0], [0, 3, 6], budget=125)
     assert counts.tolist() == [three.max_count] * 2
 
@@ -346,7 +407,7 @@ def line_count_cases():
 
 
 def profile_reference(G, variant):
-    rows = G.stack.bases if variant == "contains" else G.stack.annihilators
+    rows = G.bases if variant == "contains" else G.annihilators
     return oracles.spread_profile_by_span_points(G.ambient.p, G.ambient.n, rows)
 
 
@@ -360,8 +421,8 @@ def max_and_witness(profile):
 def test_line_counting_equals_every_span_point(name, G):
     # one point per line of each span gives the profile, count and witness
     # of counting every point of every span
-    fams = (G, Family(G.ambient, G.m, G.stack.take(slice(1, None))))  # the second is counted even for full
-    stack = G.stack
+    fams = (G, family(G.ambient, G.codim, G.take(slice(1, None))))  # the second is counted even for full
+    stack = G
     members = np.r_[np.arange(len(G)), np.arange(1, len(G))]
     edges = [0, len(G), 2 * len(G) - 1]
     for variant in ("contains", "perp"):
@@ -386,8 +447,8 @@ def test_line_counting_of_member_subsets(pn, data):
     G = grassmannian(a, n - m)
     member = st.integers(0, len(G) - 1)
     picks = data.draw(st.lists(st.lists(member, max_size=6, unique=True), min_size=1, max_size=4))
-    fams = [Family(a, m, G.take(np.array(pick, dtype=np.intp))) for pick in picks]
-    stack = SubspaceStack(a, np.concatenate([F.stack.bases for F in fams]))
+    fams = [family(a, m, G.take(np.array(pick, dtype=np.intp))) for pick in picks]
+    stack = SubspaceStack(a, np.concatenate([F.bases for F in fams]))
     edges = np.cumsum([0] + [len(F) for F in fams])
     for variant in ("contains", "perp"):
         counts, codes = stacked_spread(stack, variant, np.arange(len(stack)), edges)
@@ -402,8 +463,8 @@ def test_line_counting_witness_breaks_ties_by_smallest_code():
     # the plane ties at 1, and the witness is the smallest of their codes
     a = amb(5, 3)
     W = Subspace.from_rows(a, [(2, 1, 3), (4, 4, 0)])
-    G = Family(a, 1, [W])
-    plane = np.flatnonzero(oracles.spread_profile_by_span_points(5, 3, G.stack.bases))[1:]
+    G = family(a, 1, [W])
+    plane = np.flatnonzero(oracles.spread_profile_by_span_points(5, 3, G.bases))[1:]
     assert len(plane) == 24
     assert spread_containing(G) == (1, decode(a, int(plane[0])))
     assert np.array_equal(np.flatnonzero(spread_profile(G, "contains"))[1:], plane)
@@ -421,7 +482,7 @@ def test_spread_worked_examples():
 def test_distinct_lines_spread_at_most_one():
     a = amb(5, 3)
     lines = [span_of_point(FpVector(a, c)) for c in [(1, 0, 0), (1, 2, 3), (0, 1, 4)]]
-    G = Family(a, 2, tuple(lines))
+    G = family(a, 2, tuple(lines))
     assert spread_containing(G).max_count <= 1
 
 
@@ -451,8 +512,8 @@ def test_family_from_directions_matches_per_point_lines(p, n, data):
     vectors = [decode(a, c) for c in codes]
     vectors += [x.scale(k) for x, k in zip(vectors, scales)] + vectors[:3]
     D = PointSet.from_vectors(a, vectors)
-    expected = Family(a, n - 1, {span_of_point(x) for x in D.points()})
-    assert family_from_directions(D) == expected
+    expected = family(a, n - 1, {span_of_point(x) for x in D.points()})
+    assert same_bases(family_from_directions(D), expected)
 
 
 def test_family_from_directions_rejects_zero():
@@ -527,7 +588,7 @@ def test_hyperplane_intersection_containment_case():
 
 def test_audit_empty_family_vacuous():
     a = amb(3, 3)
-    G = Family(a, 1, ())
+    G = family(a, 1, ())
     audit = audit_family(G, "perp", beta=2, C=4)
     assert audit.passed
 
@@ -556,7 +617,7 @@ def test_audit_can_fail():
     a = amb(3, 3)
     xi = FpVector(a, (1, 0, 0))
     members = tuple(W for W in enumerate_subspaces(a, 2) if contains(W, xi))
-    G = Family(a, 1, members)
+    G = family(a, 1, members)
     audit = audit_family(G, "contains", beta=1, C=1)
     assert audit.spread.max_count == len(G)
     assert not audit.spread_ok
@@ -570,8 +631,8 @@ def test_family_file_round_trip(tmp_path):
     path = tmp_path / "family.txt"
     save_family(G, path)
     loaded = load_family(path)
-    assert loaded == G
-    assert load_family(path, ambient=G.ambient, m=2) == G
+    assert same_bases(loaded, G) and loaded.codim == G.codim == 2
+    assert same_bases(load_family(path, ambient=G.ambient, m=2), G)
 
 
 def test_family_file_equals_its_lines_parsed_one_by_one(tmp_path, monkeypatch):
@@ -595,7 +656,7 @@ def test_family_file_equals_its_lines_parsed_one_by_one(tmp_path, monkeypatch):
     monkeypatch.setattr(families, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
     loaded = load_family(path)
     assert len(calls) == 1  # one elimination for the whole file
-    assert loaded == Family(a, 2, [parse_subspace(a, line) for line in lines if line.strip()])
+    assert same_bases(loaded, family(a, 2, [parse_subspace(a, line) for line in lines if line.strip()]))
     assert list(loaded) == sorted(members, key=lambda W: W.basis)
     path.write_text("p=5,n=4,m=2\n\n")
     assert len(load_family(path)) == 0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,6 +326,33 @@ def test_a_coordinate_is_ascii_digits_as_in_a_file_header():
     for text in ("1_0,\u0663", "1_0,3", "10,\u0663"):
         with pytest.raises(ValueError, match="invalid literal for int"):
             parse_point(a, text)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda a: FpVector.unit(a, -1), r"unit vector index i = -1 out of range \[0, 2\]"),
+        (lambda a: FpVector.unit(a, 3), r"unit vector index i = 3 out of range \[0, 2\]"),
+        (lambda a: FpVector(a, (1.7, 0, 0)), "coordinates must be integers"),
+        (lambda a: FpVector(a, (1.0, 0, 0)), "coordinates must be integers"),
+        (lambda a: FpVector(a, ("1", 0, 0)), "coordinates must be integers"),
+        (lambda a: FpVector(a, (np.float64(2), 0, 0)), "coordinates must be integers"),
+    ],
+    ids=["unit-negative", "unit-past-n", "float", "integral-float", "string", "numpy-float"],
+)
+def test_a_vector_refuses_an_index_or_coordinate_it_used_to_bend(make, message):
+    # unit(a, -1) was (0, 0, 1) and (1.7, 0, 0) was truncated to (1, 0, 0); a
+    # ValueError is what the command line reports with exit code 2
+    with pytest.raises(ValueError, match=message):
+        make(AmbientSpace(3, 3))
+
+
+def test_a_vector_takes_python_and_numpy_integers():
+    a = AmbientSpace(5, 3)
+    v = FpVector(a, (np.int64(6), np.int32(-4), np.uint8(0)))
+    assert v.coords == (1, 1, 0) and all(type(c) is int for c in v.coords)
+    assert FpVector(a, (True, False, 7)).coords == (1, 0, 2)
+    assert [FpVector.unit(a, i).coords for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_integer_constructors_still_reduce_mod_p():

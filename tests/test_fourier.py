@@ -125,6 +125,28 @@ def test_coset_energy_spectral_refuses_a_subspace_of_another_space():
         coset_energy_spectral(E, W)
 
 
+def test_a_spectral_table_of_another_space_is_refused():
+    # the transform of the same codes in F_3^3, read as E's, gave a defect
+    # of 54.0, a spectral side of 5.0 and a passing identity
+    a = amb(3, 2)
+    E = PointSet.from_codes(a, [1, 4, 5])
+    W = span_of_point(FpVector(a, (1, 1)))
+    table = dft(PointSet.from_codes(amb(3, 3), [1, 4, 5]))
+    mismatch = r"ambient mismatch: AmbientSpace\(p=3, n=2\) vs AmbientSpace\(p=3, n=3\)"
+    with pytest.raises(ValueError, match=mismatch):
+        plancherel_defect(E, table)
+    with pytest.raises(ValueError, match=mismatch):
+        coset_energy_spectral(E, W, table)
+    with pytest.raises(ValueError, match=mismatch):
+        verify_coset_identities((E,), (W,), tables=(table,))
+    with pytest.raises(ValueError, match=mismatch):
+        verify_coset_identity(E, W, table=table)
+    own = dft(E)
+    assert plancherel_defect(E, own) == plancherel_defect(E)
+    assert coset_energy_spectral(E, W, own) == coset_energy_spectral(E, W)
+    assert verify_coset_identities((E,), (W,), tables=(own,)).passed.tolist() == [[True]]
+
+
 def test_coset_energy_full_space():
     a = amb(3, 3)
     for m in (1, 2):

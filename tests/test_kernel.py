@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 import fpproj.projection
 import fpproj.subspaces
 from fpproj.families import (
-    Family,
     RandomFamilyConfig,
+    family,
     full_family,
     hyperplane_intersection_max,
     sample_random_family,
@@ -109,7 +109,7 @@ def test_stats_match_per_member_path_and_oracle(case, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
         sizes, energies = family_projection_stats(E, members)
-        G = Family(ambient, m, members)
+        G = family(ambient, m, members)
         family_sizes, family_energies = family_projection_stats(E, G)
     expected = per_member_stats(E, members)
     assert (sizes.tolist(), energies.tolist()) == expected
@@ -135,7 +135,7 @@ def test_energy_and_incidences_match_per_member_sums(case, chunk):
 @given(instances(), st.sampled_from(CHUNKS))
 def test_spread_profile_matches_member_loop(case, chunk):
     ambient, m, members, _ = case
-    G = Family(ambient, m, members)
+    G = family(ambient, m, members)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", chunk)
         for variant in ("contains", "perp"):
@@ -185,7 +185,7 @@ def test_sampling_builds_no_grassmannian_annihilators():
     G = grassmannian(a, 2)
     sample = sample_random_family(RandomFamilyConfig(a, 2, Fraction(5, 2), seed=1))
     family_projection_stats(random_point_set(a, 9, seed=2), sample)
-    assert "annihilators" in vars(sample.stack)
+    assert "annihilators" in vars(sample)
     assert "annihilators" not in vars(G)
 
 
@@ -203,7 +203,7 @@ def test_family_larger_than_one_chunk(monkeypatch, size):
     G = full_family(a, 2)
     E = random_point_set(a, size, seed=3)
     monkeypatch.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", 2)
-    assert len(member_chunks(len(G), max(1, size * G.m))) > 1
+    assert len(member_chunks(len(G), max(1, size * G.codim))) > 1
     sizes, energies = family_projection_stats(E, G)
     assert (sizes.tolist(), energies.tolist()) == per_member_stats(E, G.members)
     if size <= 1:
@@ -465,8 +465,8 @@ def test_kernel_memory_does_not_grow_with_the_family(monkeypatch, route):
     sets = [random_point_set(a, 30, seed=1), random_point_set(a, 20, seed=2)]
     peaks = []
     for K in (200, 800):
-        G = Family(a, 2, grassmannian(a, 2).take(np.arange(K)))
-        G.stack.annihilators  # held by the family, not the kernel
+        G = family(a, 2, grassmannian(a, 2).take(np.arange(K)))
+        G.annihilators  # held by the family, not the kernel
         tracemalloc.start()
         try:
             sizes, energies = battery_projection_stats(sets, G)
@@ -588,7 +588,7 @@ def test_stacked_peak_does_not_grow_with_the_batteries(monkeypatch):
     monkeypatch.setattr(fpproj.subspaces, "CHUNK_ELEMENTS", CHUNK_ELEMENTS)
     a = AmbientSpace(7, 3)
     G = full_family(a, 1)
-    G.stack.annihilators  # held by the family, not the kernel
+    G.annihilators  # held by the family, not the kernel
     sizes = [2, 5, 12, 30, 70, 150, 300, 7, 49, 37]  # a standard battery's sizes
     batteries = [random_point_sets(a, sizes, range(10 * b, 10 * b + 10)) for b in range(20)]
     peaks = []

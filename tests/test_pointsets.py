@@ -41,6 +41,20 @@ def test_from_codes_rejects_out_of_range():
         PointSet.from_codes(amb(3, 2), [9])
 
 
+def test_a_point_of_another_space_is_refused_not_re_encoded():
+    # (2, 2) of F_3^2 has code 8, which in F_5^2 is the point (3, 1)
+    x = FpVector(amb(3, 2), (2, 2))
+    mismatch = r"ambient mismatch: AmbientSpace\(p=5, n=2\) vs AmbientSpace\(p=3, n=2\)"
+    with pytest.raises(ValueError, match=mismatch):
+        PointSet.from_vectors(amb(5, 2), [FpVector(amb(5, 2), (3, 1)), x])
+    with pytest.raises(ValueError, match=mismatch):
+        x in PointSet.from_codes(amb(5, 2), [8])
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        FpVector(amb(3, 3), (2, 2, 0)) in PointSet.from_codes(amb(3, 2), [8])
+    assert PointSet.from_vectors(amb(3, 2), [x, x]).codes.tolist() == [8]
+    assert x in PointSet.from_codes(amb(3, 2), [8])
+
+
 def test_size_is_counted_once_and_matches_codes():
     a = AmbientSpace(3, 3)
     for E in (PointSet.empty(a), PointSet.full(a), random_point_set(a, 11, seed=4)):

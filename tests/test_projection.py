@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fpproj.families import Family, full_family
+from fpproj.families import family, full_family
 from fpproj.field import AmbientSpace, FpVector, encode
 from fpproj.pointsets import PointSet, affine_flat_set, random_point_set
 from fpproj.projection import (
@@ -123,13 +123,13 @@ def test_energy_matches_brute_force():
 
 def test_family_energy_singleton_matches_energy():
     a, E, W = three_point_set()
-    G = Family(a, 1, (W,))
+    G = family(a, 1, (W,))
     assert family_coset_energy(E, G) == energy(E, enumerate_cosets(W)) == 5
 
 
 def test_family_energy_empty_set():
     a, _, W = three_point_set()
-    assert family_coset_energy(PointSet.empty(a), Family(a, 1, (W,))) == 0
+    assert family_coset_energy(PointSet.empty(a), family(a, 1, (W,))) == 0
 
 
 def test_family_energy_rejects_mixed_dimensions():
@@ -142,7 +142,7 @@ def test_family_energy_rejects_mixed_dimensions():
 
 def test_incidence_decomposition_worked_example():
     a, E, W = three_point_set()
-    G = Family(a, 1, (W,))
+    G = family(a, 1, (W,))
     I, P2 = incidence_decomposition(E, G)
     assert (I, P2) == (3, 2)
     assert I + P2 == family_coset_energy(E, G) == 5
