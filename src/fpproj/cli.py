@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None, help="CSV path (overrides config output)")
     sp.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+        "--jobs", type=int, choices=(1,), default=1, metavar="JOBS", help="only 1: cells run one after another"
     )
     add_budgets(sp, *budgets)
     sp.set_defaults(func=cmd_sweep)

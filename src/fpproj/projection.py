@@ -71,19 +71,25 @@ def fiber_counts(E: PointSet, W: Subspace) -> np.ndarray:
 
 
 def energy(E: PointSet, planes: Iterable[CosetLabel]) -> int:
-    """Sum over the listed cosets of |E ∩ coset|^2 (exact integer)."""
-    planes = list(planes)
+    """Sum over the listed cosets of |E ∩ coset|^2 (exact integer).
+
+    Every label must name a coset: its representative is a code in
+    [0, p^n) that is the smallest code of its own coset.
+    """
     by_subspace: dict[Subspace, list[int]] = {}
     for label in planes:
         by_subspace.setdefault(label.subspace, []).append(label.representative)
     total = 0
     for W, reps in by_subspace.items():
-        codes = image_codes(E, W) if E.size else np.empty(0, dtype=np.int64)
-        hit, counts = np.unique(codes, return_counts=True)
+        hit, counts = np.unique(image_codes(E, W), return_counts=True)
+        wrong = [rep for rep in reps if not 0 <= rep < W.ambient.point_count]
+        if not wrong:
+            own = reduce_points(W, decode_array(W.ambient, np.array(reps, dtype=np.int64))).tolist()
+            wrong = [rep for rep, code in zip(reps, own) if rep != code]
+        if wrong:
+            raise ValueError(f"representative {wrong[0]} names no coset of {W}")
         lookup = dict(zip(hit.tolist(), counts.tolist()))
-        for rep in reps:
-            c = lookup.get(rep, 0)
-            total += c * c
+        total += sum(lookup.get(rep, 0) ** 2 for rep in reps)
     return total
 
 
@@ -383,10 +389,10 @@ def census_stats(batteries, G, battery_of, thresholds, budget=DEFAULT_POINT_BUDG
     The route follows from the sizes alone.  When the ambient space has
     fewer lines through 0 than the stack has members per battery
     (L * B < K, L = (p^n - 1)/(p - 1)) and its p^n points fit the
-    budget, every energy comes from line_energies of every set, and only
-    the members that Cauchy-Schwarz leaves open are fiber-counted
-    (_line_census_stats); otherwise the kernel, which allocates no p^n
-    table, counts every pair.
+    budget, every energy is a sum of line_energies gathered over the
+    lines of Per(W), and only the members that Cauchy-Schwarz leaves
+    open are fiber-counted (_line_census_stats); otherwise the kernel,
+    which allocates no p^n table, counts every pair.
     """
     batteries, stack, battery_of = _battery_args(batteries, G, battery_of)
     p, n = stack.ambient.p, stack.ambient.n
@@ -404,7 +410,9 @@ def _line_census_stats(batteries, stack, battery_of, thresholds, budget):
     gives the member's energy in integers:
         p^m energy_W(E) = |E|^2 + sum over lines l of Per(W) of (p E_l - |E|^2).
     stacked_span_codes(lines=True) lists each line of Per(W) by its
-    smallest code, the key of line_energies.
+    smallest code, the key of line_energies; one gather per chunk reads
+    every set's E_l there, S times the chunk's codes (at most
+    CHUNK_ELEMENTS / n, or one member's), so it grows with S, not K.
 
     Cauchy-Schwarz, |pi_W(E)| energy_W(E) >= |E|^2, means a member with
     an image of at most N* cosets has |E|^2 <= N* energy: only such a
@@ -421,11 +429,7 @@ def _line_census_stats(batteries, stack, battery_of, thresholds, budget):
     table = line_energies(sets, ambient, budget)
     energies = np.empty((S, K), dtype=np.int64)  # E_l summed over the lines of Per(W), until below
     for part, lines in stacked_span_codes(ambient, stack.annihilators, lines=True):
-        present = np.flatnonzero(np.bincount(battery_of[part]))
-        for b in present.tolist():
-            mine = battery_of[part] == b if len(present) > 1 else slice(None)
-            for s in range(S):
-                energies[s, part][mine] = table[b * S + s, lines[mine]].sum(axis=1)
+        energies[:, part] = table[battery_of[part, None] * S + np.arange(S)[:, None, None], lines].sum(axis=2)
     # N* per set: the largest threshold below min(|E|, p^m), or -1 when there is none
     caps = np.minimum(e, q)
     below = np.array(sorted({-1, *(max(N, -1) for N in map(int, thresholds) if N < q)}), dtype=np.int64)
@@ -446,56 +450,6 @@ def _line_census_stats(batteries, stack, battery_of, thresholds, budget):
             )
             sizes[s, members] = counted[0]
     return sizes, energies
-
-
-def exceptional_census(sizes, energies, thresholds, edges=None) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and theta-energies of the members with image size <= N.
-
-    sizes and energies are the (S, K) stats of S sets against K members,
-    thresholds are T nonnegative integers in any order.  edges, C + 1
-    nondecreasing offsets from 0 to K, split the members into C cells
-    along K, each counted on its own; None is the one cell (0, K).
-    Returns two (S, C * T) int64 arrays, column c * T + t for cell c at
-    thresholds[t]: how many members W of the cell have |pi_W(E_s)| <= N,
-    and the energy of E_s summed over those members.  No row is sorted:
-    with the U distinct cuts c_0 < ... < c_(U-1), bin j of a cell holds
-    its members with c_(j-1) < size <= c_j (bin U those above every
-    cut), so a running sum over the cell's U + 1 bins counts the members
-    at or below each cut.  One bincount gives the counts and one add.at
-    the energies; the rows are taken one at a time, so no temporary is
-    (S, K).
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    energies = np.asarray(energies, dtype=np.int64)
-    if sizes.ndim != 2 or sizes.shape != energies.shape:
-        raise ValueError(f"stats of shapes {sizes.shape} and {energies.shape}; need one (S, K)")
-    thresholds = [int(N) for N in thresholds]
-    if any(N < 0 for N in thresholds):
-        raise ValueError("threshold N must be nonnegative")
-    S, K = sizes.shape
-    edges = np.array((0, K) if edges is None else edges, dtype=np.int64)
-    widths = np.diff(edges)
-    if edges.ndim != 1 or edges.size < 2 or edges[0] != 0 or edges[-1] != K or np.any(widths < 0):
-        raise ValueError(f"cell edges must rise from 0 to {K}")
-    if sizes.size and int(sizes.min()) < 0:
-        raise ValueError("image sizes are nonnegative")
-    if energies.size and int(energies.max()) > (2**63 - 1) // K:
-        raise ValueError("summed energies exceed the exact int64 range")
-    # a cut at or above every size counts every member, so each is clipped there and fits in int64
-    top = int(sizes.max()) if sizes.size else 0
-    cuts, column = np.unique(np.array([min(N, top) for N in thresholds], dtype=np.int64), return_inverse=True)
-    U, cells = cuts.size, widths.size
-    bins = cells * (U + 1)
-    cell_bins = np.repeat(np.arange(0, bins, U + 1, dtype=np.int64), widths)
-    counts = np.empty((S, bins), dtype=np.int64)
-    theta = np.zeros((S, bins), dtype=np.int64)
-    for s in range(S):
-        keys = cell_bins + np.searchsorted(cuts, sizes[s])  # how many cuts lie below the size
-        counts[s] = np.bincount(keys, minlength=bins)
-        np.add.at(theta[s], keys, energies[s])
-    # bins 0..j of a cell hold its members with size <= c_j
-    running = (np.cumsum(a.reshape(S, cells, U + 1), axis=2) for a in (counts, theta))
-    return tuple(a[..., column].reshape(S, cells * len(thresholds)) for a in running)
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,39 +494,69 @@ class Census:
 
 
 def stacked_census(batteries, edges, m: int, sizes, energies, thresholds, C=None) -> Census:
-    """The (C, S, T) census of every cell of a stack, from one exceptional_census call.
+    """The (C, S, T) census of every cell of a stack.
 
-    Cell c is the family of columns edges[c]:edges[c + 1] of the (S, K)
-    stats (None: all K columns are one cell) against batteries[c], its S
-    nonempty sets.  The bound |G| N (1/|E| + p^-m) of a cell is kept
-    as the integers |G| N (p^m + |E|) and |E| p^m in lowest terms, with
-    |G| the cell's column count; ratio <= C is decided by
-    cross-multiplying, and the float ratio is the correctly rounded
-    quotient of two integers, which equals float(Fraction(count) / bound).
-    A zero bound (N = 0, or no member) has ratio 0.  Every column is one
-    array expression over all cells, on object arrays of Python integers.
+    sizes and energies are the (S, K) stats of S sets against K members,
+    thresholds T nonnegative integers in any order.  Cell c is the
+    family of columns edges[c]:edges[c + 1] (None: all K columns are one
+    cell) against batteries[c], its S nonempty sets.  No row is sorted:
+    with the U distinct cuts c_0 < ... < c_(U-1), bin j of a cell holds
+    its members with c_(j-1) < size <= c_j, so a running sum over the
+    cell's U + 1 bins counts the members at or below each cut, and theta
+    sums their energies.  One bincount and one add.at per row fill the
+    bins, so no temporary is (S, K).  The bound |G| N (1/|E| + p^-m) is
+    kept as |G| N (p^m + |E|) over |E| p^m in lowest terms, |G| the
+    cell's column count; ratio <= C is decided by cross-multiplying, and
+    the float ratio is the correctly rounded quotient of two integers,
+    which equals float(Fraction(count) / bound).  A zero bound (N = 0,
+    or no member) has ratio 0.  Every column is one array expression
+    over all cells, on object arrays of Python integers.
     """
     batteries = tuple(map(tuple, batteries))
     if any(E.size == 0 for sets in batteries for E in sets):
         raise ValueError("exceptional counts need a nonempty set (bound uses 1/|E|)")
-    widths = [np.shape(sizes)[1]] if edges is None else np.diff(edges).tolist()
-    if len(widths) != len(batteries):
-        raise ValueError(f"{len(batteries)} batteries for {len(widths)} cells")
+    sizes, energies = (np.asarray(a, dtype=np.int64) for a in (sizes, energies))
+    if sizes.ndim != 2 or sizes.shape != energies.shape:
+        raise ValueError(f"stats of shapes {sizes.shape} and {energies.shape}; need one (S, K)")
     thresholds = tuple(int(N) for N in thresholds)
-    counts, theta = exceptional_census(sizes, energies, thresholds, edges)
-    S, cells, T = len(counts), len(widths), len(thresholds)
+    if any(N < 0 for N in thresholds):
+        raise ValueError("threshold N must be nonnegative")
+    S, K = sizes.shape
+    edges = np.array((0, K) if edges is None else edges, dtype=np.int64)
+    widths = np.diff(edges)
+    if edges.ndim != 1 or edges.size < 2 or edges[0] != 0 or edges[-1] != K or np.any(widths < 0):
+        raise ValueError(f"cell edges must rise from 0 to {K}")
+    if sizes.size and int(sizes.min()) < 0:
+        raise ValueError("image sizes are nonnegative")
+    if energies.size and int(energies.max()) > (2**63 - 1) // K:
+        raise ValueError("summed energies exceed the exact int64 range")
+    cells = widths.size
+    if len(batteries) != cells:
+        raise ValueError(f"{len(batteries)} batteries for {cells} cells")
     if any(len(sets) != S for sets in batteries):
         raise ValueError(f"batteries of {sorted({len(sets) for sets in batteries})} sets for {S} rows")
-    counts = counts.reshape(S, cells, T).transpose(1, 0, 2)
-    theta = theta.reshape(S, cells, T).transpose(1, 0, 2)
-    set_sizes = [[E.size for E in sets] for sets in batteries]
+    # a cut at or above every size counts every member, so each is clipped there and fits in int64
+    top = int(sizes.max()) if sizes.size else 0
+    cuts, column = np.unique(np.array([min(N, top) for N in thresholds], dtype=np.int64), return_inverse=True)
+    U = cuts.size
+    bins = cells * (U + 1)
+    cell_bins = np.repeat(np.arange(0, bins, U + 1, dtype=np.int64), widths)
+    count = np.empty((cells, S, U + 1), dtype=np.int64)
+    theta = np.empty((cells, S, U + 1), dtype=np.int64)
+    for s in range(S):
+        keys = cell_bins + np.searchsorted(cuts, sizes[s])  # how many cuts lie below the size
+        count[:, s] = np.bincount(keys, minlength=bins).reshape(cells, U + 1)
+        row = np.zeros(bins, dtype=np.int64)
+        np.add.at(row, keys, energies[s])
+        theta[:, s] = row.reshape(cells, U + 1)
+    # bins 0..j of a cell hold its members with size <= c_j
+    count, theta = (np.cumsum(a, axis=2)[..., column].astype(object) for a in (count, theta))
     q = batteries[0][0].ambient.p ** m if S else 1
     C = None if C is None else Fraction(C)
-    K = np.array(widths, dtype=object).reshape(cells, 1, 1)
-    e = np.array(set_sizes, dtype=object).reshape(cells, S, 1)
+    G = np.array(widths.tolist(), dtype=object).reshape(cells, 1, 1)
+    e = np.array([[E.size for E in sets] for sets in batteries], dtype=object).reshape(cells, S, 1)
     N = np.array(thresholds, dtype=object)
-    count, theta = counts.astype(object), theta.astype(object)
-    num = K * N * (q + e)
+    num = G * N * (q + e)
     den = np.broadcast_to(e * q, num.shape)
     g = np.gcd(num, den)
     num, den = num // g, den // g

@@ -252,7 +252,8 @@ class SubspaceStack:
     """K subspaces of one dimension k as int64 arrays.
 
     bases is (K, k, n) with each member's canonical RREF basis (read
-    only).  annihilators, built on first use, is (K, n-k, n) with a
+    only); two stacks are equal when their ambient spaces and bases
+    are, shape included, and a stack is not hashable.  annihilators, built on first use, is (K, n-k, n) with a
     basis of each member's Per(W): two points lie in one coset of W iff
     they have equal dot products with every annihilator row, so these
     rows label cosets.  Every matrix product against the stacks sums n
@@ -287,6 +288,13 @@ class SubspaceStack:
                 raise ValueError(f"member of dimension {W.dim} in a stack of dimension {dim}")
         bases = np.array([W.basis for W in members], dtype=np.int64)
         return cls(ambient, bases.reshape(len(members), dim, ambient.n))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubspaceStack):
+            return NotImplemented
+        return self.ambient == other.ambient and np.array_equal(self.bases, other.bases)
+
+    __hash__ = None
 
     def __len__(self) -> int:
         return self.bases.shape[0]

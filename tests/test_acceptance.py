@@ -399,6 +399,22 @@ def test_a_criterion_failing_in_the_child_raises_and_leaves_no_process(monkeypat
 
 
 @pytest.mark.skipif(not FORKS, reason="pass 2 runs in a forked child only with two CPUs and one thread")
+def test_a_child_ending_before_it_sends_raises_and_leaves_no_process(monkeypatch):
+    parent, affinity = os.getpid(), os.sched_getaffinity(0)
+
+    def dies_in_the_child():
+        if os.getpid() != parent:
+            os._exit(3)  # no traceback and no payload: the pipe just closes
+        return 0
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (_fake_criterion(1, dies_in_the_child),))
+    with pytest.raises(RuntimeError, match=r"forked process \(exit 3\)"):
+        acceptance.run_suite()
+    assert _no_process_left()
+    assert os.sched_getaffinity(0) == affinity
+
+
+@pytest.mark.skipif(not FORKS, reason="pass 2 runs in a forked child only with two CPUs and one thread")
 def test_an_interrupt_in_the_parent_kills_the_child_and_reaps_it(monkeypatch):
     parent, affinity = os.getpid(), os.sched_getaffinity(0)
 

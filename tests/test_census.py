@@ -1,9 +1,10 @@
 """The exceptional census over arrays against the per-row reference.
 
-exceptional_census and the columnar census (stacked_census) count,
-for every (set, N) cell at once, the members whose projection of a set
-has at most N cosets.  Each test here recomputes
-the cells one at a time with tests/oracles.py's
+The columnar census (stacked_census) validates the (S, K) stats, bins
+them by threshold and bounds every (cell, set, N) at once: the members
+whose projection of a set has at most N cosets, and their summed
+energy theta, read back as pairs_rhs = theta N.  Each test here
+recomputes the cells one at a time with tests/oracles.py's
 exceptional_report_from_stats, which is how the library built every
 census row (with Fractions) before, or with its per-cell census loop
 (oracles.stacked_census_cells).  A census is read as tuples zipped
@@ -29,7 +30,6 @@ from fpproj.projection import (
     Census,
     battery_projection_stats,
     exceptional_bound_check,
-    exceptional_census,
     exceptional_count,
     exceptional_report_from_stats,
     explicit_bound_from_sizes,
@@ -82,24 +82,18 @@ def reference_cells(p, m, sets, sizes, energies, thresholds):
 
 def assert_census_matches_reference(p, m, sets, sizes, energies, thresholds):
     S, T = len(sets), len(thresholds)
-    counts, theta = exceptional_census(
-        np.array(sizes, dtype=np.int64).reshape(S, -1),
-        np.array(energies, dtype=np.int64).reshape(S, -1),
-        thresholds,
-    )
     stats = np.array(sizes).reshape(S, -1), np.array(energies).reshape(S, -1)
     reference = reference_cells(p, m, sets, sizes, energies, thresholds)
-    assert counts.shape == theta.shape == (S, T)
-    assert counts.dtype == theta.dtype == np.int64
     for C in (None, *RATIO_CONSTANTS):
-        census = oracles.census_tuples(stacked_census((sets,), None, m, *stats, thresholds, C)[0])
+        columns = stacked_census((sets,), None, m, *stats, thresholds, C)[0]
+        assert columns.count.shape == columns.pairs_rhs.shape == (S, T)
+        census = oracles.census_tuples(columns)
         assert len(census) == S
         for s, (row, ref_row) in enumerate(zip(census, reference)):
             assert len(row) == T
             for t, (cell, (count, theta_ref, bound, ratio, pairs_ok)) in enumerate(zip(row, ref_row)):
                 N, cell_count, num, den, cell_ratio, within, lhs, rhs, ok = cell
-                assert counts[s, t] == count == cell_count and type(cell_count) is int
-                assert theta[s, t] == theta_ref
+                assert cell_count == count and type(cell_count) is int
                 assert N == thresholds[t] and type(N) is int
                 assert type(num) is type(den) is int
                 assert Fraction(num, den) == bound
@@ -180,14 +174,9 @@ def test_stacked_census_equals_one_census_per_cell(case):
     edges = np.cumsum([0] + [s.shape[1] for s, _ in blocks])
     all_sizes = np.hstack([s for s, _ in blocks])
     all_energies = np.hstack([e for _, e in blocks])
-    counts, theta = exceptional_census(all_sizes, all_energies, thresholds, edges)
-    per_cell = [exceptional_census(s, e, thresholds) for s, e in blocks]
-    assert counts.shape == theta.shape == (S, len(blocks) * len(thresholds))
-    assert np.array_equal(counts, np.hstack([c for c, _ in per_cell]).reshape(counts.shape))
-    assert np.array_equal(theta, np.hstack([t for _, t in per_cell]).reshape(theta.shape))
     for C in (None, *RATIO_CONSTANTS):
         stacked = stacked_census(batteries, edges, m, all_sizes, all_energies, thresholds, C)
-        assert stacked.count.shape == (len(blocks), S, len(thresholds))
+        assert stacked.count.shape == stacked.pairs_rhs.shape == (len(blocks), S, len(thresholds))
         for c, (sets, (s, e)) in enumerate(zip(batteries, blocks)):
             one = stacked_census((sets,), None, m, s, e, thresholds, C)[0]
             assert_same_columns(stacked[c], one)
@@ -274,14 +263,14 @@ def test_stacked_census_rejects_bad_cells():
     sets = point_sets(3, [4, 2])
     sizes = np.array([[1, 2, 3], [1, 1, 2]])
     for edges in ([1, 3], [0, 2], [0, 2, 1, 3], [0], [[0, 3]]):
-        with pytest.raises(ValueError, match="edges"):
-            exceptional_census(sizes, sizes, [1], edges)
+        with pytest.raises(ValueError, match="cell edges must rise from 0 to 3"):
+            stacked_census([sets], edges, 1, sizes, sizes, [1])
     with pytest.raises(ValueError, match="cells"):
         stacked_census([sets], [0, 1, 3], 1, sizes, sizes, [1])
     with pytest.raises(ValueError, match="sets for 2 rows"):
         stacked_census([sets, sets[:1]], [0, 1, 3], 1, sizes, sizes, [1])
-    with pytest.raises(ValueError, match="nonnegative"):
-        exceptional_census(-sizes, sizes, [1], [0, 1, 3])
+    with pytest.raises(ValueError, match="image sizes are nonnegative"):
+        stacked_census([sets, sets], [0, 1, 3], 1, -sizes, sizes, [1])
 
 
 def test_census_of_kernel_stats_matches_reference():
@@ -321,9 +310,10 @@ def test_census_theta_beyond_2_to_the_53_is_exact():
     sizes = [[5, 1, 5, 3, 2], [1, 2, 2, 1, 0]]
     energies = [[2**53 + 1, 7, 2**54 + 1, 0, 5], [4, 2**60 + 1, 9, 2**55 + 1, 3]]
     thresholds = [5, 2, 0, 1, 10**20]
-    _, theta = exceptional_census(sizes, energies, thresholds)
+    rhs = stacked_census((sets,), None, 2, sizes, energies, thresholds)[0].pairs_rhs
     every = [3 * 2**53 + 14, 2**60 + 2**55 + 18]
-    assert theta.tolist() == [[every[0], 12, 0, 7, every[0]], [every[1], every[1], 3, 2**55 + 8, every[1]]]
+    theta = [[every[0], 12, 0, 7, every[0]], [every[1], every[1], 3, 2**55 + 8, every[1]]]
+    assert rhs.tolist() == [[t * N for t, N in zip(row, thresholds)] for row in theta]
     assert_census_matches_reference(3, 2, sets, sizes, energies, thresholds)
 
 
@@ -346,12 +336,12 @@ def test_census_rejects_empty_sets_and_negative_thresholds():
         stacked_census(([E, empty],), None, 1, np.vstack([sizes, sizes]), np.vstack([sizes, sizes]), [1])
     with pytest.raises(ValueError, match="nonempty"):
         exceptional_report_from_stats(empty, 1, sizes[0], sizes[0], 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        exceptional_census(sizes, sizes, [1, -1])
-    with pytest.raises(ValueError, match="shapes"):
-        exceptional_census(sizes, sizes[:, :1], [1])
-    with pytest.raises(ValueError, match="int64"):
-        exceptional_census(np.ones((1, 4), dtype=np.int64), np.full((1, 4), 2**62), [1])
+    with pytest.raises(ValueError, match="threshold N must be nonnegative"):
+        stacked_census(([E],), None, 1, sizes, sizes, [1, -1])
+    with pytest.raises(ValueError, match=r"stats of shapes \(1, 2\) and \(1, 1\); need one \(S, K\)"):
+        stacked_census(([E],), None, 1, sizes, sizes[:, :1], [1])
+    with pytest.raises(ValueError, match="summed energies exceed the exact int64 range"):
+        stacked_census(([E],), None, 1, np.ones((1, 4), dtype=np.int64), np.full((1, 4), 2**62), [1])
 
 
 def test_exceptional_count_is_a_census_cell():

@@ -369,8 +369,21 @@ def test_sweep_is_byte_deterministic_and_parallel_safe(tmp_path):
     a, b, c = (tmp_path / x for x in ("a.csv", "b.csv", "c.csv"))
     assert run("sweep", "--config", str(cfg), "--out", str(a)) == 0
     assert run("sweep", "--config", str(cfg), "--out", str(b)) == 0
-    assert run("sweep", "--config", str(cfg), "--out", str(c), "--jobs", "4") == 0
+    assert run("sweep", "--config", str(cfg), "--out", str(c), "--jobs", "1") == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["4", "-5", "0", "2"])
+def test_sweep_refuses_any_jobs_but_one(tmp_path, capsys, jobs):
+    # cells run one after another, so a --jobs other than 1 would be ignored
+    cfg = write_config(tmp_path)
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --jobs: invalid choice" in err and jobs in err
+    assert not out.exists()
 
 
 def test_sweep_empty_sets_gives_header_only(tmp_path):

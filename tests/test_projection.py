@@ -15,6 +15,7 @@ from fpproj.projection import (
     project,
 )
 from fpproj.subspaces import (
+    CosetLabel,
     Subspace,
     enumerate_cosets,
     enumerate_subspaces,
@@ -116,6 +117,22 @@ def test_energy_matches_brute_force():
     for W in enumerate_subspaces(a, 2):
         expected = brute_energy_over_cosets(pts, span_set(W.basis, 3, 3), 3, 3)
         assert energy(E, enumerate_cosets(W)) == expected
+
+
+def test_energy_refuses_a_label_that_names_no_coset():
+    # W = span((0,0,1)) in F_3^3: codes 8 = (2,2,0) and 17 = (2,2,1) share the coset named 8
+    a = amb(3, 3)
+    W = Subspace(a, ((0, 0, 1),))
+    E = PointSet.from_codes(a, [8, 17])
+    assert energy(E, [CosetLabel(W, 8)]) == 4
+    assert energy(E, [CosetLabel(W, 8), CosetLabel(W, 0)]) == 4
+    for rep in (26, 17, 10**30, -1, 27):  # 26 and 17 lie in coset 8, the rest in no code
+        with pytest.raises(ValueError, match=f"representative {rep} names no coset of"):
+            energy(E, [CosetLabel(W, 8), CosetLabel(W, rep)])
+        with pytest.raises(ValueError, match=f"representative {rep} names no coset of"):
+            energy(PointSet.empty(a), [CosetLabel(W, rep)])
+    with pytest.raises(ValueError):  # an empty set of another space is refused as a nonempty one is
+        energy(PointSet.empty(amb(3, 2)), [CosetLabel(W, 8)])
 
 
 # -- family energy and incidences ---------------------------------------------

@@ -197,6 +197,30 @@ def test_take_carries_built_annihilator_rows(monkeypatch):
     assert calls == []
 
 
+def test_stacks_compare_by_ambient_and_bases_and_are_unhashable():
+    a = amb(3, 3)
+    lines = grassmannian(a, 1)
+    # built apart from the same members: equal, though not one object
+    again = SubspaceStack.of(a, None, list(lines.members))
+    assert again is not lines and again == lines and not again != lines
+    assert SubspaceStack(a, lines.bases.copy()) == lines
+    assert lines.take([0, 2]) == lines.take(np.array([0, 2]))
+    unequal = [
+        lines.take([0, 1]),  # fewer members
+        lines.take([1, 0]),  # the same members in another order
+        grassmannian(a, 2),  # another dimension
+        SubspaceStack(a, np.zeros((0, 2, 3), dtype=np.int64)),  # no member, another dimension
+        grassmannian(amb(3, 4), 1).take(np.arange(len(lines))),  # another space
+        SubspaceStack(amb(5, 3), lines.bases.copy()),  # the same rows over another field
+    ]
+    for other in unequal:
+        assert lines != other and other != lines
+    assert SubspaceStack(a, np.zeros((0, 1, 3), dtype=np.int64)) == lines.take([])
+    assert lines != lines.bases.tolist()
+    with pytest.raises(TypeError):
+        hash(lines)
+
+
 def test_stack_union_checks_its_stacks():
     a = amb(3, 3)
     with pytest.raises(ValueError, match="no stacks"):
